@@ -50,7 +50,6 @@ from .dynamics import (
     even_lattice,
     microscopic_rhs,
     step_swarm,
-    run_open_loop,
     step_continuum,
     run_continuum,
 )
@@ -63,10 +62,6 @@ from .scenarios import (
     continuum_config,
     run_microscopic,
     run_continuum_scenario,
-    run_regulation_monomodal,
-    run_regulation_bimodal,
-    run_tracking,
-    run_open_loop_scenario,
     run_scalability_sweep,
     run_noise_sweep,
 )
@@ -84,12 +79,10 @@ __all__ = [
     "ControllerGains", "ControlFields", "compute_feedback",
     "velocity_control", "sample_agent_inputs",
     "SwarmState", "IntegratorSpec", "ContinuumState", "even_lattice",
-    "microscopic_rhs", "step_swarm", "run_open_loop",
-    "step_continuum", "run_continuum",
+    "microscopic_rhs", "step_swarm", "step_continuum", "run_continuum",
     "ScenarioConfig", "monomodal_config", "bimodal_config", "tracking_config",
     "open_loop_config", "continuum_config",
     "run_microscopic", "run_continuum_scenario",
-    "run_regulation_monomodal", "run_regulation_bimodal", "run_tracking",
-    "run_open_loop_scenario", "run_scalability_sweep", "run_noise_sweep",
+    "run_scalability_sweep", "run_noise_sweep",
     "RunRecord",
 ]

@@ -23,36 +23,25 @@ from .scenarios import (
     tracking_config,
 )
 
-_FACTORIES = {
-    "regulate-mono": monomodal_config,
-    "regulate-bimodal": bimodal_config,
-    "track": tracking_config,
-    "open-loop": open_loop_config,
-    "continuum": continuum_config,
-    "sweep-n": monomodal_config,
-    "sweep-noise": monomodal_config,
-}
+_FIELDS = {f.name for f in fields(ScenarioConfig)}
 
-_FLAG_TO_FIELD = {
-    "seed": "seed",
-    "n": "n_agents",
-    "kp": "kp",
-    "t_end": "t_end",
-    "dt": "dt",
-    "grid_m": "grid_m",
-    "bandwidth": "bandwidth",
-    "scheme": "scheme",
-    "sample_every": "sample_every",
-    "noise_dbw": "noise_power_dbw",
+_COMMANDS = {
+    "regulate-mono": (monomodal_config, "regulate to the monomodal density"),
+    "regulate-bimodal": (bimodal_config, "regulate to the bimodal density"),
+    "track": (tracking_config, "track the time-varying density"),
+    "open-loop": (open_loop_config, "uncontrolled swarm from a clumped start"),
+    "continuum": (continuum_config, "finite-difference run of the controlled density law"),
+    "sweep-n": (monomodal_config, "final KL across swarm sizes (inf = continuum)"),
+    "sweep-noise": (monomodal_config, "final KL across feedback noise powers"),
 }
 
 
 def _add_common(parser):
+    # Every config flag's dest is the ScenarioConfig field it overrides.
     parser.add_argument("--config", type=Path, help="JSON file with config field overrides")
     parser.add_argument("--out", type=Path, help="output directory (created if missing)")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--format", choices=["csv"], default="csv")
-    parser.add_argument("--n", type=int, help="number of agents")
+    parser.add_argument("--n", dest="n_agents", type=int, help="number of agents")
     parser.add_argument("--kp", type=float)
     parser.add_argument("--t-end", dest="t_end", type=float)
     parser.add_argument("--dt", type=float)
@@ -60,7 +49,7 @@ def _add_common(parser):
     parser.add_argument("--bandwidth", type=float)
     parser.add_argument("--scheme", choices=["euler", "rk4"])
     parser.add_argument("--sample-every", dest="sample_every", type=float)
-    parser.add_argument("--noise-dbw", dest="noise_dbw", type=float)
+    parser.add_argument("--noise-dbw", dest="noise_power_dbw", type=float)
 
 
 def build_parser():
@@ -69,16 +58,7 @@ def build_parser():
         description="Swarm-on-a-ring density control experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = [
-        ("regulate-mono", "regulate to the monomodal density"),
-        ("regulate-bimodal", "regulate to the bimodal density"),
-        ("track", "track the time-varying density"),
-        ("open-loop", "uncontrolled swarm from a clumped start"),
-        ("continuum", "finite-difference run of the controlled density law"),
-        ("sweep-n", "final KL across swarm sizes (inf = continuum)"),
-        ("sweep-noise", "final KL across feedback noise powers"),
-    ]
-    for name, help_text in specs:
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
         if name == "sweep-n":
@@ -94,14 +74,14 @@ def build_parser():
 
 
 def _load_config(command: str, args) -> ScenarioConfig:
-    config = _FACTORIES[command]()
+    factory, _ = _COMMANDS[command]
+    config = factory()
     if args.config is not None:
         try:
             raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise SystemExit(f"ringswarm: cannot read config {args.config}: {exc}")
-        known = {f.name for f in fields(ScenarioConfig)}
-        bad = set(raw) - known
+        bad = set(raw) - _FIELDS
         if bad:
             raise SystemExit(f"ringswarm: unknown config keys: {sorted(bad)}")
         raw.pop("scenario", None)  # the subcommand owns the scenario kind
@@ -109,11 +89,8 @@ def _load_config(command: str, args) -> ScenarioConfig:
             config = replace(config, **raw)
         except (TypeError, ValueError) as exc:
             raise SystemExit(f"ringswarm: invalid config: {exc}")
-    overrides = {}
-    for flag, field_name in _FLAG_TO_FIELD.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field_name] = value
+    overrides = {name: getattr(args, name) for name in _FIELDS
+                 if getattr(args, name, None) is not None}
     if overrides:
         try:
             config = replace(config, **overrides)

@@ -14,9 +14,12 @@ from .kernels import MorseKernel, velocity_field
 from .ring import (
     GridFunction,
     cumulative_trapezoid,
+    integrate,
     spatial_derivative,
     wrap_into_domain,
 )
+
+CONSTANT_MODES = ("zero", "boundary")
 
 
 @dataclass(frozen=True)
@@ -38,12 +41,10 @@ class ControlFields:
     v_desired: GridFunction
     v_error: GridFunction
     q: GridFunction
-    t: float = 0.0
-    u_field: GridFunction | None = None
 
 
 def compute_feedback(rho: GridFunction, rho_d: GridFunction, kernel: MorseKernel,
-                     gains: ControllerGains, t: float = 0.0) -> ControlFields:
+                     gains: ControllerGains) -> ControlFields:
     """Assemble q = kp*e - [e*Vd]_x - [rho_d*Ve]_x with e = rho_d - rho.
 
     Vd and Ve are the kernel convolutions of the desired density and of the
@@ -59,43 +60,36 @@ def compute_feedback(rho: GridFunction, rho_d: GridFunction, kernel: MorseKernel
     flux_d = spatial_derivative(GridFunction(grid, e.values * v_desired.values))
     flux_e = spatial_derivative(GridFunction(grid, rho_d.values * v_error.values))
     q = GridFunction(grid, gains.kp * e.values - flux_d.values - flux_e.values)
-    return ControlFields(e=e, v_desired=v_desired, v_error=v_error, q=q, t=t)
-
-
-def default_density_floor(rho: GridFunction) -> float:
-    """Refusal threshold 1e-6 * mass / (2*pi), i.e. 1e-6 of the uniform level."""
-    mass = rho.grid.spacing * rho.values.sum()
-    return 1e-6 * mass / (2.0 * np.pi)
+    return ControlFields(e=e, v_desired=v_desired, v_error=v_error, q=q)
 
 
 def velocity_control(rho: GridFunction, q: GridFunction, *,
                      constant_mode: str = "zero",
-                     density_floor: float | None = None,
                      on_starved: str = "raise") -> GridFunction:
     """Solve [rho * U]_x = -q: U = -(running integral of q + C) / rho.
 
     The integration constant C is 0 in the default ``constant_mode="zero"``
     (minimal-action representative) or q(-pi) with ``"boundary"``.  Nodes
-    where rho falls below the floor signal the degenerate source/sink case:
-    ``on_starved="raise"`` refuses with the offending node, ``"zero"``
-    returns U = 0 there (used by the agent loop, whose estimator keeps the
-    density high wherever inputs are actually sampled).
+    where rho falls below 1e-6 of the uniform level mass / (2*pi) signal the
+    degenerate source/sink case: ``on_starved="raise"`` refuses with the
+    offending node, ``"zero"`` returns U = 0 there (used by the agent loop,
+    whose estimator keeps the density high wherever inputs are actually
+    sampled).
     """
     if rho.grid != q.grid:
         raise ValueError("rho and q must share a grid")
-    if constant_mode not in ("zero", "boundary"):
+    if constant_mode not in CONSTANT_MODES:
         raise ValueError(f"unknown constant_mode {constant_mode!r}")
     if on_starved not in ("raise", "zero"):
         raise ValueError(f"unknown on_starved {on_starved!r}")
-    floor = default_density_floor(rho) if density_floor is None else density_floor
+    floor = 1e-6 * integrate(rho) / (2.0 * np.pi)
     starved = rho.values < floor
-    if starved.any():
-        if on_starved == "raise":
-            j = int(np.argmax(starved))
-            raise ValueError(
-                f"density {rho.values[j]:.3e} below floor {floor:.3e} at node {j} "
-                f"(x={rho.grid.nodes[j]:+.4f}); the control would act as a source/sink"
-            )
+    if on_starved == "raise" and starved.any():
+        j = int(np.argmax(starved))
+        raise ValueError(
+            f"density {rho.values[j]:.3e} below floor {floor:.3e} at node {j} "
+            f"(x={rho.grid.nodes[j]:+.4f}); the control would act as a source/sink"
+        )
     constant = q.values[0] if constant_mode == "boundary" else 0.0
     cum = cumulative_trapezoid(q)
     u = -(cum.values + constant) / np.where(starved, 1.0, rho.values)

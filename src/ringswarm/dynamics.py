@@ -119,16 +119,14 @@ def microscopic_rhs(state: SwarmState, kernel: MorseKernel, inputs) -> np.ndarra
     return _pairwise_interaction(state.positions, kernel) + inputs
 
 
-def step_swarm(state: SwarmState, kernel: MorseKernel, control,
+def step_swarm(state: SwarmState, kernel: MorseKernel, u_field: GridFunction | None,
                integrator: IntegratorSpec) -> SwarmState:
     """Advance one dt.
 
-    ``control`` is a callable mapping the pre-step state to a velocity
-    control GridFunction (or None for the open loop); the field is
-    evaluated once and frozen, then re-sampled at staged agent positions.
+    ``u_field`` is the velocity control U evaluated at the pre-step state
+    (None for the open loop); it stays frozen across the step and is
+    re-sampled at the staged agent positions.
     """
-    u_field = control(state) if control is not None else None
-
     def rhs(p):
         du = _pairwise_interaction(p, kernel)
         if u_field is not None:
@@ -148,19 +146,6 @@ def step_swarm(state: SwarmState, kernel: MorseKernel, control,
     if not np.all(np.isfinite(x_new)):
         raise RuntimeError(f"non-finite agent position at t={state.t + dt:.6f}; run aborted")
     return SwarmState(positions=x_new, t=state.t + dt)
-
-
-def run_open_loop(state: SwarmState, kernel: MorseKernel, integrator: IntegratorSpec,
-                  t_end: float, sample_every: float = 0.05):
-    """Integrate with u = 0, returning states sampled at the given cadence."""
-    samples = [state]
-    n_steps = int(round(t_end / integrator.dt))
-    stride = max(1, int(round(sample_every / integrator.dt)))
-    for i in range(n_steps):
-        state = step_swarm(state, kernel, None, integrator)
-        if (i + 1) % stride == 0 or i == n_steps - 1:
-            samples.append(state)
-    return samples
 
 
 @dataclass(frozen=True)

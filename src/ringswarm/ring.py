@@ -77,10 +77,6 @@ class GridFunction:
         object.__setattr__(self, "values", values)
 
 
-def zeros_like(grid: RingGrid) -> GridFunction:
-    return GridFunction(grid, np.zeros(grid.m))
-
-
 def _check_same_grid(a: GridFunction, b: GridFunction):
     if a.grid != b.grid:
         raise ValueError(f"grid mismatch: m={a.grid.m} vs m={b.grid.m}")

@@ -20,7 +20,13 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import __version__
-from .control import ControllerGains, compute_feedback, sample_agent_inputs, velocity_control
+from .control import (
+    CONSTANT_MODES,
+    ControllerGains,
+    compute_feedback,
+    sample_agent_inputs,
+    velocity_control,
+)
 from .density import (
     BimodalTarget,
     MonomodalTarget,
@@ -32,6 +38,7 @@ from .density import (
     von_mises_density,
 )
 from .dynamics import (
+    SCHEMES,
     ContinuumState,
     IntegratorSpec,
     SwarmState,
@@ -45,6 +52,7 @@ from .ring import GridFunction, RingGrid, integrate, wrap_angle
 
 DEFAULT_SWEEP_N = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, "inf")
 DEFAULT_NOISE_DBW = (0.0, 20.0, 40.0, 60.0, 80.0)
+INITIAL_LAYOUTS = ("even", "clumped")
 
 
 @dataclass(frozen=True)
@@ -77,9 +85,26 @@ class ScenarioConfig:
     record_density: bool = True
 
     def __post_init__(self):
+        for name in ("n_agents", "grid_m"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         for name in ("n_agents", "kp", "grid_m", "dt", "t_end", "bandwidth", "sample_every"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.grid_m < 4 or self.grid_m % 2:
+            raise ValueError(f"grid_m must be even and at least 4, got {self.grid_m}")
+        if not 0 < self.cfl <= 1:
+            raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
+        if self.bandwidth >= math.pi:
+            raise ValueError(f"bandwidth must be below pi, got {self.bandwidth}")
+        # The agent loop takes round(t_end / dt) steps; anything else would
+        # silently end the run at another time.
+        if abs(self.t_end / self.dt - round(self.t_end / self.dt)) > 1e-6:
+            raise ValueError(f"t_end={self.t_end} is not a multiple of dt={self.dt}")
+        for name, allowed in (("scheme", SCHEMES), ("initial", INITIAL_LAYOUTS),
+                              ("integration_constant", CONSTANT_MODES)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
 
 
 def monomodal_config(**overrides) -> ScenarioConfig:
@@ -128,10 +153,8 @@ def build_target(config: ScenarioConfig):
 def initial_positions(config: ScenarioConfig) -> np.ndarray:
     if config.initial == "even":
         return even_lattice(config.n_agents)
-    if config.initial == "clumped":
-        h = config.clump_halfwidth
-        return wrap_angle(-h + 2.0 * h * (np.arange(config.n_agents) + 0.5) / config.n_agents)
-    raise ValueError(f"unknown initial layout {config.initial!r}")
+    h = config.clump_halfwidth
+    return wrap_angle(-h + 2.0 * h * (np.arange(config.n_agents) + 0.5) / config.n_agents)
 
 
 def _noise_std(power_dbw: float) -> float:
@@ -157,6 +180,21 @@ def _base_metadata(config: ScenarioConfig) -> dict:
     return meta
 
 
+def _record_sample(record: RunRecord, config: ScenarioConfig, t: float, rho: GridFunction,
+                   rho_d: GridFunction, u: np.ndarray, positions=None):
+    """Append one sample: the metrics row, then the agent and density rows
+    the config asks for.  ``u`` is the control at the agents, or the U field
+    on the grid when there are no ``positions`` (the continuum)."""
+    grid = rho.grid
+    e = GridFunction(grid, rho_d.values - rho.values)
+    record.metrics.append((t, kl_divergence(rho, rho_d), l2_norm(e), float(np.abs(u).max())))
+    if positions is not None and config.record_agents:
+        record.agents.extend((t, i, float(positions[i]), float(u[i]))
+                             for i in range(positions.size))
+    if config.record_density:
+        record.density.extend(zip([t] * grid.m, grid.nodes, rho.values, rho_d.values))
+
+
 def run_microscopic(config: ScenarioConfig) -> RunRecord:
     """Closed-loop (or open-loop) agent simulation producing a full RunRecord."""
     grid = RingGrid(config.grid_m)
@@ -180,8 +218,7 @@ def run_microscopic(config: ScenarioConfig) -> RunRecord:
         rho_d, _ = target_at(program, s.t, grid)
         if open_loop:
             return None, rho_hat, rho_d
-        fields = compute_feedback(rho_hat, rho_d, kernel, gains, t=s.t)
-        q = fields.q
+        q = compute_feedback(rho_hat, rho_d, kernel, gains).q
         if noise_std is not None:
             q = GridFunction(grid, q.values + rng.normal(0.0, noise_std, grid.m))
         q_integral_worst = max(q_integral_worst, abs(integrate(q)))
@@ -191,29 +228,16 @@ def run_microscopic(config: ScenarioConfig) -> RunRecord:
                                    on_starved="zero")
         return u_field, rho_hat, rho_d
 
-    def sample(s: SwarmState, u_field, rho_hat, rho_d):
-        u = (np.zeros(s.n_agents) if u_field is None
-             else sample_agent_inputs(u_field, s.positions))
-        e = GridFunction(grid, rho_d.values - rho_hat.values)
-        record.metrics.append((s.t, kl_divergence(rho_hat, rho_d), l2_norm(e),
-                               float(np.abs(u).max())))
-        if config.record_agents:
-            record.agents.extend(
-                (s.t, i, float(s.positions[i]), float(u[i])) for i in range(s.n_agents)
-            )
-        if config.record_density:
-            record.density.extend(
-                zip([s.t] * grid.m, grid.nodes, rho_hat.values, rho_d.values)
-            )
-
     n_steps = int(round(config.t_end / config.dt))
     stride = max(1, int(round(config.sample_every / config.dt)))
-    for i in range(n_steps):
+    for i in range(n_steps + 1):
         u_field, rho_hat, rho_d = control(state)
-        if i % stride == 0:
-            sample(state, u_field, rho_hat, rho_d)
-        state = step_swarm(state, kernel, lambda s, u=u_field: u, integrator)
-    sample(state, *control(state))
+        if i % stride == 0 or i == n_steps:
+            u = (np.zeros(state.n_agents) if u_field is None
+                 else sample_agent_inputs(u_field, state.positions))
+            _record_sample(record, config, state.t, rho_hat, rho_d, u, state.positions)
+        if i < n_steps:
+            state = step_swarm(state, kernel, u_field, integrator)
     record.metadata["q_integral_worst"] = q_integral_worst
     record.metadata["final_kl"] = record.final_kl()
     return record
@@ -228,12 +252,17 @@ def run_continuum_scenario(config: ScenarioConfig) -> RunRecord:
     mass = float(config.n_agents)
     q_integral_worst = 0.0
 
+    def evaluate(s: ContinuumState):
+        """One controller evaluation: (rho_d, q, U field)."""
+        rho_d, _ = target_at(program, s.t, grid)
+        q = compute_feedback(s.rho, rho_d, kernel, gains).q
+        return rho_d, q, velocity_control(s.rho, q, constant_mode=config.integration_constant)
+
     def control(s: ContinuumState) -> GridFunction:
         nonlocal q_integral_worst
-        rho_d, _ = target_at(program, s.t, grid)
-        fields = compute_feedback(s.rho, rho_d, kernel, gains, t=s.t)
-        q_integral_worst = max(q_integral_worst, abs(integrate(fields.q)))
-        return velocity_control(s.rho, fields.q, constant_mode=config.integration_constant)
+        _, q, u_field = evaluate(s)
+        q_integral_worst = max(q_integral_worst, abs(integrate(q)))
+        return u_field
 
     rho0 = von_mises_density(0.0, 0.0, mass, grid)  # uniform start, mass N
     states = run_continuum(ContinuumState(rho0, 0.0), kernel, control, config.t_end,
@@ -242,36 +271,12 @@ def run_continuum_scenario(config: ScenarioConfig) -> RunRecord:
 
     record = RunRecord(config=asdict(config), metadata=_base_metadata(config))
     for s in states:
-        rho_d, _ = target_at(program, s.t, grid)
-        fields = compute_feedback(s.rho, rho_d, kernel, gains, t=s.t)
-        u_field = velocity_control(s.rho, fields.q,
-                                   constant_mode=config.integration_constant)
-        record.metrics.append((s.t, kl_divergence(s.rho, rho_d), l2_norm(fields.e),
-                               float(np.abs(u_field.values).max())))
-        if config.record_density:
-            record.density.extend(
-                zip([s.t] * grid.m, grid.nodes, s.rho.values, rho_d.values)
-            )
+        rho_d, _, u_field = evaluate(s)
+        _record_sample(record, config, s.t, s.rho, rho_d, u_field.values)
     record.metadata["q_integral_worst"] = q_integral_worst
     record.metadata["final_kl"] = record.final_kl()
     record.metadata["mass_drift"] = abs(integrate(states[-1].rho) - mass)
     return record
-
-
-def run_regulation_monomodal(config: ScenarioConfig | None = None, **overrides) -> RunRecord:
-    return run_microscopic(config or monomodal_config(**overrides))
-
-
-def run_regulation_bimodal(config: ScenarioConfig | None = None, **overrides) -> RunRecord:
-    return run_microscopic(config or bimodal_config(**overrides))
-
-
-def run_tracking(config: ScenarioConfig | None = None, **overrides) -> RunRecord:
-    return run_microscopic(config or tracking_config(**overrides))
-
-
-def run_open_loop_scenario(config: ScenarioConfig | None = None, **overrides) -> RunRecord:
-    return run_microscopic(config or open_loop_config(**overrides))
 
 
 def _sweep_entry(args):

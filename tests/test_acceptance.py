@@ -111,7 +111,7 @@ def test_criterion_3_error_decay_bound():
     rho_d = von_mises_density(0.0, 0.0, n, grid)
 
     def control(s):
-        fields = compute_feedback(s.rho, rho_d, kernel, gains, t=s.t)
+        fields = compute_feedback(s.rho, rho_d, kernel, gains)
         return velocity_control(s.rho, fields.q)
 
     rho0 = GridFunction(grid, rho_d.values + 0.05 * np.sin(grid.nodes))

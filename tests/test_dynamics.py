@@ -18,7 +18,6 @@ from ringswarm import (
     l2_norm,
     microscopic_rhs,
     run_continuum,
-    run_open_loop,
     step_continuum,
     step_swarm,
     velocity_control,
@@ -28,12 +27,23 @@ from ringswarm import (
 from ringswarm.density import WrappedGaussianEstimator
 
 
-def rk4_positions(pos0, kernel, t_end, dt, control=None, scheme="rk4"):
+def rk4_positions(pos0, kernel, t_end, dt, scheme="rk4"):
     state = SwarmState(pos0, 0.0)
     spec = IntegratorSpec(dt=dt, scheme=scheme)
     for _ in range(int(round(t_end / dt))):
-        state = step_swarm(state, kernel, control, spec)
+        state = step_swarm(state, kernel, None, spec)
     return state.positions
+
+
+def open_loop_samples(state, kernel, spec, t_end, sample_every):
+    """Open-loop states at t = 0 and every ``sample_every`` up to t_end."""
+    samples = [state]
+    stride = int(round(sample_every / spec.dt))
+    for i in range(1, int(round(t_end / spec.dt)) + 1):
+        state = step_swarm(state, kernel, None, spec)
+        if i % stride == 0:
+            samples.append(state)
+    return samples
 
 
 class TestMicroscopicRhs:
@@ -145,7 +155,7 @@ class TestStepSwarm:
             state = SwarmState(even_lattice(20), 0.0)
             spec = IntegratorSpec(dt=1e-3)
             for _ in range(100):
-                state = step_swarm(state, kernel, control, spec)
+                state = step_swarm(state, kernel, control(state), spec)
             runs.append(state.positions)
         assert np.array_equal(runs[0], runs[1])
 
@@ -155,31 +165,24 @@ class TestStepSwarm:
         huge = GridFunction(grid, np.full(grid.m, 1e308))
         state = SwarmState(np.array([0.0, 1.0]), 0.0)
         with np.errstate(over="ignore"), pytest.raises(RuntimeError, match="non-finite"):
-            step_swarm(state, kernel, lambda s: huge, IntegratorSpec(dt=1e-3))
+            step_swarm(state, kernel, huge, IntegratorSpec(dt=1e-3))
 
 
 class TestOpenLoop:
     def test_single_agent_trajectory(self):
         kernel = MorseKernel(0.5, 0.5)
-        states = run_open_loop(SwarmState(np.array([1.1]), 0.0), kernel,
-                               IntegratorSpec(dt=1e-2), t_end=0.5)
+        states = open_loop_samples(SwarmState(np.array([1.1]), 0.0), kernel,
+                                   IntegratorSpec(dt=1e-2), t_end=0.5, sample_every=0.05)
         assert all(s.positions[0] == 1.1 for s in states)
         assert states[-1].t == pytest.approx(0.5)
-
-    def test_sampling_cadence(self):
-        kernel = MorseKernel(0.5, 0.5)
-        states = run_open_loop(SwarmState(even_lattice(6), 0.0), kernel,
-                               IntegratorSpec(dt=1e-2), t_end=0.3, sample_every=0.1)
-        times = [s.t for s in states]
-        assert times == pytest.approx([0.0, 0.1, 0.2, 0.3])
 
     def test_attraction_dominant_kernel_clusters(self):
         # exploratory regime: attraction beats repulsion, one cluster forms
         rng = np.random.default_rng(63)
         kernel = MorseKernel(2.0, 2.0, strength=1 / 30)
         state = SwarmState(rng.uniform(-np.pi, np.pi, 30), 0.0)
-        states = run_open_loop(state, kernel, IntegratorSpec(dt=2e-3), t_end=30.0,
-                               sample_every=3.0)
+        states = open_loop_samples(state, kernel, IntegratorSpec(dt=2e-3), t_end=30.0,
+                                   sample_every=3.0)
         circ_var = [1.0 - np.abs(np.mean(np.exp(1j * s.positions))) for s in states]
         late = circ_var[len(circ_var) // 2:]
         assert late[-1] < 0.05
@@ -226,7 +229,7 @@ class TestContinuum:
         rho_d = von_mises_density(0.0, 4.0, n, grid)
 
         def control(s):
-            fields = compute_feedback(s.rho, rho_d, kernel, gains, t=s.t)
+            fields = compute_feedback(s.rho, rho_d, kernel, gains)
             return velocity_control(s.rho, fields.q)
 
         rho0 = von_mises_density(0.0, 0.0, n, grid)

@@ -4,6 +4,19 @@ import math
 import numpy as np
 import pytest
 
+from ringswarm import (
+    ControllerGains,
+    IntegratorSpec,
+    MorseKernel,
+    RingGrid,
+    SwarmState,
+    WrappedGaussianEstimator,
+    compute_feedback,
+    even_lattice,
+    step_swarm,
+    velocity_control,
+    von_mises_density,
+)
 from ringswarm.cli import main as cli_main
 from ringswarm.records import AGENTS_HEADER, DENSITY_HEADER, METRICS_HEADER, SWEEP_HEADER
 from ringswarm.scenarios import (
@@ -17,6 +30,23 @@ from ringswarm.scenarios import (
     run_scalability_sweep,
     tracking_config,
 )
+
+
+# One invalid config per validation rule of ScenarioConfig.
+INVALID_CONFIGS = {
+    "cfl-zero": {"cfl": 0.0},
+    "cfl-negative": {"cfl": -0.4},
+    "cfl-above-one": {"cfl": 1.5},
+    "n-agents-fractional": {"n_agents": 12.5},
+    "grid-m-fractional": {"grid_m": 256.0},
+    "grid-m-odd": {"grid_m": 255},
+    "grid-m-too-small": {"grid_m": 2},
+    "scheme-unknown": {"scheme": "foo"},
+    "initial-unknown": {"initial": "random"},
+    "integration-constant-unknown": {"integration_constant": "mean"},
+    "bandwidth-pi": {"bandwidth": math.pi},
+    "t-end-off-dt-grid": {"t_end": 0.0125},
+}
 
 
 def read_rows(path):
@@ -56,6 +86,11 @@ class TestConfigDefaults:
             ScenarioConfig(n_agents=0)
         with pytest.raises(ValueError):
             ScenarioConfig(t_end=-1.0)
+
+    @pytest.mark.parametrize("overrides", INVALID_CONFIGS.values(), ids=INVALID_CONFIGS.keys())
+    def test_validation_rule(self, overrides):
+        with pytest.raises(ValueError):
+            ScenarioConfig(**overrides)
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +144,31 @@ class TestRunRecords:
         k3 = run_microscopic(replace(base, seed=base.seed + 1)).final_kl()
         assert k1 == k2
         assert k1 != k3
+
+    def test_library_loop_is_the_harness_loop(self):
+        # the README's estimator -> feedback -> U -> step_swarm loop,
+        # composed by hand, must replay run_microscopic exactly
+        cfg = monomodal_config(n_agents=10, t_end=0.1)
+        rec = run_microscopic(cfg)
+        final = np.array([row[2] for row in rec.agents if row[0] == rec.metrics[-1][0]])
+
+        grid = RingGrid(cfg.grid_m)
+        kernel = MorseKernel(cfg.attraction_strength, cfg.attraction_length,
+                             strength=1.0 / cfg.n_agents)
+        target = von_mises_density(cfg.mu, cfg.concentration, float(cfg.n_agents), grid)
+        estimator = WrappedGaussianEstimator(cfg.bandwidth, grid)
+        gains = ControllerGains(cfg.kp)
+
+        def control(state):
+            rho = estimator.estimate(state.positions)
+            fields = compute_feedback(rho, target, kernel, gains)
+            return velocity_control(rho, fields.q, on_starved="zero")
+
+        state = SwarmState(even_lattice(cfg.n_agents))
+        spec = IntegratorSpec(dt=cfg.dt, scheme=cfg.scheme)
+        for _ in range(int(round(cfg.t_end / cfg.dt))):
+            state = step_swarm(state, kernel, control(state), spec)
+        assert np.array_equal(state.positions, final)
 
     def test_continuum_record(self):
         rec = run_continuum_scenario(monomodal_config(t_end=0.3, record_density=False))
@@ -296,7 +356,15 @@ class TestCli:
     def test_invalid_config_value_is_runtime_error(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"t_end": -1.0}))
-        assert cli_main(["regulate-mono", "--config", str(cfg_file)]) in (1, 2)
+        assert cli_main(["regulate-mono", "--config", str(cfg_file)]) == 2
+
+    @pytest.mark.parametrize("overrides", INVALID_CONFIGS.values(), ids=INVALID_CONFIGS.keys())
+    def test_invalid_config_exits_before_the_run(self, tmp_path, overrides):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(overrides))
+        out = tmp_path / "run"
+        assert cli_main(["continuum", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_env_var_output_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RINGSWARM_OUT", str(tmp_path))
