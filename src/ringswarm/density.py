@@ -15,6 +15,11 @@ import numpy as np
 from .ring import GridFunction, RingGrid, integrate, wrap_angle
 
 KL_FLOOR = 1e-12
+# After the offset wrap every node is at least pi from a bump's images at
+# +-2*pi, which add at most exp(-0.5 (pi / h)^2).  Below this bandwidth
+# (about 0.3665 rad) that is under half an ulp of the bump's unit peak, so
+# only the central image is evaluated.
+_ONE_IMAGE_BANDWIDTH = math.pi / math.sqrt(-2.0 * math.log(np.finfo(float).eps / 2.0))
 
 
 @dataclass(frozen=True)
@@ -22,9 +27,10 @@ class WrappedGaussianEstimator:
     """Kernel density estimator with periodically wrapped Gaussian bumps.
 
     Each agent contributes one bump of width ``bandwidth`` that integrates
-    to exactly 1 on the circle (periodic images at 0, +-2*pi; for
-    bandwidths below ~1 rad further images are below 1e-12).  The estimate
-    of N agents therefore integrates to N and is strictly positive.
+    to exactly 1 on the circle (periodic images at 0, +-2*pi, the outer two
+    only for bandwidths above about 0.3665 rad; for bandwidths below ~1 rad
+    further images are below 1e-12).  The estimate of N agents therefore
+    integrates to N and is strictly positive.
     """
 
     bandwidth: float
@@ -41,8 +47,12 @@ class WrappedGaussianEstimator:
         # Wrapping the node/agent offsets first keeps the estimate exactly
         # equivariant under grid-aligned rotations of the swarm.
         d = wrap_angle(self.grid.nodes[:, None] - positions[None, :])
-        acc = np.zeros_like(d)
-        for shift in (-2.0 * np.pi, 0.0, 2.0 * np.pi):
+        if self.bandwidth < _ONE_IMAGE_BANDWIDTH:
+            shifts = (0.0,)
+        else:
+            shifts = (-2.0 * np.pi, 0.0, 2.0 * np.pi)
+        acc = 0.0
+        for shift in shifts:
             u = (d + shift) / self.bandwidth
             acc += np.exp(-0.5 * u * u)
         values = acc.sum(axis=1) / (self.bandwidth * math.sqrt(2.0 * math.pi))

@@ -9,7 +9,6 @@ ring, advanced with a conservative local Lax-Friedrichs (Rusanov) flux so
 mass is exact and the density stays nonnegative under the CFL bound.
 """
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,59 +54,127 @@ def even_lattice(n: int) -> np.ndarray:
     return -np.pi + (np.arange(n) + 0.5) * 2.0 * np.pi / n
 
 
-class _PairwiseBuffers:
-    """Reusable N x N scratch matrices; the pairwise sum runs every RK4
-    stage, and reallocating ~30 MB per step dominates the step cost."""
-
-    __slots__ = ("n", "diff", "sign", "tmp")
-
-    def __init__(self, n):
-        self.n = n
-        self.diff = np.empty((n, n))
-        self.sign = np.empty((n, n))
-        self.tmp = np.empty((n, n))
-
-
-_local = threading.local()
-
-
-def _buffers_for(n: int) -> _PairwiseBuffers:
-    ws = getattr(_local, "pairwise", None)
-    if ws is None or ws.n != n:
-        ws = _PairwiseBuffers(n)
-        _local.pairwise = ws
-    return ws
+# The direct sum wraps a raw difference f = fl(x_i - x_j) >= pi down and
+# f < -pi up by 2*pi, so the pair's class is set by where f lies among 0,
+# +-pi and +-2*pi.  Per class (+1 behind or -1 ahead, shift 2*pi*k of the
+# image x_j + 2*pi*k, upper and lower bound of f): agent j is in it when
+# lower < f < upper.  f = 0 (coincident) and f = +-pi (antipodal) are in
+# none, and neither are f = +-2*pi, where the wrapped offset is 0.
+_TWO_PI = 2.0 * np.pi
+_CLASSES = ((1.0, _TWO_PI, np.inf, _TWO_PI), (1.0, 0.0, np.pi, 0.0),
+            (1.0, -_TWO_PI, -np.pi, -_TWO_PI), (-1.0, _TWO_PI, _TWO_PI, np.pi),
+            (-1.0, 0.0, 0.0, -np.pi), (-1.0, -_TWO_PI, -_TWO_PI, -np.inf))
+_BELOW_ZERO = np.nextafter(0.0, -np.inf)
+# Largest rate-scaled width a * (x - anchor) of one block of the prefix sums;
+# with it no term or partial sum overflows (e^300 * N stays finite).
+_BLOCK_EXPONENT = 300.0
 
 
-def _pairwise_interaction(positions: np.ndarray, kernel: MorseKernel) -> np.ndarray:
-    """Direct O(N^2) sum of kernel velocities over all ordered pairs."""
+def _count_above(y, cuts):
+    """Per agent i and cut c (a column), the number of sorted y_j with
+    fl(y_i - y_j) > c.  That difference falls as j rises, so the count is a
+    boundary in y: searchsorted on y_i - c guesses it, and the raw predicate
+    moves the guess one group of equal positions at a time."""
+    padded = np.concatenate(([-np.inf], y, [np.inf]))
+    k = np.searchsorted(y, y - cuts)
+    while True:
+        back = ~(y - padded[k] > cuts)  # y[k - 1] fails: move left
+        ahead = y - padded[k + 1] > cuts  # y[k] holds: move right
+        if not (back.any() or ahead.any()):
+            return k
+        k = np.where(back, np.searchsorted(y, padded[k], "left"), k)
+        k = np.where(ahead, np.searchsorted(y, padded[k + 1], "right"), k)
+
+
+def _exp_prefix(x, rates):
+    """Prefix sums P[r, j] = sum_{l < j} exp(rates[r] * (x_l - A[j])) of sorted x.
+
+    The anchor A[j] <= x_{j-1} restarts every _BLOCK_EXPONENT / max(rates)
+    of x, and earlier blocks are carried over rescaled, so every sum stays
+    finite and well conditioned however large the rates are.  P[:, 0] = 0.
+    """
+    n = x.size
+    a = rates[:, None]
+    sums = np.zeros((rates.size, n + 1))
+    anchors = np.full(n + 1, x[0])
+    width = _BLOCK_EXPONENT / rates.max()
+    carry = 0.0
+    start = 0
+    while start < n:
+        anchor = x[start]
+        stop = int(np.searchsorted(x, anchor + width, "right"))
+        block = np.cumsum(np.exp(a * (x[start:stop] - anchor)), axis=1)
+        if start:  # the first block carries nothing
+            block += carry * np.exp(a * (anchors[start] - anchor))
+        sums[:, start + 1:stop + 1] = block
+        anchors[start + 1:stop + 1] = anchor
+        carry = block[:, -1:]
+        start = stop
+    return sums, anchors
+
+
+def _interaction_sum(positions: np.ndarray, kernel: MorseKernel) -> np.ndarray:
+    """Exact O(N log N) sum of kernel velocities over all ordered pairs.
+
+    The pair (i, j) has the wrapped offset w = x_i - x_j - 2*pi*k of the
+    direct sum, with the image k in {-1, 0, 1} picked from the raw
+    difference fl(x_i - x_j); agent j lies behind i (w > 0) or ahead of it
+    (w < 0).  Coincident agents add nothing (sgn 0 = 0), and so do exactly
+    antipodal ones (fl(x_i - x_j) = +-pi): the half-open convention would
+    give them w = -pi from both sides, and the two-sided mean of the odd
+    kernel there is 0, as in ``MorseKernel.sample_on_grid``.
+
+    Because exp(-a|w|) separates into exp(-a x_i) exp(a (x_j + 2*pi*k)),
+    each class (behind or ahead, one image) is a contiguous range of the
+    sorted positions, summed in O(1) per agent from prefix sums of
+    exp(+-a x) for a = 1 and a = 1/L.  Positions may lie slightly outside
+    [-pi, pi), as the staged RK4 positions do.
+    """
     n = positions.size
-    ws = _buffers_for(n)
-    d, s, tmp = ws.diff, ws.sign, ws.tmp
-    np.subtract(positions[:, None], positions[None, :], out=d)
-    # Positions may carry small sub-step excursions, so differences stay
-    # within (-3*pi, 3*pi); one correction per side wraps them.
-    d[d >= np.pi] -= 2.0 * np.pi
-    d[d < -np.pi] += 2.0 * np.pi
-    np.sign(d, out=s)
-    np.abs(d, out=d)
-    np.negative(d, out=d)
-    np.exp(d, out=d)  # repulsion exponential exp(-|z|)
-    inv_l = 1.0 / kernel.attraction_length
-    k = int(round(inv_l))
-    if 1 <= k <= 4 and abs(inv_l - k) < 1e-12:
-        np.copyto(tmp, d)
-        for _ in range(k - 1):
-            np.multiply(tmp, d, out=tmp)  # exp(-|z|/L) = exp(-|z|)^k
-    else:
-        np.log(d, out=tmp)
-        np.multiply(tmp, inv_l, out=tmp)
-        np.exp(tmp, out=tmp)
-    np.multiply(tmp, kernel.attraction_strength, out=tmp)
-    np.subtract(d, tmp, out=d)
-    np.multiply(d, s, out=d)
-    out = d.sum(axis=1)
-    out *= kernel.strength
+    order = np.argsort(positions, kind="stable")
+    y = positions[order]
+    spread = y[-1] - y[0] if n else 0.0
+    if spread == 0.0:  # no pairs apart: at most one agent, or all coincident
+        return np.zeros(n)
+    # |f| <= spread, so a class can hold agents only where its bounds
+    # straddle [-spread, spread], and a count of f > c beyond the spread is
+    # 0 or n.  The class of j is [count of f >= upper, count of f > lower),
+    # and f >= c is f > nextafter(c, -inf).
+    classes = [(sign, shift, np.nextafter(upper, -np.inf), lower)
+               for sign, shift, upper, lower in _CLASSES if lower < spread and upper > -spread]
+    # f > 0 and f >= 0 are exactly y_j < y_i and y_j <= y_i
+    counts = {0.0: np.searchsorted(y, y, "left"), _BELOW_ZERO: np.searchsorted(y, y, "right")}
+    cuts = sorted({c for cls in classes for c in cls[2:] if abs(c) <= spread} - counts.keys())
+    if cuts:
+        counts.update(zip(cuts, _count_above(y, np.array(cuts)[:, None])))
+
+    def count(c):
+        return counts[c] if c in counts else np.full(n, 0 if c > 0 else n)
+
+    rows = [(sign, shift, count(at_least), count(above))
+            for sign, shift, at_least, above in classes]
+    signs, shifts, lo, hi = (np.array(part) for part in zip(*rows))
+
+    # sum_{j in [lo, hi)} exp(-a (q - y_j)) is T(hi) - T(lo) with
+    # T(j) = P[j] exp(a (A[j] - q)).  A range ahead is a range behind of the
+    # mirrored positions -y[::-1], whose sums follow at offset n + 1.  The
+    # exponent is <= 0 up to rounding wherever P[j] > 0; capping it at 0
+    # keeps P[j] = 0 from meeting an overflowed factor.
+    rates = np.array([1.0, 1.0 / kernel.attraction_length])
+    sums_behind, anchors_behind = _exp_prefix(y, rates)
+    sums_ahead, anchors_ahead = _exp_prefix(-y[::-1], rates)
+    sums = np.concatenate((sums_behind, sums_ahead), axis=1)
+    anchors = np.concatenate((anchors_behind, anchors_ahead))
+    ahead = (signs < 0)[:, None]
+    idx = np.concatenate((np.where(ahead, 2 * n + 1 - lo, hi),
+                          np.where(ahead, 2 * n + 1 - hi, lo))).ravel()
+    q = np.tile((signs[:, None] * (y - shifts[:, None])).ravel(), 2)
+    exponents = np.minimum(rates[:, None] * (anchors[idx] - q), 0.0)
+    terms = np.take(sums, idx, axis=1) * np.exp(exponents)
+    terms = terms.reshape(2, 2, len(classes), n)
+    weights = np.array([1.0, -kernel.attraction_strength])[:, None] * signs
+    out = np.empty(n)
+    out[order] = kernel.strength * np.einsum("rk,rkn->n", weights, terms[:, 0] - terms[:, 1])
     return out
 
 
@@ -116,7 +183,7 @@ def microscopic_rhs(state: SwarmState, kernel: MorseKernel, inputs) -> np.ndarra
     inputs = np.asarray(inputs, dtype=float)
     if inputs.shape != (state.n_agents,):
         raise ValueError(f"expected {state.n_agents} inputs, got shape {inputs.shape}")
-    return _pairwise_interaction(state.positions, kernel) + inputs
+    return _interaction_sum(state.positions, kernel) + inputs
 
 
 def step_swarm(state: SwarmState, kernel: MorseKernel, u_field: GridFunction | None,
@@ -128,7 +195,7 @@ def step_swarm(state: SwarmState, kernel: MorseKernel, u_field: GridFunction | N
     re-sampled at the staged agent positions.
     """
     def rhs(p):
-        du = _pairwise_interaction(p, kernel)
+        du = _interaction_sum(p, kernel)
         if u_field is not None:
             du += sample_agent_inputs(u_field, p)
         return du

@@ -34,9 +34,7 @@ class MorseKernel:
             raise ValueError("kernel strength must be positive")
 
     def _exponentials(self, a):
-        # One transcendental per element when 1/L is a small integer.  The
-        # agent interaction sum in dynamics keeps its own in-place copy of
-        # this trick for its N x N matrices.
+        # One transcendental per element when 1/L is a small integer.
         e_rep = np.exp(-a)
         inv_l = 1.0 / self.attraction_length
         k = int(round(inv_l))

@@ -97,14 +97,28 @@ class ScenarioConfig:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if self.bandwidth >= math.pi:
             raise ValueError(f"bandwidth must be below pi, got {self.bandwidth}")
-        # The agent loop takes round(t_end / dt) steps; anything else would
-        # silently end the run at another time.
-        if abs(self.t_end / self.dt - round(self.t_end / self.dt)) > 1e-6:
-            raise ValueError(f"t_end={self.t_end} is not a multiple of dt={self.dt}")
         for name, allowed in (("scheme", SCHEMES), ("initial", INITIAL_LAYOUTS),
                               ("integration_constant", CONSTANT_MODES)):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
+        if self.dt > self.dt_stability_bound:
+            raise ValueError(f"dt={self.dt} exceeds the {self.scheme} stability bound "
+                             f"{self.dt_stability_bound!r} for kp={self.kp}")
+        # The agent loop takes round(t_end / dt) steps and samples every
+        # round(sample_every / dt) of them, while the continuum lands on the
+        # exact instants; off the dt grid the two would disagree silently.
+        for name in ("t_end", "sample_every"):
+            steps = getattr(self, name) / self.dt
+            if round(steps) < 1 or abs(steps - round(steps)) > 1e-6:
+                raise ValueError(f"{name}={getattr(self, name)} is not a whole multiple "
+                                 f"of dt={self.dt}")
+
+    @property
+    def dt_stability_bound(self) -> float:
+        """Explicit-scheme stability limit of the dominant feedback eigenvalue
+        (~kp on the error): real-axis stability interval 2.78 for RK4, 2 for
+        Euler."""
+        return (2.78 if self.scheme == "rk4" else 2.0) / self.kp
 
 
 def monomodal_config(**overrides) -> ScenarioConfig:
@@ -162,14 +176,11 @@ def _noise_std(power_dbw: float) -> float:
 
 
 def _base_metadata(config: ScenarioConfig) -> dict:
-    # explicit-scheme stability limit of the dominant feedback eigenvalue
-    # (~kp on the error); real-axis stability interval 2.78 for RK4, 2 for Euler
-    dt_stability = (2.78 if config.scheme == "rk4" else 2.0) / config.kp
     meta = {
         "package_version": __version__,
         "numpy_version": np.__version__,
         "interaction_strength": 1.0 / config.n_agents if config.mean_field_scaling else 1.0,
-        "dt_stability_bound": dt_stability,
+        "dt_stability_bound": config.dt_stability_bound,
     }
     if config.noise_power_dbw is not None:
         meta["noise_model"] = (
@@ -229,7 +240,7 @@ def run_microscopic(config: ScenarioConfig) -> RunRecord:
         return u_field, rho_hat, rho_d
 
     n_steps = int(round(config.t_end / config.dt))
-    stride = max(1, int(round(config.sample_every / config.dt)))
+    stride = int(round(config.sample_every / config.dt))
     for i in range(n_steps + 1):
         u_field, rho_hat, rho_d = control(state)
         if i % stride == 0 or i == n_steps:

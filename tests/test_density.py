@@ -8,6 +8,7 @@ from ringswarm import (
     RingGrid,
     WrappedGaussianEstimator,
     bimodal_density,
+    even_lattice,
     integrate,
     kl_divergence,
     l2_norm,
@@ -40,6 +41,16 @@ def bessel_i1_series(k, terms=80):
             term *= (k / 2.0) ** 2 / (m * (m + 1))
         total += term
     return total
+
+
+def three_image_estimate(positions, bandwidth, grid):
+    """Oracle: every bump with its periodic images at 0 and +-2*pi."""
+    d = wrap_angle(grid.nodes[:, None] - positions[None, :])
+    acc = np.zeros_like(d)
+    for shift in (-2.0 * np.pi, 0.0, 2.0 * np.pi):
+        u = (d + shift) / bandwidth
+        acc += np.exp(-0.5 * u * u)
+    return acc.sum(axis=1) / (bandwidth * math.sqrt(2.0 * math.pi))
 
 
 @pytest.fixture
@@ -80,6 +91,17 @@ class TestWrappedGaussianEstimator:
         shift = 17
         rotated = est.estimate(wrap_angle(positions + shift * grid.spacing))
         assert np.allclose(rotated.values, np.roll(base.values, shift), atol=1e-12)
+
+    @pytest.mark.parametrize("bandwidth", [0.05, 0.2, 0.36, 0.37, 0.5, 1.0])
+    def test_matches_three_image_oracle(self, grid, bandwidth):
+        rng = np.random.default_rng(43)
+        swarms = (rng.uniform(-np.pi, np.pi, 50), rng.uniform(-np.pi, np.pi, 1000),
+                  even_lattice(50), even_lattice(64))
+        est = WrappedGaussianEstimator(bandwidth, grid)
+        for positions in swarms:
+            ref = three_image_estimate(positions, bandwidth, grid)
+            got = est.estimate(positions).values
+            assert np.max(np.abs(got - ref) / ref) <= 1e-15
 
     def test_empty_swarm_rejected(self, grid):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringswarm import (
     ContinuumState,
@@ -25,6 +27,48 @@ from ringswarm import (
     wrap_angle,
 )
 from ringswarm.density import WrappedGaussianEstimator
+from ringswarm.dynamics import _interaction_sum
+
+EPS = np.finfo(float).eps
+
+
+def direct_interaction_sum(positions, kernel):
+    """O(N^2) oracle: the kernel at every ordered pair's raw difference,
+    wrapped once per side into [-pi, pi); exactly antipodal pairs take the
+    two-sided mean 0."""
+    d = positions[:, None] - positions[None, :]
+    antipodal = np.abs(d) == np.pi
+    d[d >= np.pi] -= 2.0 * np.pi
+    d[d < -np.pi] += 2.0 * np.pi
+    a = np.abs(d)
+    g, length = kernel.attraction_strength, kernel.attraction_length
+    f = np.sign(d) * (np.exp(-a) - g * np.exp(-a / length))
+    f[antipodal] = 0.0
+    return kernel.strength * f.sum(axis=1)
+
+
+@st.composite
+def interaction_cases(draw):
+    """Swarms of 1-300 agents in five layouts, with random G and 1/L up to 200."""
+    n = draw(st.integers(1, 300))
+    layout = draw(st.sampled_from(("uniform", "coincident", "antipodal", "lattice", "staged")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if layout == "uniform":
+        pos = rng.uniform(-np.pi, np.pi, n)
+    elif layout == "coincident":  # groups of equal positions, sgn(0) = 0
+        pos = rng.choice(rng.uniform(-np.pi, np.pi, max(1, n // 4)), n)
+    elif layout == "antipodal":
+        # |x| >= pi/2 makes x -+ pi exact, so each pair differs by exactly pi
+        half = rng.uniform(np.pi / 2, np.pi, (n + 1) // 2) * rng.choice([-1.0, 1.0], (n + 1) // 2)
+        pos = np.concatenate((half, half - np.pi * np.sign(half)))[:n]
+    elif layout == "lattice":
+        pos = even_lattice(n)
+    else:  # staged RK4 positions: unwrapped, straddling the seam
+        pos = rng.choice([-np.pi, np.pi], n) + rng.uniform(-0.02, 0.02, n)
+        pos[: n // 2] = rng.uniform(-np.pi - 0.01, np.pi + 0.01, n // 2)
+    g = draw(st.floats(0.05, 3.0))
+    inv_l = draw(st.floats(0.05, 200.0))
+    return pos, MorseKernel(g, 1.0 / inv_l, strength=0.01)
 
 
 def rk4_positions(pos0, kernel, t_end, dt, scheme="rk4"):
@@ -68,8 +112,6 @@ class TestMicroscopicRhs:
         assert np.abs(microscopic_rhs(state, kernel, -sums)).max() == 0.0
 
     def test_interaction_sum_is_momentum_free(self):
-        # generic random states: no exactly antipodal pairs, so the odd
-        # kernel cancels pairwise
         rng = np.random.default_rng(61)
         kernel = MorseKernel(0.5, 0.5)
         for _ in range(100):
@@ -82,8 +124,18 @@ class TestMicroscopicRhs:
         with pytest.raises(ValueError):
             microscopic_rhs(state, MorseKernel(), np.zeros(4))
 
+    @pytest.mark.parametrize("n", [2, 50, 1000])
+    def test_lattice_is_momentum_free(self, n):
+        # even n puts every agent exactly antipodal to another; those pairs
+        # take the two-sided mean 0 instead of pushing both the same way
+        state = SwarmState(even_lattice(n), 0.0)
+        rates = microscopic_rhs(state, MorseKernel(0.5, 0.5, strength=1.0 / n), np.zeros(n))
+        assert abs(rates.sum()) < 1e-10
+        if n == 2:
+            assert np.all(rates == 0.0)
+
     @pytest.mark.parametrize("g,length", [(0.5, 0.5), (0.8, 1.7), (2.0, 2.0)])
-    def test_buffered_sum_matches_plain_formula(self, g, length):
+    def test_fast_sum_matches_plain_formula(self, g, length):
         rng = np.random.default_rng(65)
         kernel = MorseKernel(g, length, strength=0.01)
         pos = rng.uniform(-np.pi, np.pi, 60)
@@ -93,6 +145,19 @@ class TestMicroscopicRhs:
                                     + np.exp(-np.abs(d)))).sum(axis=1)
         got = microscopic_rhs(state, kernel, np.zeros(60))
         assert np.abs(got - ref).max() < 1e-13
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(interaction_cases())
+    def test_fast_sum_matches_direct_oracle(self, case):
+        pos, kernel = case
+        got = _interaction_sum(pos, kernel)
+        ref = direct_interaction_sum(pos, kernel)
+        # each of the N terms per agent is off by a few ulps of its size
+        # s (1 + G), times 1 + 1/L from rounding in its exponent
+        tol = (16 * EPS * kernel.strength * (1 + kernel.attraction_strength) * pos.size
+               * (1 + 1 / kernel.attraction_length))
+        assert np.abs(got - ref).max() <= tol
+        assert abs(got.sum()) < 1e-10
 
 
 class TestStepSwarm:

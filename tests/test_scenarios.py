@@ -46,6 +46,11 @@ INVALID_CONFIGS = {
     "integration-constant-unknown": {"integration_constant": "mean"},
     "bandwidth-pi": {"bandwidth": math.pi},
     "t-end-off-dt-grid": {"t_end": 0.0125},
+    "sample-every-off-dt-grid": {"t_end": 0.01, "sample_every": 0.0035},
+    "sample-every-below-dt": {"sample_every": 5e-4},
+    "dt-above-rk4-stability-bound": {"dt": 0.4, "t_end": 0.4, "sample_every": 0.4},
+    "dt-above-euler-stability-bound": {"scheme": "euler", "dt": 0.25, "t_end": 0.5,
+                                       "sample_every": 0.25},
 }
 
 
