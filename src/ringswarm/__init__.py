@@ -20,7 +20,6 @@ from .ring import (
     circular_convolve,
     spatial_derivative,
     integrate,
-    cumulative_integral,
     cumulative_trapezoid,
 )
 from .kernels import MorseKernel, velocity_field, young_bound_check
@@ -70,8 +69,7 @@ from .records import RunRecord
 __all__ = [
     "__version__",
     "RingGrid", "GridFunction", "wrap_angle", "wrap_distance", "wrap_into_domain",
-    "circular_convolve", "spatial_derivative", "integrate",
-    "cumulative_integral", "cumulative_trapezoid",
+    "circular_convolve", "spatial_derivative", "integrate", "cumulative_trapezoid",
     "MorseKernel", "velocity_field", "young_bound_check",
     "WrappedGaussianEstimator", "von_mises_density", "bimodal_density",
     "MonomodalTarget", "BimodalTarget", "TrackingTarget", "TrackingSchedule",

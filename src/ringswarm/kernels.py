@@ -7,6 +7,7 @@ gives the advection velocity of the crowd.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,8 +62,9 @@ class MorseKernel:
         g_over_l = self.attraction_strength / self.attraction_length
         return self.strength * (g_over_l * e_att - e_rep)
 
+    @lru_cache(maxsize=64)  # bounded, since each entry keeps its kernel alive
     def sample_on_grid(self, grid: RingGrid) -> GridFunction:
-        """Kernel sampled at the node angles (wrapped offsets).
+        """Kernel sampled at the node angles (wrapped offsets), cached per grid.
 
         The kernel does not vanish at +-pi, so the circle sees a jump at the
         antipode where only the -pi side is representable.  That node takes

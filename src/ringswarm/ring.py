@@ -76,6 +76,15 @@ class GridFunction:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
+    @cached_property
+    def offset_spectrum(self):
+        """Read-only rfft of the samples reindexed by offset (offset n*Delta
+        sits at node (n + m/2) % m): the kernel side of circular_convolve,
+        computed once per sample set."""
+        spectrum = np.fft.rfft(np.roll(self.values, -(self.grid.m // 2)))
+        spectrum.setflags(write=False)
+        return spectrum
+
 
 def _check_same_grid(a: GridFunction, b: GridFunction):
     if a.grid != b.grid:
@@ -94,9 +103,7 @@ def circular_convolve(kernel_samples: GridFunction, density: GridFunction) -> Gr
     m = density.grid.m
     if m % 2 != 0:
         raise ValueError("circular convolution needs an even node count")
-    # Reindex node-angle samples by offset: offset n*Delta sits at node (n + m/2) % m.
-    offsets = np.roll(kernel_samples.values, -(m // 2))
-    out = np.fft.irfft(np.fft.rfft(offsets) * np.fft.rfft(density.values), n=m)
+    out = np.fft.irfft(kernel_samples.offset_spectrum * np.fft.rfft(density.values), n=m)
     return GridFunction(density.grid, density.grid.spacing * out)
 
 
@@ -112,16 +119,8 @@ def integrate(field: GridFunction) -> float:
     return float(field.grid.spacing * field.values.sum())
 
 
-def cumulative_integral(field: GridFunction) -> GridFunction:
-    """Left-rectangle running integral from -pi: value j = Delta * sum_{i<j} v_i."""
-    v = field.values
-    cum = np.concatenate(([0.0], np.cumsum(v[:-1]))) * field.grid.spacing
-    return GridFunction(field.grid, cum)
-
-
 def cumulative_trapezoid(field: GridFunction) -> GridFunction:
-    """Trapezoid running integral from -pi; second-order companion of
-    cumulative_integral used where the antiderivative is differenced again."""
+    """Trapezoid running integral from -pi: value j = Delta * sum_{i<j} (v_i + v_{i+1})/2."""
     v = field.values
     steps = 0.5 * (v[1:] + v[:-1]) * field.grid.spacing
     cum = np.concatenate(([0.0], np.cumsum(steps)))

@@ -101,9 +101,12 @@ class ScenarioConfig:
                               ("integration_constant", CONSTANT_MODES)):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
-        if self.dt > self.dt_stability_bound:
+        # Slack for the bound's own decimal value: 2.78/10 is 0.27799999999999997.
+        if self.dt > self.dt_stability_bound * (1.0 + 1e-9):
             raise ValueError(f"dt={self.dt} exceeds the {self.scheme} stability bound "
                              f"{self.dt_stability_bound!r} for kp={self.kp}")
+        if self.noise_power_dbw is not None and self.scenario in ("continuum", "open-loop"):
+            raise ValueError(f"the {self.scenario} scenario takes no feedback noise")
         # The agent loop takes round(t_end / dt) steps and samples every
         # round(sample_every / dt) of them, while the continuum lands on the
         # exact instants; off the dt grid the two would disagree silently.
@@ -206,85 +209,79 @@ def _record_sample(record: RunRecord, config: ScenarioConfig, t: float, rho: Gri
         record.density.extend(zip([t] * grid.m, grid.nodes, rho.values, rho_d.values))
 
 
+class _Controller:
+    """One controller evaluation, shared by both runners: target, feedback q
+    plus the configured noise, the worst |integral of q| so far, then the U
+    field (none in the open loop; starved nodes as ``on_starved`` says).
+    The grid, kernel, a static target and the noise generator are built
+    once per run."""
+
+    def __init__(self, config: ScenarioConfig, on_starved: str):
+        self.config, self.on_starved = config, on_starved
+        self.grid = RingGrid(config.grid_m)
+        self.kernel = build_kernel(config)
+        self.program = build_target(config)
+        self.target = (None if isinstance(self.program, TrackingTarget)
+                       else target_at(self.program, 0.0, self.grid)[0])
+        self.gains = ControllerGains(config.kp)
+        self.rng = None if config.noise_power_dbw is None else np.random.default_rng(config.seed)
+        self.q_integral_worst = 0.0
+
+    def __call__(self, rho: GridFunction, t: float):
+        """(U field or None, rho_d) for the density ``rho`` at time ``t``."""
+        rho_d = self.target if self.target is not None else target_at(self.program, t, self.grid)[0]
+        if self.config.scenario == "open-loop":
+            return None, rho_d
+        q = compute_feedback(rho, rho_d, self.kernel, self.gains).q
+        if self.rng is not None:
+            noise = self.rng.normal(0.0, _noise_std(self.config.noise_power_dbw), self.grid.m)
+            q = GridFunction(self.grid, q.values + noise)
+        self.q_integral_worst = max(self.q_integral_worst, abs(integrate(q)))
+        u_field = velocity_control(rho, q, constant_mode=self.config.integration_constant,
+                                   on_starved=self.on_starved)
+        return u_field, rho_d
+
+
 def run_microscopic(config: ScenarioConfig) -> RunRecord:
     """Closed-loop (or open-loop) agent simulation producing a full RunRecord."""
-    grid = RingGrid(config.grid_m)
-    kernel = build_kernel(config)
-    program = build_target(config)
-    gains = ControllerGains(config.kp)
-    estimator = WrappedGaussianEstimator(config.bandwidth, grid)
+    # Far from every agent the estimate decays below the floor for small
+    # swarms; those nodes are never sampled, so the control is zero there.
+    controller = _Controller(config, on_starved="zero")
+    estimator = WrappedGaussianEstimator(config.bandwidth, controller.grid)
     integrator = IntegratorSpec(dt=config.dt, scheme=config.scheme)
-    rng = np.random.default_rng(config.seed)
-    noise_std = None if config.noise_power_dbw is None else _noise_std(config.noise_power_dbw)
-    open_loop = config.scenario == "open-loop"
-
     state = SwarmState(initial_positions(config), 0.0)
     record = RunRecord(config=asdict(config), metadata=_base_metadata(config))
-    q_integral_worst = 0.0
-
-    def control(s: SwarmState):
-        """One controller evaluation: (applied U field or None, rho_hat, rho_d)."""
-        nonlocal q_integral_worst
-        rho_hat = estimator.estimate(s.positions)
-        rho_d, _ = target_at(program, s.t, grid)
-        if open_loop:
-            return None, rho_hat, rho_d
-        q = compute_feedback(rho_hat, rho_d, kernel, gains).q
-        if noise_std is not None:
-            q = GridFunction(grid, q.values + rng.normal(0.0, noise_std, grid.m))
-        q_integral_worst = max(q_integral_worst, abs(integrate(q)))
-        # Far from every agent the estimate decays below the floor for small
-        # swarms; those nodes are never sampled, so zero the control there.
-        u_field = velocity_control(rho_hat, q, constant_mode=config.integration_constant,
-                                   on_starved="zero")
-        return u_field, rho_hat, rho_d
-
     n_steps = int(round(config.t_end / config.dt))
     stride = int(round(config.sample_every / config.dt))
     for i in range(n_steps + 1):
-        u_field, rho_hat, rho_d = control(state)
+        rho_hat = estimator.estimate(state.positions)
+        u_field, rho_d = controller(rho_hat, state.t)
         if i % stride == 0 or i == n_steps:
             u = (np.zeros(state.n_agents) if u_field is None
                  else sample_agent_inputs(u_field, state.positions))
             _record_sample(record, config, state.t, rho_hat, rho_d, u, state.positions)
         if i < n_steps:
-            state = step_swarm(state, kernel, u_field, integrator)
-    record.metadata["q_integral_worst"] = q_integral_worst
+            state = step_swarm(state, controller.kernel, u_field, integrator)
+    record.metadata["q_integral_worst"] = controller.q_integral_worst
     record.metadata["final_kl"] = record.final_kl()
     return record
 
 
 def run_continuum_scenario(config: ScenarioConfig) -> RunRecord:
     """Finite-difference run of the controlled conservation law (N = infinity)."""
-    grid = RingGrid(config.grid_m)
-    kernel = build_kernel(config)
-    program = build_target(config)
-    gains = ControllerGains(config.kp)
+    controller = _Controller(config, on_starved="raise")
     mass = float(config.n_agents)
-    q_integral_worst = 0.0
-
-    def evaluate(s: ContinuumState):
-        """One controller evaluation: (rho_d, q, U field)."""
-        rho_d, _ = target_at(program, s.t, grid)
-        q = compute_feedback(s.rho, rho_d, kernel, gains).q
-        return rho_d, q, velocity_control(s.rho, q, constant_mode=config.integration_constant)
-
-    def control(s: ContinuumState) -> GridFunction:
-        nonlocal q_integral_worst
-        _, q, u_field = evaluate(s)
-        q_integral_worst = max(q_integral_worst, abs(integrate(q)))
-        return u_field
-
-    rho0 = von_mises_density(0.0, 0.0, mass, grid)  # uniform start, mass N
-    states = run_continuum(ContinuumState(rho0, 0.0), kernel, control, config.t_end,
-                           cfl=config.cfl, dt_max=config.dt,
-                           sample_every=config.sample_every)
-
+    rho0 = von_mises_density(0.0, 0.0, mass, controller.grid)  # uniform start, mass N
+    states = run_continuum(ContinuumState(rho0, 0.0), controller.kernel,
+                           lambda s: controller(s.rho, s.t)[0], config.t_end,
+                           cfl=config.cfl, dt_max=config.dt, sample_every=config.sample_every)
     record = RunRecord(config=asdict(config), metadata=_base_metadata(config))
+    # Worst over the applied controls; the samples below re-evaluate them.
+    record.metadata["q_integral_worst"] = controller.q_integral_worst
     for s in states:
-        rho_d, _, u_field = evaluate(s)
-        _record_sample(record, config, s.t, s.rho, rho_d, u_field.values)
-    record.metadata["q_integral_worst"] = q_integral_worst
+        u_field, rho_d = controller(s.rho, s.t)
+        u = np.zeros(s.rho.grid.m) if u_field is None else u_field.values
+        _record_sample(record, config, s.t, s.rho, rho_d, u)
     record.metadata["final_kl"] = record.final_kl()
     record.metadata["mass_drift"] = abs(integrate(states[-1].rho) - mass)
     return record
@@ -295,7 +292,9 @@ def _sweep_entry(args):
     config, n = args
     try:
         if n == "inf":
-            rec = run_continuum_scenario(replace(config, scenario="continuum"))
+            # The continuum limit is noise-free.
+            rec = run_continuum_scenario(replace(config, scenario="continuum",
+                                                 noise_power_dbw=None))
         else:
             rec = run_microscopic(replace(config, scenario="regulate-mono", n_agents=int(n),
                                           record_agents=False, record_density=False))

@@ -7,7 +7,6 @@ from ringswarm import (
     MorseKernel,
     RingGrid,
     compute_feedback,
-    cumulative_integral,
     integrate,
     l2_norm,
     sample_agent_inputs,
@@ -136,14 +135,6 @@ class TestVelocityControl:
         err = l2_norm(GridFunction(grid, residual.values + q.values))
         # second-order scheme: error tracks dx^2
         assert err < 2.0 * grid.spacing**2 * l2_norm(q)
-
-    def test_controller_q_cumulative_closure(self, grid, kernel, gains):
-        rho = von_mises_density(0.0, 0.0, 50.0, grid)
-        rho_d = von_mises_density(0.0, 4.0, 50.0, grid)
-        q = compute_feedback(rho, rho_d, kernel, gains).q
-        cum = cumulative_integral(q)
-        closure = cum.values[-1] + grid.spacing * q.values[-1]
-        assert abs(closure) < 1e-9 * (l2_norm(q) + 1.0)
 
     def test_integration_constant_offset(self, grid):
         rho = von_mises_density(0.0, 3.0, 50.0, grid)

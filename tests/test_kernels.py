@@ -123,6 +123,15 @@ class TestGridSampling:
         peak = np.argmax(np.abs(samples.values))
         assert abs(abs(grid.nodes[peak]) - grid.spacing) < 1e-12
 
+    def test_cached_samples_and_spectrum_are_read_only(self):
+        grid = RingGrid(64)
+        samples = MorseKernel(0.5, 0.5, 0.1).sample_on_grid(grid)
+        assert MorseKernel(0.5, 0.5, 0.1).sample_on_grid(RingGrid(64)) is samples
+        assert samples.offset_spectrum is samples.offset_spectrum
+        for array in (samples.values, samples.offset_spectrum):
+            with pytest.raises(ValueError):
+                array[1] = 7.0
+
 
 class TestVelocityField:
     def test_uniform_density_is_equilibrium(self):

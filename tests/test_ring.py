@@ -7,7 +7,6 @@ from ringswarm import (
     GridFunction,
     RingGrid,
     circular_convolve,
-    cumulative_integral,
     cumulative_trapezoid,
     integrate,
     spatial_derivative,
@@ -201,25 +200,6 @@ class TestIntegrate:
 
 
 class TestCumulativeIntegral:
-    def test_zero_field(self):
-        grid = RingGrid(32)
-        out = cumulative_integral(GridFunction(grid, np.zeros(32)))
-        assert np.all(out.values == 0.0)
-
-    def test_constant_ramp(self):
-        grid = RingGrid(64)
-        c = 1.3
-        out = cumulative_integral(GridFunction(grid, np.full(64, c)))
-        assert np.allclose(out.values, c * (grid.nodes + np.pi), atol=1e-12)
-
-    def test_closure_equals_integral(self):
-        rng = np.random.default_rng(12)
-        grid = RingGrid(128)
-        f = GridFunction(grid, rng.normal(size=grid.m))
-        cum = cumulative_integral(f)
-        closure = cum.values[-1] + grid.spacing * f.values[-1]
-        assert closure == pytest.approx(integrate(f), abs=1e-12)
-
     def test_trapezoid_variant(self):
         grid = RingGrid(64)
         c = -0.8

@@ -5,15 +5,20 @@ import numpy as np
 import pytest
 
 from ringswarm import (
+    ContinuumState,
     ControllerGains,
     IntegratorSpec,
+    MonomodalTarget,
     MorseKernel,
     RingGrid,
     SwarmState,
     WrappedGaussianEstimator,
     compute_feedback,
     even_lattice,
+    integrate,
+    run_continuum,
     step_swarm,
+    target_at,
     velocity_control,
     von_mises_density,
 )
@@ -22,6 +27,7 @@ from ringswarm.records import AGENTS_HEADER, DENSITY_HEADER, METRICS_HEADER, SWE
 from ringswarm.scenarios import (
     ScenarioConfig,
     bimodal_config,
+    continuum_config,
     monomodal_config,
     open_loop_config,
     run_continuum_scenario,
@@ -51,6 +57,8 @@ INVALID_CONFIGS = {
     "dt-above-rk4-stability-bound": {"dt": 0.4, "t_end": 0.4, "sample_every": 0.4},
     "dt-above-euler-stability-bound": {"scheme": "euler", "dt": 0.25, "t_end": 0.5,
                                        "sample_every": 0.25},
+    "noise-on-continuum": {"scenario": "continuum", "noise_power_dbw": 20.0},
+    "noise-on-open-loop": {"scenario": "open-loop", "noise_power_dbw": 20.0},
 }
 
 
@@ -175,6 +183,44 @@ class TestRunRecords:
             state = step_swarm(state, kernel, control(state), spec)
         assert np.array_equal(state.positions, final)
 
+    def test_library_loop_is_the_continuum_harness_loop(self):
+        # target -> feedback -> U composed by hand and handed to
+        # run_continuum must replay run_continuum_scenario exactly
+        cfg = continuum_config(t_end=0.1)
+        rec = run_continuum_scenario(cfg)
+
+        grid = RingGrid(cfg.grid_m)
+        mass = float(cfg.n_agents)
+        kernel = MorseKernel(cfg.attraction_strength, cfg.attraction_length,
+                             strength=1.0 / cfg.n_agents)
+        program = MonomodalTarget(cfg.mu, cfg.concentration, mass)
+        gains = ControllerGains(cfg.kp)
+        q_integral_worst = 0.0
+
+        def control(state):
+            nonlocal q_integral_worst
+            rho_d, _ = target_at(program, state.t, grid)
+            q = compute_feedback(state.rho, rho_d, kernel, gains).q
+            q_integral_worst = max(q_integral_worst, abs(integrate(q)))
+            return velocity_control(state.rho, q)
+
+        start = ContinuumState(von_mises_density(0.0, 0.0, mass, grid))
+        states = run_continuum(start, kernel, control, cfg.t_end, cfl=cfg.cfl,
+                               dt_max=cfg.dt, sample_every=cfg.sample_every)
+        rho_rows = np.array([row[2] for row in rec.density])
+        assert np.array_equal(rho_rows, np.concatenate([s.rho.values for s in states]))
+        assert rec.metadata["q_integral_worst"] == q_integral_worst
+
+    def test_continuum_replays_with_warm_caches(self):
+        # the kernel samples and their spectrum are cached across runs; a
+        # run from cold caches and one from warm caches must agree
+        MorseKernel.sample_on_grid.cache_clear()
+        cfg = continuum_config(t_end=0.2)
+        cold = run_continuum_scenario(cfg)
+        assert MorseKernel.sample_on_grid.cache_info().currsize > 0
+        warm = run_continuum_scenario(cfg)
+        assert cold == warm
+
     def test_continuum_record(self):
         rec = run_continuum_scenario(monomodal_config(t_end=0.3, record_density=False))
         assert rec.metadata["mass_drift"] < 1e-9
@@ -204,6 +250,14 @@ class TestSweeps:
         serial = run_scalability_sweep(cfg, n_list=[5, 10], workers=1)
         parallel = run_scalability_sweep(cfg, n_list=[5, 10], workers=2)
         assert serial == parallel
+
+    def test_continuum_member_of_a_noisy_sweep_is_noise_free(self):
+        cfg = monomodal_config(t_end=0.1, noise_power_dbw=20.0, record_agents=False,
+                               record_density=False)
+        rows = run_scalability_sweep(cfg, n_list=["inf"], workers=1)
+        clean = run_continuum_scenario(continuum_config(t_end=0.1, record_agents=False,
+                                                        record_density=False))
+        assert rows == [("inf", clean.final_kl(), "ok")]
 
     def test_noise_sweep_rows(self):
         cfg = monomodal_config(t_end=0.2, record_agents=False, record_density=False)
@@ -368,8 +422,15 @@ class TestCli:
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(overrides))
         out = tmp_path / "run"
-        assert cli_main(["continuum", "--config", str(cfg_file), "--out", str(out)]) == 2
+        command = overrides.get("scenario", "continuum")
+        assert cli_main([command, "--config", str(cfg_file), "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_dt_at_the_decimal_stability_bound_runs(self, tmp_path):
+        # 2.78 / kp rounds to 0.27799999999999997 at kp = 10
+        out = tmp_path / "run"
+        assert cli_main(["regulate-mono", "--dt", "0.278", "--t-end", "0.278",
+                         "--sample-every", "0.278", "--out", str(out)]) == 0
 
     def test_env_var_output_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RINGSWARM_OUT", str(tmp_path))
