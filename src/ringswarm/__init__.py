@@ -37,7 +37,6 @@ from .density import (
 )
 from .control import (
     ControllerGains,
-    ControlFields,
     compute_feedback,
     velocity_control,
     sample_agent_inputs,
@@ -49,7 +48,6 @@ from .dynamics import (
     even_lattice,
     microscopic_rhs,
     step_swarm,
-    step_continuum,
     run_continuum,
 )
 from .scenarios import (
@@ -74,10 +72,9 @@ __all__ = [
     "WrappedGaussianEstimator", "von_mises_density", "bimodal_density",
     "MonomodalTarget", "BimodalTarget", "TrackingTarget", "TrackingSchedule",
     "target_at", "kl_divergence", "l2_norm",
-    "ControllerGains", "ControlFields", "compute_feedback",
-    "velocity_control", "sample_agent_inputs",
+    "ControllerGains", "compute_feedback", "velocity_control", "sample_agent_inputs",
     "SwarmState", "IntegratorSpec", "ContinuumState", "even_lattice",
-    "microscopic_rhs", "step_swarm", "step_continuum", "run_continuum",
+    "microscopic_rhs", "step_swarm", "run_continuum",
     "ScenarioConfig", "monomodal_config", "bimodal_config", "tracking_config",
     "open_loop_config", "continuum_config",
     "run_microscopic", "run_continuum_scenario",

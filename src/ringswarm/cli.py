@@ -115,9 +115,12 @@ def _parse_n_list(text: str):
             items.append("inf")
         else:
             try:
-                items.append(int(token))
+                n = int(token)
             except ValueError:
                 raise SystemExit(f"ringswarm: bad --n-list entry {token!r}")
+            if n < 1:
+                raise SystemExit(f"ringswarm: --n-list entry {token!r} is below 1")
+            items.append(n)
     if not items:
         raise SystemExit("ringswarm: --n-list is empty")
     return items
@@ -135,6 +138,8 @@ def main(argv=None) -> int:
         n_list = p_list = None
         if command == "sweep-n" and args.n_list:
             n_list = _parse_n_list(args.n_list)
+        if command == "sweep-noise" and args.seeds < 1:
+            raise SystemExit(f"ringswarm: --seeds must be at least 1, got {args.seeds}")
         if command == "sweep-noise" and args.p_list:
             try:
                 p_list = [float(p) for p in args.p_list.split(",")]

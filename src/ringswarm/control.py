@@ -33,34 +33,23 @@ class ControllerGains:
             raise ValueError("kp must be positive")
 
 
-@dataclass(frozen=True)
-class ControlFields:
-    """Fields produced by one controller evaluation, all on a shared grid."""
-
-    e: GridFunction
-    v_desired: GridFunction
-    v_error: GridFunction
-    q: GridFunction
-
-
 def compute_feedback(rho: GridFunction, rho_d: GridFunction, kernel: MorseKernel,
-                     gains: ControllerGains) -> ControlFields:
-    """Assemble q = kp*e - [e*Vd]_x - [rho_d*Ve]_x with e = rho_d - rho.
+                     gains: ControllerGains) -> GridFunction:
+    """The mass source q = kp*e - [e*Vd]_x - [rho_d*Ve]_x with e = rho_d - rho.
 
     Vd and Ve are the kernel convolutions of the desired density and of the
-    error; the flux derivatives use the shared periodic central-difference
-    stencil, which makes the integral of q vanish identically.
+    error (``velocity_field`` caches Vd for a static target); the flux
+    derivatives use the shared periodic central-difference stencil, which
+    makes the integral of q vanish identically.
     """
     if rho.grid != rho_d.grid:
         raise ValueError("rho and rho_d must share a grid")
     grid = rho.grid
     e = GridFunction(grid, rho_d.values - rho.values)
-    v_desired = velocity_field(kernel, rho_d)
-    v_error = velocity_field(kernel, e)
+    v_desired, v_error = velocity_field(kernel, rho_d), velocity_field(kernel, e)
     flux_d = spatial_derivative(GridFunction(grid, e.values * v_desired.values))
     flux_e = spatial_derivative(GridFunction(grid, rho_d.values * v_error.values))
-    q = GridFunction(grid, gains.kp * e.values - flux_d.values - flux_e.values)
-    return ControlFields(e=e, v_desired=v_desired, v_error=v_error, q=q)
+    return GridFunction(grid, gains.kp * e.values - flux_d.values - flux_e.values)
 
 
 def velocity_control(rho: GridFunction, q: GridFunction, *,

@@ -178,12 +178,14 @@ def _interaction_sum(positions: np.ndarray, kernel: MorseKernel) -> np.ndarray:
     return out
 
 
-def microscopic_rhs(state: SwarmState, kernel: MorseKernel, inputs) -> np.ndarray:
-    """Agent velocities: interaction sums plus the given control inputs."""
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.shape != (state.n_agents,):
-        raise ValueError(f"expected {state.n_agents} inputs, got shape {inputs.shape}")
-    return _interaction_sum(state.positions, kernel) + inputs
+def microscopic_rhs(positions: np.ndarray, kernel: MorseKernel,
+                    u_field: GridFunction | None) -> np.ndarray:
+    """Agent velocities: the interaction sums plus, unless ``u_field`` is
+    None (the open loop), the control U sampled at the positions."""
+    du = _interaction_sum(positions, kernel)
+    if u_field is not None:
+        du += sample_agent_inputs(u_field, positions)
+    return du
 
 
 def step_swarm(state: SwarmState, kernel: MorseKernel, u_field: GridFunction | None,
@@ -194,21 +196,15 @@ def step_swarm(state: SwarmState, kernel: MorseKernel, u_field: GridFunction | N
     (None for the open loop); it stays frozen across the step and is
     re-sampled at the staged agent positions.
     """
-    def rhs(p):
-        du = _interaction_sum(p, kernel)
-        if u_field is not None:
-            du += sample_agent_inputs(u_field, p)
-        return du
-
     x = state.positions
     dt = integrator.dt
     if integrator.scheme == "euler":
-        x_new = x + dt * rhs(x)
+        x_new = x + dt * microscopic_rhs(x, kernel, u_field)
     else:
-        k1 = rhs(x)
-        k2 = rhs(x + 0.5 * dt * k1)
-        k3 = rhs(x + 0.5 * dt * k2)
-        k4 = rhs(x + dt * k3)
+        k1 = microscopic_rhs(x, kernel, u_field)
+        k2 = microscopic_rhs(x + 0.5 * dt * k1, kernel, u_field)
+        k3 = microscopic_rhs(x + 0.5 * dt * k2, kernel, u_field)
+        k4 = microscopic_rhs(x + dt * k3, kernel, u_field)
         x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(x_new)):
         raise RuntimeError(f"non-finite agent position at t={state.t + dt:.6f}; run aborted")
@@ -253,21 +249,6 @@ def max_stable_dt(w: GridFunction, cfl: float) -> float:
     if top == 0.0:
         return np.inf
     return cfl * w.grid.spacing / top
-
-
-def step_continuum(state: ContinuumState, kernel: MorseKernel, control, dt: float,
-                   cfl: float = 0.5) -> ContinuumState:
-    """One explicit conservative step; refuses dt beyond the CFL bound."""
-    w = continuum_velocity(state, kernel, control)
-    allowed = max_stable_dt(w, cfl)
-    if dt > allowed:
-        top = float(np.abs(w.values).max())
-        raise ValueError(
-            f"dt={dt:.3e} violates the CFL bound {allowed:.3e} "
-            f"(max speed {top:.3f}, cfl={cfl})"
-        )
-    rho_new = _rusanov_advance(state.rho, w, dt)
-    return ContinuumState(rho=rho_new, t=state.t + dt)
 
 
 def run_continuum(state: ContinuumState, kernel: MorseKernel, control, t_end: float, *,

@@ -85,8 +85,10 @@ class MorseKernel:
         return float(np.sqrt(integrate(GridFunction(grid, fx.values**2))))
 
 
+@lru_cache(maxsize=8)  # a static target hits; per-update densities just miss
 def velocity_field(kernel: MorseKernel, density: GridFunction) -> GridFunction:
-    """Advection velocity induced by a density: the circular convolution f * rho."""
+    """Advection velocity induced by a density: the circular convolution f * rho,
+    cached per (kernel, density object)."""
     return circular_convolve(kernel.sample_on_grid(density.grid), density)
 
 

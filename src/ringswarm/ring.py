@@ -57,9 +57,10 @@ class RingGrid:
         return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Real-valued samples on a RingGrid, value j taken at node x_j."""
+    """Real-valued samples on a RingGrid, value j taken at node x_j; equality
+    and hashing go by identity, so caches can key on an instance."""
 
     grid: RingGrid
     values: np.ndarray

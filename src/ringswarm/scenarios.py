@@ -15,7 +15,7 @@ concentrated targets.
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -85,12 +85,20 @@ class ScenarioConfig:
     record_density: bool = True
 
     def __post_init__(self):
-        for name in ("n_agents", "grid_m"):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        for name in ("n_agents", "grid_m", "seed"):
             if not isinstance(getattr(self, name), (int, np.integer)):
                 raise ValueError(f"{name} must be an integer")
-        for name in ("n_agents", "kp", "grid_m", "dt", "t_end", "bandwidth", "sample_every"):
+        for name in ("n_agents", "attraction_strength", "attraction_length", "kp", "grid_m",
+                     "dt", "t_end", "bandwidth", "sample_every"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("concentration", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative")
         if self.grid_m < 4 or self.grid_m % 2:
             raise ValueError(f"grid_m must be even and at least 4, got {self.grid_m}")
         if not 0 < self.cfl <= 1:
@@ -232,7 +240,7 @@ class _Controller:
         rho_d = self.target if self.target is not None else target_at(self.program, t, self.grid)[0]
         if self.config.scenario == "open-loop":
             return None, rho_d
-        q = compute_feedback(rho, rho_d, self.kernel, self.gains).q
+        q = compute_feedback(rho, rho_d, self.kernel, self.gains)
         if self.rng is not None:
             noise = self.rng.normal(0.0, _noise_std(self.config.noise_power_dbw), self.grid.m)
             q = GridFunction(self.grid, q.values + noise)
@@ -335,6 +343,8 @@ def run_scalability_sweep(config: ScenarioConfig | None = None, n_list=None,
 def run_noise_sweep(config: ScenarioConfig | None = None, p_list=None,
                     n_seeds: int = 5, workers=None) -> list:
     """Mean final KL per noise power (dBW), averaged over ``n_seeds`` seeds."""
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be at least 1, got {n_seeds}")
     config = config or monomodal_config()
     p_list = list(DEFAULT_NOISE_DBW if p_list is None else p_list)
     jobs = [(config, power, config.seed + 1000 * i)

@@ -111,8 +111,7 @@ def test_criterion_3_error_decay_bound():
     rho_d = von_mises_density(0.0, 0.0, n, grid)
 
     def control(s):
-        fields = compute_feedback(s.rho, rho_d, kernel, gains)
-        return velocity_control(s.rho, fields.q)
+        return velocity_control(s.rho, compute_feedback(s.rho, rho_d, kernel, gains))
 
     rho0 = GridFunction(grid, rho_d.values + 0.05 * np.sin(grid.nodes))
     assert abs(integrate(rho0) - n) < 1e-12  # mass-preserving perturbation
@@ -140,7 +139,7 @@ def test_criterion_4_conservation_suite(mono_run, continuum_mono_run):
     worst_momentum = 0.0
     for _ in range(100):
         state = SwarmState(rng.uniform(-np.pi, np.pi, 50), 0.0)
-        rates = microscopic_rhs(state, kernel, np.zeros(50))
+        rates = microscopic_rhs(state.positions, kernel, None)
         worst_momentum = max(worst_momentum, abs(float(rates.sum())))
     ok = drift < 1e-9 and q_micro < 1e-9 and q_cont < 1e-9 and worst_momentum < 1e-10
     check(4, "conservation suite", ok,

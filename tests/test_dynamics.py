@@ -20,12 +20,13 @@ from ringswarm import (
     l2_norm,
     microscopic_rhs,
     run_continuum,
-    step_continuum,
+    sample_agent_inputs,
     step_swarm,
     velocity_control,
     von_mises_density,
     wrap_angle,
 )
+from ringswarm import dynamics
 from ringswarm.density import WrappedGaussianEstimator
 from ringswarm.dynamics import _interaction_sum
 
@@ -93,43 +94,42 @@ def open_loop_samples(state, kernel, spec, t_end, sample_every):
 class TestMicroscopicRhs:
     def test_two_agents_single_pair(self):
         kernel = MorseKernel(0.5, 0.5)
-        state = SwarmState(np.array([0.5, -0.5]), 0.0)
-        rates = microscopic_rhs(state, kernel, np.zeros(2))
+        rates = microscopic_rhs(np.array([0.5, -0.5]), kernel, None)
         expected = -0.5 * math.exp(-2.0) + math.exp(-1.0)  # f(1)
         assert rates[0] == pytest.approx(expected, rel=1e-12)
         assert rates[1] == pytest.approx(-expected, rel=1e-12)
 
     def test_coincident_agents_are_stationary(self):
         kernel = MorseKernel(0.5, 0.5)
-        state = SwarmState(np.full(7, 0.3), 0.0)
-        assert np.all(microscopic_rhs(state, kernel, np.zeros(7)) == 0.0)
+        assert np.all(microscopic_rhs(np.full(7, 0.3), kernel, None) == 0.0)
 
     def test_inputs_cancel_interactions(self):
+        # agents on grid nodes sample U there exactly, so a U field holding
+        # minus the interaction sums at those nodes cancels them
         rng = np.random.default_rng(60)
         kernel = MorseKernel(0.5, 0.5)
-        state = SwarmState(rng.uniform(-np.pi, np.pi, 30), 0.0)
-        sums = microscopic_rhs(state, kernel, np.zeros(30))
-        assert np.abs(microscopic_rhs(state, kernel, -sums)).max() == 0.0
+        grid = RingGrid(128)
+        nodes = rng.choice(grid.m, 30, replace=False)
+        pos = grid.nodes[nodes]
+        sums = microscopic_rhs(pos, kernel, None)
+        values = np.zeros(grid.m)
+        values[nodes] = -sums
+        u_field = GridFunction(grid, values)
+        assert np.array_equal(sample_agent_inputs(u_field, pos), -sums)
+        assert np.abs(microscopic_rhs(pos, kernel, u_field)).max() == 0.0
 
     def test_interaction_sum_is_momentum_free(self):
         rng = np.random.default_rng(61)
         kernel = MorseKernel(0.5, 0.5)
         for _ in range(100):
-            state = SwarmState(rng.uniform(-np.pi, np.pi, 50), 0.0)
-            rates = microscopic_rhs(state, kernel, np.zeros(50))
+            rates = microscopic_rhs(rng.uniform(-np.pi, np.pi, 50), kernel, None)
             assert abs(rates.sum()) < 1e-10
-
-    def test_input_length_checked(self):
-        state = SwarmState(np.zeros(3), 0.0)
-        with pytest.raises(ValueError):
-            microscopic_rhs(state, MorseKernel(), np.zeros(4))
 
     @pytest.mark.parametrize("n", [2, 50, 1000])
     def test_lattice_is_momentum_free(self, n):
         # even n puts every agent exactly antipodal to another; those pairs
         # take the two-sided mean 0 instead of pushing both the same way
-        state = SwarmState(even_lattice(n), 0.0)
-        rates = microscopic_rhs(state, MorseKernel(0.5, 0.5, strength=1.0 / n), np.zeros(n))
+        rates = microscopic_rhs(even_lattice(n), MorseKernel(0.5, 0.5, strength=1.0 / n), None)
         assert abs(rates.sum()) < 1e-10
         if n == 2:
             assert np.all(rates == 0.0)
@@ -139,11 +139,10 @@ class TestMicroscopicRhs:
         rng = np.random.default_rng(65)
         kernel = MorseKernel(g, length, strength=0.01)
         pos = rng.uniform(-np.pi, np.pi, 60)
-        state = SwarmState(pos, 0.0)
         d = (pos[:, None] - pos[None, :] + np.pi) % (2 * np.pi) - np.pi
         ref = (0.01 * np.sign(d) * (-g * np.exp(-np.abs(d) / length)
                                     + np.exp(-np.abs(d)))).sum(axis=1)
-        got = microscopic_rhs(state, kernel, np.zeros(60))
+        got = microscopic_rhs(pos, kernel, None)
         assert np.abs(got - ref).max() < 1e-13
 
     @settings(derandomize=True, deadline=None, max_examples=300)
@@ -212,8 +211,8 @@ class TestStepSwarm:
 
         def control(state):
             rho = estimator.estimate(state.positions)
-            fields = compute_feedback(rho, target, kernel, gains)
-            return velocity_control(rho, fields.q, on_starved="zero")
+            q = compute_feedback(rho, target, kernel, gains)
+            return velocity_control(rho, q, on_starved="zero")
 
         runs = []
         for _ in range(2):
@@ -223,6 +222,20 @@ class TestStepSwarm:
                 state = step_swarm(state, kernel, control(state), spec)
             runs.append(state.positions)
         assert np.array_equal(runs[0], runs[1])
+
+    def test_euler_step_is_one_rhs_evaluation(self):
+        # step_swarm has no velocity code of its own: an Euler step is
+        # x + dt * microscopic_rhs(x, kernel, U) to the last bit
+        grid = RingGrid(128)
+        kernel = MorseKernel(0.5, 0.5, strength=1 / 20)
+        x = np.random.default_rng(66).uniform(-2.0, 2.0, 20)
+        rho = WrappedGaussianEstimator(0.2, grid).estimate(x)
+        q = compute_feedback(rho, von_mises_density(0.0, 4.0, 20.0, grid), kernel,
+                             ControllerGains(10.0))
+        u_field = velocity_control(rho, q, on_starved="zero")
+        for field in (u_field, None):
+            out = step_swarm(SwarmState(x), kernel, field, IntegratorSpec(1e-3, "euler"))
+            assert np.array_equal(out.positions, x + 1e-3 * microscopic_rhs(x, kernel, field))
 
     def test_nonfinite_positions_abort(self):
         grid = RingGrid(64)
@@ -254,11 +267,19 @@ class TestOpenLoop:
         assert all(b <= a + 1e-3 for a, b in zip(late, late[1:]))
 
 
+def one_step(state, kernel, dt):
+    """One open-loop Rusanov step of run_continuum from t = 0, at a dt below
+    the CFL bound."""
+    samples = run_continuum(state, kernel, None, dt, dt_max=dt, sample_every=dt)
+    assert len(samples) == 2 and samples[-1].t == dt
+    return samples[-1]
+
+
 class TestContinuum:
     def test_uniform_density_is_a_fixed_point(self):
         grid = RingGrid(256)
         state = ContinuumState(von_mises_density(0.0, 0.0, 50.0, grid), 0.0)
-        out = step_continuum(state, MorseKernel(0.5, 0.5, strength=0.02), None, 1e-3)
+        out = one_step(state, MorseKernel(0.5, 0.5, strength=0.02), 1e-3)
         assert np.allclose(out.rho.values, state.rho.values, atol=1e-14)
         assert out.t == pytest.approx(1e-3)
 
@@ -270,16 +291,28 @@ class TestContinuum:
         state = ContinuumState(GridFunction(grid, values), 0.0)
         kernel = MorseKernel(0.5, 0.5, strength=0.02)
         mass0 = integrate(state.rho)
-        for _ in range(1000):
-            state = step_continuum(state, kernel, None, 1e-3)
+        state = run_continuum(state, kernel, None, 1.0, dt_max=1e-3, sample_every=1.0)[-1]
         assert abs(integrate(state.rho) - mass0) < 1e-9
         assert state.rho.values.min() >= 0.0
 
-    def test_cfl_violation_rejected(self):
+    def test_every_step_within_the_cfl_bound(self, monkeypatch):
+        # a concentrated density under the unscaled kernel moves fast enough
+        # that the CFL bound, not dt_max, sets the steps
         grid = RingGrid(256)
         state = ContinuumState(von_mises_density(0.0, 4.0, 50.0, grid), 0.0)
-        with pytest.raises(ValueError, match="CFL"):
-            step_continuum(state, MorseKernel(0.5, 0.5), None, 1.0)
+        steps = []
+
+        def advance(rho, w, dt):
+            steps.append((dt, float(np.abs(w.values).max())))
+            return rusanov_advance(rho, w, dt)
+
+        rusanov_advance = dynamics._rusanov_advance
+        monkeypatch.setattr(dynamics, "_rusanov_advance", advance)
+        run_continuum(state, MorseKernel(0.5, 0.5), None, 0.05, cfl=0.4, dt_max=1.0,
+                      sample_every=0.05)
+        assert len(steps) > 1
+        assert all(dt * top <= 0.4 * grid.spacing * (1 + 1e-12) for dt, top in steps)
+        assert sum(dt for dt, _ in steps) == pytest.approx(0.05)
 
     def test_closed_loop_error_decay_rate(self):
         # regulation toward the concentrated profile from the uniform start;
@@ -294,8 +327,7 @@ class TestContinuum:
         rho_d = von_mises_density(0.0, 4.0, n, grid)
 
         def control(s):
-            fields = compute_feedback(s.rho, rho_d, kernel, gains)
-            return velocity_control(s.rho, fields.q)
+            return velocity_control(s.rho, compute_feedback(s.rho, rho_d, kernel, gains))
 
         rho0 = von_mises_density(0.0, 0.0, n, grid)
         e0 = l2_norm(GridFunction(grid, rho_d.values - rho0.values))
@@ -322,7 +354,7 @@ class TestContinuum:
         grid = RingGrid(64)
         state = ContinuumState(von_mises_density(0.0, 1.0, 10.0, grid), 0.0)
         kernel = MorseKernel(0.5, 0.5, strength=0.1)
-        out = step_continuum(state, kernel, None, 1e-3)
+        out = one_step(state, kernel, 1e-3)
         assert out.rho.values.min() >= 0.0
 
 

@@ -92,6 +92,12 @@ class TestRingGrid:
         with pytest.raises(ValueError):
             f.values[0] = 1.0
 
+    def test_grid_function_equality_is_identity(self):
+        grid = RingGrid(8)
+        f, g = GridFunction(grid, np.arange(8.0)), GridFunction(grid, np.arange(8.0))
+        assert f == f and f != g
+        assert len({f: 1, g: 2}) == 2 and hash(f) == hash(f)
+
 
 class TestCircularConvolve:
     def test_odd_kernel_times_constant_density(self):

@@ -20,8 +20,10 @@ from ringswarm import (
     step_swarm,
     target_at,
     velocity_control,
+    velocity_field,
     von_mises_density,
 )
+from ringswarm import scenarios
 from ringswarm.cli import main as cli_main
 from ringswarm.records import AGENTS_HEADER, DENSITY_HEADER, METRICS_HEADER, SWEEP_HEADER
 from ringswarm.scenarios import (
@@ -59,6 +61,15 @@ INVALID_CONFIGS = {
                                        "sample_every": 0.25},
     "noise-on-continuum": {"scenario": "continuum", "noise_power_dbw": 20.0},
     "noise-on-open-loop": {"scenario": "open-loop", "noise_power_dbw": 20.0},
+    "kp-nan": {"kp": math.nan},
+    "bandwidth-nan": {"bandwidth": math.nan},
+    "t-end-inf": {"t_end": math.inf},
+    "sample-every-inf": {"sample_every": math.inf},
+    "concentration-negative": {"concentration": -1.0},
+    "attraction-strength-zero": {"attraction_strength": 0.0},
+    "attraction-length-negative": {"attraction_length": -0.5},
+    "seed-negative": {"seed": -1},
+    "seed-fractional": {"seed": 1.5},
 }
 
 
@@ -174,8 +185,8 @@ class TestRunRecords:
 
         def control(state):
             rho = estimator.estimate(state.positions)
-            fields = compute_feedback(rho, target, kernel, gains)
-            return velocity_control(rho, fields.q, on_starved="zero")
+            q = compute_feedback(rho, target, kernel, gains)
+            return velocity_control(rho, q, on_starved="zero")
 
         state = SwarmState(even_lattice(cfg.n_agents))
         spec = IntegratorSpec(dt=cfg.dt, scheme=cfg.scheme)
@@ -200,7 +211,7 @@ class TestRunRecords:
         def control(state):
             nonlocal q_integral_worst
             rho_d, _ = target_at(program, state.t, grid)
-            q = compute_feedback(state.rho, rho_d, kernel, gains).q
+            q = compute_feedback(state.rho, rho_d, kernel, gains)
             q_integral_worst = max(q_integral_worst, abs(integrate(q)))
             return velocity_control(state.rho, q)
 
@@ -215,11 +226,30 @@ class TestRunRecords:
         # the kernel samples and their spectrum are cached across runs; a
         # run from cold caches and one from warm caches must agree
         MorseKernel.sample_on_grid.cache_clear()
+        velocity_field.cache_clear()
         cfg = continuum_config(t_end=0.2)
         cold = run_continuum_scenario(cfg)
         assert MorseKernel.sample_on_grid.cache_info().currsize > 0
         warm = run_continuum_scenario(cfg)
         assert cold == warm
+
+    @pytest.mark.parametrize("cfg", [continuum_config(t_end=0.1),
+                                     monomodal_config(n_agents=10, t_end=0.1)],
+                             ids=["continuum", "regulate-mono"])
+    def test_static_target_is_convolved_once_per_run(self, cfg, monkeypatch):
+        # the target's velocity field is computed at the first controller
+        # evaluation and taken from the cache at every later one
+        evaluations = []
+
+        def counted(*args):
+            evaluations.append(args)
+            return compute_feedback(*args)
+
+        monkeypatch.setattr(scenarios, "compute_feedback", counted)
+        velocity_field.cache_clear()
+        (run_continuum_scenario if cfg.scenario == "continuum" else run_microscopic)(cfg)
+        assert len(evaluations) > 1
+        assert velocity_field.cache_info().hits == len(evaluations) - 1
 
     def test_continuum_record(self):
         rec = run_continuum_scenario(monomodal_config(t_end=0.3, record_density=False))
@@ -258,6 +288,10 @@ class TestSweeps:
         clean = run_continuum_scenario(continuum_config(t_end=0.1, record_agents=False,
                                                         record_density=False))
         assert rows == [("inf", clean.final_kl(), "ok")]
+
+    def test_noise_sweep_needs_a_seed(self):
+        with pytest.raises(ValueError, match="n_seeds"):
+            run_noise_sweep(monomodal_config(t_end=0.1), p_list=[0.0], n_seeds=0, workers=1)
 
     def test_noise_sweep_rows(self):
         cfg = monomodal_config(t_end=0.2, record_agents=False, record_density=False)
@@ -392,6 +426,17 @@ class TestCli:
 
     def test_malformed_n_list_is_usage_error(self):
         assert cli_main(["sweep-n", "--n-list", "1,abc"]) == 2
+
+    @pytest.mark.parametrize("n_list", ["0,-3,2", "5,0"])
+    def test_n_list_below_one_is_usage_error(self, tmp_path, n_list):
+        out = tmp_path / "sweep"
+        assert cli_main(["sweep-n", "--n-list", n_list, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_zero_seeds_is_usage_error(self, tmp_path):
+        out = tmp_path / "noise"
+        assert cli_main(["sweep-noise", "--seeds", "0", "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_malformed_p_list_is_usage_error(self):
         assert cli_main(["sweep-noise", "--p-list", "0,x"]) == 2
