@@ -15,7 +15,6 @@ from .ring import (
     RingGrid,
     GridFunction,
     wrap_angle,
-    wrap_distance,
     wrap_into_domain,
     circular_convolve,
     spatial_derivative,
@@ -66,7 +65,7 @@ from .records import RunRecord
 
 __all__ = [
     "__version__",
-    "RingGrid", "GridFunction", "wrap_angle", "wrap_distance", "wrap_into_domain",
+    "RingGrid", "GridFunction", "wrap_angle", "wrap_into_domain",
     "circular_convolve", "spatial_derivative", "integrate", "cumulative_trapezoid",
     "MorseKernel", "velocity_field", "young_bound_check",
     "WrappedGaussianEstimator", "von_mises_density", "bimodal_density",

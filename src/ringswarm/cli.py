@@ -7,6 +7,7 @@ writes CSV tables plus a metadata sidecar under the output directory.
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, fields, replace
@@ -145,6 +146,8 @@ def main(argv=None) -> int:
                 p_list = [float(p) for p in args.p_list.split(",")]
             except ValueError as exc:
                 raise SystemExit(f"ringswarm: bad --p-list: {exc}")
+            if not all(math.isfinite(p) for p in p_list):
+                raise SystemExit(f"ringswarm: --p-list entries must be finite, got {args.p_list}")
     except SystemExit as exc:
         print(exc, file=sys.stderr)
         return 2

@@ -255,11 +255,14 @@ def run_continuum(state: ContinuumState, kernel: MorseKernel, control, t_end: fl
                   cfl: float = 0.4, dt_max: float = 1e-3, sample_every: float = 0.05):
     """Advance to t_end with adaptive CFL-limited steps; returns sampled states.
 
-    Steps land exactly on the sampling instants, so trajectories are
+    Steps land exactly on the sampling instants, the multiples of
+    ``sample_every`` after the start ``state.t``, so trajectories are
     reproducible regardless of the adaptive step history in between.
     """
     samples = [state]
-    k = 1
+    k = int(state.t // sample_every) + 1
+    if k * sample_every <= state.t + 1e-12:  # the start sits on an instant
+        k += 1
     while state.t < t_end - 1e-12:
         target = min(k * sample_every, t_end)
         w = continuum_velocity(state, kernel, control)

@@ -34,22 +34,12 @@ class MorseKernel:
         if self.strength <= 0:
             raise ValueError("kernel strength must be positive")
 
-    def _exponentials(self, a):
-        # One transcendental per element when 1/L is a small integer.
-        e_rep = np.exp(-a)
-        inv_l = 1.0 / self.attraction_length
-        k = int(round(inv_l))
-        if 1 <= k <= 4 and abs(inv_l - k) < 1e-12:
-            e_att = e_rep**k
-        else:
-            e_att = np.exp(-a * inv_l)
-        return e_rep, e_att
-
     def evaluate(self, z):
         """Kernel value at offset z; sgn(0) = 0 makes f(0) = 0 exactly."""
         z = np.asarray(z, dtype=float)
-        e_rep, e_att = self._exponentials(np.abs(z))
-        return self.strength * np.sign(z) * (e_rep - self.attraction_strength * e_att)
+        a = np.abs(z)
+        e_att = np.exp(-a / self.attraction_length)
+        return self.strength * np.sign(z) * (np.exp(-a) - self.attraction_strength * e_att)
 
     def derivative(self, z):
         """Even, continuous derivative (G/L) exp(-|z|/L) - exp(-|z|).
@@ -57,10 +47,9 @@ class MorseKernel:
         The classical derivative away from 0, extended at the origin by its
         two-sided limit G/L - 1.
         """
-        z = np.asarray(z, dtype=float)
-        e_rep, e_att = self._exponentials(np.abs(z))
+        a = np.abs(np.asarray(z, dtype=float))
         g_over_l = self.attraction_strength / self.attraction_length
-        return self.strength * (g_over_l * e_att - e_rep)
+        return self.strength * (g_over_l * np.exp(-a / self.attraction_length) - np.exp(-a))
 
     @lru_cache(maxsize=64)  # bounded, since each entry keeps its kernel alive
     def sample_on_grid(self, grid: RingGrid) -> GridFunction:

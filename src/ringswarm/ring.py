@@ -2,7 +2,7 @@
 
 Everything downstream (interaction velocities, density estimation, the
 feedback law, both solvers) builds on the uniform grid and the periodic
-primitives defined here: wrapped angular distance, circular convolution,
+primitives defined here: angle wrapping, circular convolution,
 central differences and the trapezoid quadratures.
 """
 
@@ -17,15 +17,6 @@ TWO_PI = 2.0 * np.pi
 def wrap_angle(a):
     """Map angles (scalar or array) to the half-open interval [-pi, pi)."""
     return (np.asarray(a) + np.pi) % TWO_PI - np.pi
-
-
-def wrap_distance(a, b):
-    """Signed shortest-path angular distance a - b, wrapped to [-pi, pi).
-
-    The antipodal separation maps to -pi (half-open convention), so the
-    result is always a unique representative.
-    """
-    return wrap_angle(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
 
 
 def wrap_into_domain(a):

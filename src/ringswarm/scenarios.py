@@ -105,6 +105,9 @@ class ScenarioConfig:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if self.bandwidth >= math.pi:
             raise ValueError(f"bandwidth must be below pi, got {self.bandwidth}")
+        if self.bandwidth < 2.0 * math.pi / self.grid_m:
+            raise ValueError(f"bandwidth={self.bandwidth} is below the grid spacing "
+                             f"2*pi/{self.grid_m}")
         for name, allowed in (("scheme", SCHEMES), ("initial", INITIAL_LAYOUTS),
                               ("integration_constant", CONSTANT_MODES)):
             if getattr(self, name) not in allowed:
@@ -351,8 +354,8 @@ def run_noise_sweep(config: ScenarioConfig | None = None, p_list=None,
             for power in p_list for i in range(n_seeds)]
     outcomes = _run_jobs(_noise_entry, jobs, workers)
     rows = []
-    for power in p_list:
-        mine = [o for o in outcomes if o[0] == power]
+    for i, power in enumerate(p_list):  # by position: == never holds for nan
+        mine = outcomes[i * n_seeds:(i + 1) * n_seeds]
         errors = [o[3] for o in mine if o[3] != "ok"]
         if errors:
             rows.append((power, math.nan, errors[0]))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringswarm import (
     GridFunction,
@@ -23,6 +25,8 @@ from ringswarm.density import (
     target_at,
 )
 
+EPS = np.finfo(float).eps
+
 
 def bessel_i0_series(k, terms=80):
     """Independent power series sum_m (k/2)^(2m) / (m!)^2."""
@@ -43,14 +47,70 @@ def bessel_i1_series(k, terms=80):
     return total
 
 
+def direct_estimate(positions, bandwidth, grid, images=1):
+    """Oracle: every bump at its wrapped offset from each node, plus its
+    periodic images at 2*pi*k for 0 < |k| <= images."""
+    d = wrap_angle(grid.nodes[:, None] - positions[None, :])
+    acc = np.zeros(grid.m)
+    for k in range(-images, images + 1):
+        u = (d + 2.0 * np.pi * k) / bandwidth
+        acc += np.exp(-0.5 * u * u).sum(axis=1)
+    return acc / (bandwidth * math.sqrt(2.0 * math.pi))
+
+
 def three_image_estimate(positions, bandwidth, grid):
     """Oracle: every bump with its periodic images at 0 and +-2*pi."""
-    d = wrap_angle(grid.nodes[:, None] - positions[None, :])
-    acc = np.zeros_like(d)
-    for shift in (-2.0 * np.pi, 0.0, 2.0 * np.pi):
-        u = (d + shift) / bandwidth
-        acc += np.exp(-0.5 * u * u)
-    return acc.sum(axis=1) / (bandwidth * math.sqrt(2.0 * math.pi))
+    return direct_estimate(positions, bandwidth, grid, images=1)
+
+
+def assert_matches_oracle(got, ref, positions, bandwidth, grid):
+    """The estimator's accuracy contract against a direct-sum oracle.
+
+    The absolute bound is set by conditioning: the nodes and the oracle's
+    wrapped offsets sit up to an ulp of pi off the exact lattice, which
+    moves a bump by up to ~eps * pi / h of its peak; the FFT adds
+    ~eps log2(m), and the in-order moment sums up to ~eps N / 2 (N equal
+    terms summed in order drift by ~eps N / 8).  The grid mass of a bump
+    differs from 1 by the aliasing term 2 exp(-2 pi^2 h^2 / Delta^2) of the
+    Poisson summation formula.
+    """
+    n, top = positions.size, ref.max()
+    assert np.all(got >= 0.0)
+    tol = EPS * (4.0 * np.pi / bandwidth + 4.0 * math.log2(grid.m) + 0.5 * n)
+    assert np.abs(got - ref).max() <= tol * top
+    big = ref >= 1e-3 * top
+    assert np.max(np.abs(got - ref)[big] / ref[big]) <= 1e-12
+    aliasing = 3.0 * math.exp(-2.0 * (np.pi * bandwidth / grid.spacing) ** 2)
+    assert abs(grid.spacing * got.sum() - n) <= (1e-12 + aliasing) * n
+
+
+LAYOUTS = ("uniform", "coincident", "nodes", "half-nodes", "edges", "lattice")
+
+
+@st.composite
+def estimator_cases(draw):
+    """Even grids of 4-1024 nodes, bandwidths in [Delta, pi), 1-2000 agents
+    in six layouts."""
+    grid = RingGrid(2 * draw(st.integers(2, 512)))
+    bandwidth = draw(st.floats(grid.spacing, np.pi, exclude_max=True))
+    n = draw(st.integers(1, 2000))
+    layout = draw(st.sampled_from(LAYOUTS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if layout == "uniform":
+        pos = rng.uniform(-np.pi, np.pi, n)
+    elif layout == "coincident":
+        pos = np.full(n, rng.uniform(-np.pi, np.pi))
+    elif layout == "nodes":
+        pos = grid.nodes[rng.integers(0, grid.m, n)]
+    elif layout == "half-nodes":  # ties of the nearest-node rounding
+        pos = grid.nodes[rng.integers(0, grid.m, n)] + 0.5 * grid.spacing
+    elif layout == "edges":  # within 1e-9 of -pi or of the largest angle below pi
+        near = rng.uniform(0.0, 1e-9, n)
+        pos = np.where(rng.random(n) < 0.5, -np.pi + near, np.nextafter(np.pi, 0.0) - near)
+        pos[0] = -np.pi
+    else:
+        pos = even_lattice(n)
+    return pos, bandwidth, grid
 
 
 @pytest.fixture
@@ -66,7 +126,9 @@ class TestWrappedGaussianEstimator:
         assert grid.nodes[np.argmax(field.values)] == 0.0
         j = np.arange(1, grid.m)
         assert np.abs(field.values[j] - field.values[grid.m - j]).max() < 1e-12
-        assert field.values.min() > 0.0
+        # the far tails are roundoff around exp(-(pi/h)^2 / 2) ~ 1e-54, clipped at 0
+        assert field.values.min() >= 0.0
+        assert field.values[np.abs(grid.nodes) <= 6 * 0.2].min() > 0.0
 
     def test_equispaced_agents_give_flat_field(self, grid):
         n = 50
@@ -101,7 +163,17 @@ class TestWrappedGaussianEstimator:
         for positions in swarms:
             ref = three_image_estimate(positions, bandwidth, grid)
             got = est.estimate(positions).values
-            assert np.max(np.abs(got - ref) / ref) <= 1e-15
+            assert_matches_oracle(got, ref, positions, bandwidth, grid)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(estimator_cases())
+    def test_matches_direct_oracle(self, case):
+        positions, bandwidth, grid = case
+        # images beyond these sit at least 9h from every node: below e^-40
+        images = max(1, math.ceil((9.0 * bandwidth / np.pi - 1.0) / 2.0))
+        ref = direct_estimate(positions, bandwidth, grid, images)
+        got = WrappedGaussianEstimator(bandwidth, grid).estimate(positions).values
+        assert_matches_oracle(got, ref, positions, bandwidth, grid)
 
     def test_empty_swarm_rejected(self, grid):
         with pytest.raises(ValueError):
@@ -112,6 +184,9 @@ class TestWrappedGaussianEstimator:
             WrappedGaussianEstimator(0.0, grid)
         with pytest.raises(ValueError):
             WrappedGaussianEstimator(np.pi, grid)
+        WrappedGaussianEstimator(grid.spacing, grid)
+        with pytest.raises(ValueError, match="grid spacing"):
+            WrappedGaussianEstimator(np.nextafter(grid.spacing, 0.0), grid)
 
 
 class TestVonMises:

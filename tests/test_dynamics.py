@@ -314,6 +314,28 @@ class TestContinuum:
         assert all(dt * top <= 0.4 * grid.spacing * (1 + 1e-12) for dt, top in steps)
         assert sum(dt for dt, _ in steps) == pytest.approx(0.05)
 
+    @pytest.mark.parametrize("t0,t_end,every,times", [
+        (0.5, 0.6, 0.05, [0.5, 0.55, 0.6]),
+        (0.001, 0.003, 0.001, [0.001, 0.002, 0.003]),
+        (0.52, 0.6, 0.05, [0.52, 0.55, 0.6]),
+    ])
+    def test_sampling_starts_after_a_late_start(self, monkeypatch, t0, t_end, every, times):
+        grid = RingGrid(64)
+        state = ContinuumState(von_mises_density(0.0, 1.0, 10.0, grid), t0)
+        steps = []
+
+        def advance(rho, w, dt):
+            steps.append(dt)
+            return rusanov_advance(rho, w, dt)
+
+        rusanov_advance = dynamics._rusanov_advance
+        monkeypatch.setattr(dynamics, "_rusanov_advance", advance)
+        samples = run_continuum(state, MorseKernel(0.5, 0.5, strength=0.1), None, t_end,
+                                dt_max=every, sample_every=every)
+        assert [s.t for s in samples] == pytest.approx(times, abs=1e-12)
+        assert min(steps) > 0.0
+        assert sum(steps) == pytest.approx(t_end - t0)
+
     def test_closed_loop_error_decay_rate(self):
         # regulation toward the concentrated profile from the uniform start;
         # the decay of ||e||^2 must beat the guaranteed rate computed with

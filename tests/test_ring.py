@@ -10,7 +10,7 @@ from ringswarm import (
     cumulative_trapezoid,
     integrate,
     spatial_derivative,
-    wrap_distance,
+    wrap_angle,
 )
 from ringswarm.density import von_mises_density
 from ringswarm.kernels import MorseKernel
@@ -33,25 +33,27 @@ def direct_convolve_samples(kernel_samples: GridFunction, density: GridFunction)
 
 
 class TestWrapDistance:
+    """Signed shortest-path distance a - b, as wrap_angle(a - b)."""
+
     def test_no_wrap_needed(self):
-        assert wrap_distance(0.1, -0.1) == pytest.approx(0.2, abs=1e-15)
+        assert wrap_angle(0.1 - -0.1) == pytest.approx(0.2, abs=1e-15)
 
     def test_antipodal_maps_to_minus_pi(self):
-        assert wrap_distance(np.pi / 2, -np.pi / 2) == -np.pi
+        assert wrap_angle(np.pi / 2 - -np.pi / 2) == -np.pi
 
     def test_wraparound_case(self):
         # independent evaluation of the mod formula
         expected = math.fmod(3.0 - (-3.0) + math.pi, 2.0 * math.pi) - math.pi
-        assert wrap_distance(3.0, -3.0) == pytest.approx(expected, abs=1e-14)
-        assert wrap_distance(3.0, -3.0) == pytest.approx(-0.28319, abs=1e-5)
+        assert wrap_angle(3.0 - -3.0) == pytest.approx(expected, abs=1e-14)
+        assert wrap_angle(3.0 - -3.0) == pytest.approx(-0.28319, abs=1e-5)
 
     def test_antisymmetry_off_the_antipode(self):
         rng = np.random.default_rng(7)
         a = rng.uniform(-np.pi, np.pi, 200)
         b = rng.uniform(-np.pi, np.pi, 200)
-        d_ab = wrap_distance(a, b)
+        d_ab = wrap_angle(a - b)
         keep = d_ab != -np.pi
-        assert np.allclose(d_ab[keep] + wrap_distance(b, a)[keep], 0.0, atol=1e-12)
+        assert np.allclose(d_ab[keep] + wrap_angle(b - a)[keep], 0.0, atol=1e-12)
 
     def test_two_pi_periodicity(self):
         rng = np.random.default_rng(8)
@@ -59,12 +61,12 @@ class TestWrapDistance:
         b = rng.uniform(-np.pi, np.pi, 100)
         for k in (-3, -1, 1, 2):
             assert np.allclose(
-                wrap_distance(a + 2.0 * np.pi * k, b), wrap_distance(a, b), atol=1e-12
+                wrap_angle(a + 2.0 * np.pi * k - b), wrap_angle(a - b), atol=1e-12
             )
 
     def test_result_range(self):
         rng = np.random.default_rng(9)
-        d = wrap_distance(rng.uniform(-10, 10, 500), rng.uniform(-10, 10, 500))
+        d = wrap_angle(rng.uniform(-10, 10, 500) - rng.uniform(-10, 10, 500))
         assert np.all(d >= -np.pi) and np.all(d < np.pi)
 
 

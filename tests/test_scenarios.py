@@ -53,6 +53,7 @@ INVALID_CONFIGS = {
     "initial-unknown": {"initial": "random"},
     "integration-constant-unknown": {"integration_constant": "mean"},
     "bandwidth-pi": {"bandwidth": math.pi},
+    "bandwidth-below-spacing": {"bandwidth": 0.02},  # 2*pi/256 is 0.0245
     "t-end-off-dt-grid": {"t_end": 0.0125},
     "sample-every-off-dt-grid": {"t_end": 0.01, "sample_every": 0.0035},
     "sample-every-below-dt": {"sample_every": 5e-4},
@@ -301,6 +302,14 @@ class TestSweeps:
         rows2 = run_noise_sweep(cfg, p_list=[0.0, 60.0], n_seeds=2, workers=1)
         assert rows == rows2  # seeded noise replays exactly
 
+    def test_noise_sweep_reports_a_nan_power_as_an_error(self):
+        cfg = monomodal_config(t_end=0.01, n_agents=5, record_agents=False,
+                               record_density=False)
+        rows = run_noise_sweep(cfg, p_list=[0.0, math.nan], n_seeds=2, workers=1)
+        assert rows[0][2] == "ok"
+        assert math.isnan(rows[1][0]) and math.isnan(rows[1][1])
+        assert rows[1][2].startswith("error: noise_power_dbw must be finite")
+
 
 @pytest.fixture(scope="module")
 def full_mono():
@@ -440,6 +449,12 @@ class TestCli:
 
     def test_malformed_p_list_is_usage_error(self):
         assert cli_main(["sweep-noise", "--p-list", "0,x"]) == 2
+
+    @pytest.mark.parametrize("p_list", ["0,nan", "0,inf", "0,-inf"])
+    def test_non_finite_p_list_is_usage_error(self, tmp_path, p_list):
+        out = tmp_path / "noise"
+        assert cli_main(["sweep-noise", "--p-list", p_list, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
