@@ -13,9 +13,9 @@ import numpy as np
 from .kernels import MorseKernel, velocity_field
 from .ring import (
     GridFunction,
-    cumulative_trapezoid,
+    central_difference,
     integrate,
-    spatial_derivative,
+    running_trapezoid,
     wrap_into_domain,
 )
 
@@ -38,18 +38,20 @@ def compute_feedback(rho: GridFunction, rho_d: GridFunction, kernel: MorseKernel
     """The mass source q = kp*e - [e*Vd]_x - [rho_d*Ve]_x with e = rho_d - rho.
 
     Vd and Ve are the kernel convolutions of the desired density and of the
-    error (``velocity_field`` caches Vd for a static target); the flux
-    derivatives use the shared periodic central-difference stencil, which
-    makes the integral of q vanish identically.
+    error (``velocity_field`` caches Vd for a static target; it keys on the
+    density object, so e stays a GridFunction while the flux products are
+    plain arrays); the flux derivatives use the shared periodic
+    central-difference stencil, which makes the integral of q vanish
+    identically.
     """
     if rho.grid != rho_d.grid:
         raise ValueError("rho and rho_d must share a grid")
     grid = rho.grid
     e = GridFunction(grid, rho_d.values - rho.values)
     v_desired, v_error = velocity_field(kernel, rho_d), velocity_field(kernel, e)
-    flux_d = spatial_derivative(GridFunction(grid, e.values * v_desired.values))
-    flux_e = spatial_derivative(GridFunction(grid, rho_d.values * v_error.values))
-    return GridFunction(grid, gains.kp * e.values - flux_d.values - flux_e.values)
+    flux_d = central_difference(e.values * v_desired.values, grid.spacing)
+    flux_e = central_difference(rho_d.values * v_error.values, grid.spacing)
+    return GridFunction(grid, gains.kp * e.values - flux_d - flux_e)
 
 
 def velocity_control(rho: GridFunction, q: GridFunction, *,
@@ -80,8 +82,8 @@ def velocity_control(rho: GridFunction, q: GridFunction, *,
             f"(x={rho.grid.nodes[j]:+.4f}); the control would act as a source/sink"
         )
     constant = q.values[0] if constant_mode == "boundary" else 0.0
-    cum = cumulative_trapezoid(q)
-    u = -(cum.values + constant) / np.where(starved, 1.0, rho.values)
+    cum = running_trapezoid(q.values, rho.grid.spacing)
+    u = -(cum + constant) / np.where(starved, 1.0, rho.values)
     u[starved] = 0.0
     return GridFunction(rho.grid, u)
 

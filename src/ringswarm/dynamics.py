@@ -9,13 +9,15 @@ ring, advanced with a conservative local Lax-Friedrichs (Rusanov) flux so
 mass is exact and the density stays nonnegative under the CFL bound.
 """
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .control import sample_agent_inputs
 from .kernels import MorseKernel, velocity_field
-from .ring import GridFunction, wrap_into_domain
+from .ring import GridFunction, backward_difference, next_neighbour, wrap_into_domain
 
 SCHEMES = ("euler", "rk4")
 
@@ -219,13 +221,14 @@ class ContinuumState:
     t: float = 0.0
 
 
-def continuum_velocity(state: ContinuumState, kernel: MorseKernel, control) -> GridFunction:
-    """Total advection speed V + U for the controlled conservation law."""
+def continuum_velocity(state: ContinuumState, kernel: MorseKernel, control):
+    """Total advection speed V + U for the controlled conservation law, and
+    the control U it added (None when ``control`` is None or returns None)."""
     v = velocity_field(kernel, state.rho)
     u = control(state) if control is not None else None
     if u is None:
-        return v
-    return GridFunction(v.grid, v.values + u.values)
+        return v, None
+    return GridFunction(v.grid, v.values + u.values), u
 
 
 def _rusanov_advance(rho: GridFunction, w: GridFunction, dt: float) -> GridFunction:
@@ -234,12 +237,13 @@ def _rusanov_advance(rho: GridFunction, w: GridFunction, dt: float) -> GridFunct
     r = rho.values
     wv = w.values
     flux = r * wv
-    a = np.maximum(np.abs(wv), np.abs(np.roll(wv, -1)))  # face j+1/2 wave speed
-    face = 0.5 * (flux + np.roll(flux, -1)) - 0.5 * a * (np.roll(r, -1) - r)
-    r_new = r - (dt / grid.spacing) * (face - np.roll(face, 1))
+    speed = np.abs(wv)
+    a = np.maximum(speed, next_neighbour(speed))  # face j+1/2 wave speed
+    face = 0.5 * (flux + next_neighbour(flux)) - 0.5 * a * (next_neighbour(r) - r)
+    r_new = r - (dt / grid.spacing) * backward_difference(face)
     if r_new.min() < -1e-12:
         raise RuntimeError(f"density fell to {r_new.min():.3e}; scheme positivity violated")
-    np.clip(r_new, 0.0, None, out=r_new)
+    np.maximum(r_new, 0.0, out=r_new)
     return GridFunction(grid, r_new)
 
 
@@ -251,24 +255,55 @@ def max_stable_dt(w: GridFunction, cfl: float) -> float:
     return cfl * w.grid.spacing / top
 
 
+@dataclass(frozen=True)
+class ContinuumRun(Sequence):
+    """What ``run_continuum`` evaluated.  As a sequence it is the sampled
+    states.  ``u_fields[k]`` is the control U that the step from
+    ``states[k]`` applied: None in the open loop, and for the last state,
+    from which no step starts.  ``steps`` counts the Rusanov steps, and
+    ``dt_min``/``dt_max`` are their extremes (nan when there was none)."""
+
+    states: tuple
+    u_fields: tuple
+    steps: int
+    dt_min: float
+    dt_max: float
+
+    def __len__(self):
+        return len(self.states)
+
+    def __getitem__(self, index):
+        return self.states[index]
+
+
 def run_continuum(state: ContinuumState, kernel: MorseKernel, control, t_end: float, *,
-                  cfl: float = 0.4, dt_max: float = 1e-3, sample_every: float = 0.05):
-    """Advance to t_end with adaptive CFL-limited steps; returns sampled states.
+                  cfl: float = 0.4, dt_max: float = 1e-3,
+                  sample_every: float = 0.05) -> ContinuumRun:
+    """Advance to t_end with adaptive CFL-limited steps; returns the sampled
+    states with the controls applied from them (see ``ContinuumRun``).
 
     Steps land exactly on the sampling instants, the multiples of
     ``sample_every`` after the start ``state.t``, so trajectories are
     reproducible regardless of the adaptive step history in between.
     """
-    samples = [state]
+    states, u_fields = [state], []
+    steps, shortest, longest = 0, math.inf, 0.0
     k = int(state.t // sample_every) + 1
     if k * sample_every <= state.t + 1e-12:  # the start sits on an instant
         k += 1
     while state.t < t_end - 1e-12:
         target = min(k * sample_every, t_end)
-        w = continuum_velocity(state, kernel, control)
+        w, u = continuum_velocity(state, kernel, control)
+        if len(u_fields) < len(states):  # the step from a sampled state
+            u_fields.append(u)
         dt = min(max_stable_dt(w, cfl), dt_max, target - state.t)
         state = ContinuumState(rho=_rusanov_advance(state.rho, w, dt), t=state.t + dt)
+        steps += 1
+        shortest, longest = min(shortest, dt), max(longest, dt)
         if state.t >= target - 1e-12:
-            samples.append(state)
+            states.append(state)
             k += 1
-    return samples
+    u_fields.append(None)
+    if not steps:
+        shortest = longest = math.nan
+    return ContinuumRun(tuple(states), tuple(u_fields), steps, shortest, longest)

@@ -18,6 +18,8 @@ SWEEP_HEADER = ("param", "d_kl_final", "status")
 
 
 def _fmt(value):
+    if type(value) is float:  # the bulk of every CSV
+        return repr(value)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -30,9 +32,9 @@ def _fmt(value):
 
 
 def write_csv(path: Path, header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8") as out:
+        out.write(",".join(header) + "\n")
+        out.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
 
 
 def write_metadata(path: Path, sections: dict):

@@ -3,7 +3,9 @@
 Everything downstream (interaction velocities, density estimation, the
 feedback law, both solvers) builds on the uniform grid and the periodic
 primitives defined here: angle wrapping, circular convolution,
-central differences and the trapezoid quadratures.
+central differences and the trapezoid quadratures.  The periodic stencils
+are plain-array functions sliced without np.roll; the GridFunction forms
+wrap them, and the hot loops call them directly.
 """
 
 from dataclasses import dataclass
@@ -62,7 +64,7 @@ class GridFunction:
             raise ValueError(
                 f"expected {self.grid.m} samples, got shape {values.shape}"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("grid function samples must all be finite")
         values = values.copy()
         values.setflags(write=False)
@@ -99,11 +101,19 @@ def circular_convolve(kernel_samples: GridFunction, density: GridFunction) -> Gr
     return GridFunction(density.grid, density.grid.spacing * out)
 
 
+def central_difference(v: np.ndarray, spacing: float) -> np.ndarray:
+    """(v_{j+1} - v_{j-1}) / (2*spacing) of periodic samples, by slicing."""
+    d = np.empty_like(v)
+    np.subtract(v[2:], v[:-2], out=d[1:-1])
+    d[0] = v[1] - v[-1]
+    d[-1] = v[0] - v[-2]
+    d /= 2.0 * spacing
+    return d
+
+
 def spatial_derivative(field: GridFunction) -> GridFunction:
     """Second-order periodic central difference (v_{j+1} - v_{j-1}) / (2*Delta)."""
-    v = field.values
-    d = (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * field.grid.spacing)
-    return GridFunction(field.grid, d)
+    return GridFunction(field.grid, central_difference(field.values, field.grid.spacing))
 
 
 def integrate(field: GridFunction) -> float:
@@ -111,9 +121,28 @@ def integrate(field: GridFunction) -> float:
     return float(field.grid.spacing * field.values.sum())
 
 
+def running_trapezoid(v: np.ndarray, spacing: float) -> np.ndarray:
+    """Trapezoid running integral from the first sample: value j =
+    spacing * sum_{i<j} (v_i + v_{i+1})/2."""
+    out = np.empty_like(v)
+    out[0] = 0.0
+    np.cumsum(0.5 * (v[1:] + v[:-1]) * spacing, out=out[1:])
+    return out
+
+
 def cumulative_trapezoid(field: GridFunction) -> GridFunction:
     """Trapezoid running integral from -pi: value j = Delta * sum_{i<j} (v_i + v_{i+1})/2."""
-    v = field.values
-    steps = 0.5 * (v[1:] + v[:-1]) * field.grid.spacing
-    cum = np.concatenate(([0.0], np.cumsum(steps)))
-    return GridFunction(field.grid, cum)
+    return GridFunction(field.grid, running_trapezoid(field.values, field.grid.spacing))
+
+
+def next_neighbour(v: np.ndarray) -> np.ndarray:
+    """v_{j+1} of periodic samples (np.roll(v, -1), by slicing)."""
+    return np.concatenate((v[1:], v[:1]))
+
+
+def backward_difference(v: np.ndarray) -> np.ndarray:
+    """v_j - v_{j-1} of periodic samples, by slicing."""
+    d = np.empty_like(v)
+    np.subtract(v[1:], v[:-1], out=d[1:])
+    d[0] = v[0] - v[-1]
+    return d

@@ -214,10 +214,11 @@ def _record_sample(record: RunRecord, config: ScenarioConfig, t: float, rho: Gri
     e = GridFunction(grid, rho_d.values - rho.values)
     record.metrics.append((t, kl_divergence(rho, rho_d), l2_norm(e), float(np.abs(u).max())))
     if positions is not None and config.record_agents:
-        record.agents.extend((t, i, float(positions[i]), float(u[i]))
-                             for i in range(positions.size))
+        record.agents.extend(zip([t] * positions.size, range(positions.size),
+                                 positions.tolist(), u.tolist()))
     if config.record_density:
-        record.density.extend(zip([t] * grid.m, grid.nodes, rho.values, rho_d.values))
+        record.density.extend(zip([t] * grid.m, grid.nodes.tolist(), rho.values.tolist(),
+                                  rho_d.values.tolist()))
 
 
 class _Controller:
@@ -238,9 +239,13 @@ class _Controller:
         self.rng = None if config.noise_power_dbw is None else np.random.default_rng(config.seed)
         self.q_integral_worst = 0.0
 
+    def desired(self, t: float) -> GridFunction:
+        """The target density rho_d at time ``t``."""
+        return self.target if self.target is not None else target_at(self.program, t, self.grid)[0]
+
     def __call__(self, rho: GridFunction, t: float):
         """(U field or None, rho_d) for the density ``rho`` at time ``t``."""
-        rho_d = self.target if self.target is not None else target_at(self.program, t, self.grid)[0]
+        rho_d = self.desired(t)
         if self.config.scenario == "open-loop":
             return None, rho_d
         q = compute_feedback(rho, rho_d, self.kernel, self.gains)
@@ -283,18 +288,22 @@ def run_continuum_scenario(config: ScenarioConfig) -> RunRecord:
     controller = _Controller(config, on_starved="raise")
     mass = float(config.n_agents)
     rho0 = von_mises_density(0.0, 0.0, mass, controller.grid)  # uniform start, mass N
-    states = run_continuum(ContinuumState(rho0, 0.0), controller.kernel,
-                           lambda s: controller(s.rho, s.t)[0], config.t_end,
-                           cfl=config.cfl, dt_max=config.dt, sample_every=config.sample_every)
+    run = run_continuum(ContinuumState(rho0, 0.0), controller.kernel,
+                        lambda s: controller(s.rho, s.t)[0], config.t_end,
+                        cfl=config.cfl, dt_max=config.dt, sample_every=config.sample_every)
     record = RunRecord(config=asdict(config), metadata=_base_metadata(config))
-    # Worst over the applied controls; the samples below re-evaluate them.
+    # Worst over the applied controls, so before the final sample's evaluation.
     record.metadata["q_integral_worst"] = controller.q_integral_worst
-    for s in states:
-        u_field, rho_d = controller(s.rho, s.t)
+    # Every sample but the last is the start of a step, which applied its U.
+    final_u = controller(run[-1].rho, run[-1].t)[0]
+    for s, u_field in zip(run, run.u_fields[:-1] + (final_u,)):
         u = np.zeros(s.rho.grid.m) if u_field is None else u_field.values
-        _record_sample(record, config, s.t, s.rho, rho_d, u)
+        _record_sample(record, config, s.t, s.rho, controller.desired(s.t), u)
     record.metadata["final_kl"] = record.final_kl()
-    record.metadata["mass_drift"] = abs(integrate(states[-1].rho) - mass)
+    record.metadata["mass_drift"] = abs(integrate(run[-1].rho) - mass)
+    record.metadata["continuum_steps"] = run.steps
+    record.metadata["continuum_dt_min"] = run.dt_min
+    record.metadata["continuum_dt_max"] = run.dt_max
     return record
 
 

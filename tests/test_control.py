@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringswarm import (
     ControllerGains,
@@ -42,7 +44,28 @@ def positive_random_field(grid, rng, mass=50.0, modes=5):
     return GridFunction(grid, values * (mass / integrate(field)))
 
 
+@st.composite
+def feedback_cases(draw):
+    """Positive rho and rho_d of one mass in [1, 1000] on an even grid of
+    4-1024 nodes, a Morse kernel (mean-field or unit strength) and a gain."""
+    grid = RingGrid(2 * draw(st.integers(2, 512)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mass = draw(st.floats(1.0, 1000.0))
+    rho, rho_d = positive_random_field(grid, rng, mass), positive_random_field(grid, rng, mass)
+    strength = draw(st.sampled_from((1.0 / mass, 1.0)))
+    kernel = MorseKernel(draw(st.floats(0.05, 3.0)), draw(st.floats(0.05, 3.0)), strength)
+    return rho, rho_d, kernel, ControllerGains(draw(st.floats(0.1, 100.0)))
+
+
 class TestComputeFeedback:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(feedback_cases())
+    def test_q_integral_vanishes_property(self, case):
+        rho, rho_d, kernel, gains = case
+        error_size = integrate(GridFunction(rho.grid, np.abs(rho_d.values - rho.values)))
+        q = compute_feedback(rho, rho_d, kernel, gains)
+        assert abs(integrate(q)) <= 1e-12 * (gains.kp * error_size + 1.0)
+
     def test_matched_densities_give_zero_feedback(self, grid, kernel, gains):
         rho_d = von_mises_density(0.0, 4.0, 50.0, grid)
         assert np.all(compute_feedback(rho_d, rho_d, kernel, gains).values == 0.0)

@@ -267,6 +267,33 @@ class TestOpenLoop:
         assert all(b <= a + 1e-3 for a, b in zip(late, late[1:]))
 
 
+@st.composite
+def continuum_cases(draw):
+    """A smooth positive density of mass 1-1000 on an even grid of 32-256
+    nodes, a mean-field Morse kernel, and either no control (the open loop)
+    or the feedback toward a smooth positive target of the same mass."""
+    grid = RingGrid(2 * draw(st.integers(16, 128)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mass = draw(st.floats(1.0, 1000.0))
+
+    def smooth_positive():
+        k = np.arange(1, 6)[:, None]
+        values = 1.0 + ((0.5 / k) * (rng.normal(size=(5, 1)) * np.cos(k * grid.nodes)
+                                     + rng.normal(size=(5, 1)) * np.sin(k * grid.nodes))).sum(0)
+        values = np.abs(values) + 0.05
+        return GridFunction(grid, values * (mass / (grid.spacing * values.sum())))
+
+    rho0 = smooth_positive()
+    kernel = MorseKernel(draw(st.floats(0.05, 3.0)), draw(st.floats(0.05, 3.0)), 1.0 / mass)
+    control = None
+    if draw(st.booleans()):
+        rho_d, gains = smooth_positive(), ControllerGains(draw(st.floats(0.1, 100.0)))
+
+        def control(s):
+            return velocity_control(s.rho, compute_feedback(s.rho, rho_d, kernel, gains))
+    return rho0, kernel, control
+
+
 def one_step(state, kernel, dt):
     """One open-loop Rusanov step of run_continuum from t = 0, at a dt below
     the CFL bound."""
@@ -371,6 +398,56 @@ class TestContinuum:
         states = run_continuum(state, kernel, None, 1.0, sample_every=0.25)
         assert [s.t for s in states] == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
         assert abs(integrate(states[-1].rho) - n) < 1e-9
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(continuum_cases())
+    def test_mass_conserved_and_density_nonnegative_property(self, case):
+        rho0, kernel, control = case
+        mass = integrate(rho0)
+        run = run_continuum(ContinuumState(rho0, 0.0), kernel, control, 0.05,
+                            dt_max=1e-3, sample_every=0.05)
+        assert run.steps >= 50
+        for s in run:
+            assert abs(integrate(s.rho) - mass) <= 1e-9 * mass
+            assert s.rho.values.min() >= 0.0
+
+    def test_run_hands_back_applied_controls_and_steps(self, monkeypatch):
+        grid = RingGrid(64)
+        n = 10.0
+        kernel = MorseKernel(0.5, 0.5, strength=1.0 / n)
+        gains = ControllerGains(10.0)
+        rho_d = von_mises_density(0.0, 4.0, n, grid)
+        applied = {}
+        steps = []
+
+        def control(s):
+            applied[s.t] = velocity_control(s.rho, compute_feedback(s.rho, rho_d, kernel, gains))
+            return applied[s.t]
+
+        def advance(rho, w, dt):
+            steps.append(dt)
+            return rusanov_advance(rho, w, dt)
+
+        rusanov_advance = dynamics._rusanov_advance
+        monkeypatch.setattr(dynamics, "_rusanov_advance", advance)
+        run = run_continuum(ContinuumState(von_mises_density(0.0, 0.0, n, grid)), kernel,
+                            control, 0.1, dt_max=0.02, sample_every=0.03)
+        assert [s.t for s in run] == pytest.approx([0.0, 0.03, 0.06, 0.09, 0.1])
+        assert len(run.u_fields) == len(run) and run.u_fields[-1] is None
+        assert all(u is applied[s.t] for s, u in zip(run, run.u_fields[:-1]))
+        assert len(applied) == run.steps == len(steps)
+        assert (run.dt_min, run.dt_max) == (min(steps), max(steps))
+        assert 0.0 < run.dt_min < run.dt_max <= 0.02
+
+    def test_open_loop_and_stepless_runs(self):
+        grid = RingGrid(64)
+        kernel = MorseKernel(0.5, 0.5, strength=0.1)
+        state = ContinuumState(von_mises_density(0.0, 1.0, 10.0, grid), 0.2)
+        run = run_continuum(state, kernel, None, 0.2)
+        assert list(run) == [state] and run.u_fields == (None,) and run.steps == 0
+        assert math.isnan(run.dt_min) and math.isnan(run.dt_max)
+        run = run_continuum(state, kernel, None, 0.3, sample_every=0.05)
+        assert len(run) == 3 and run.u_fields == (None,) * 3 and run.steps >= 100
 
     def test_negative_density_guard(self):
         grid = RingGrid(64)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringswarm import (
     GridFunction,
@@ -13,6 +15,7 @@ from ringswarm import (
     wrap_angle,
 )
 from ringswarm.density import von_mises_density
+from ringswarm.dynamics import _rusanov_advance
 from ringswarm.kernels import MorseKernel
 
 
@@ -30,6 +33,56 @@ def direct_convolve_samples(kernel_samples: GridFunction, density: GridFunction)
     i = np.arange(m)
     lookup = (i[:, None] - i[None, :] + m // 2) % m  # offset (i-j)*Delta -> node index
     return density.grid.spacing * (kernel_samples.values[lookup] @ density.values)
+
+
+def roll_central_difference(v, spacing):
+    """The central difference written with np.roll."""
+    return (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * spacing)
+
+
+def concatenate_running_trapezoid(v, spacing):
+    """The trapezoid running integral written with np.concatenate."""
+    steps = 0.5 * (v[1:] + v[:-1]) * spacing
+    return np.concatenate(([0.0], np.cumsum(steps)))
+
+
+def roll_rusanov_advance(r, wv, dt, spacing):
+    """One Rusanov step written with np.roll."""
+    flux = r * wv
+    a = np.maximum(np.abs(wv), np.abs(np.roll(wv, -1)))
+    face = 0.5 * (flux + np.roll(flux, -1)) - 0.5 * a * (np.roll(r, -1) - r)
+    return np.clip(r - (dt / spacing) * (face - np.roll(face, 1)), 0.0, None)
+
+
+@st.composite
+def stencil_cases(draw):
+    """Even m from 4 to 1024; finite samples v of any scale from 1e-300 to
+    1e300; a density r >= 0 (exact zeros included) under a speed w, and a
+    dt up to the CFL bound dt * max|w| <= Delta."""
+    grid = RingGrid(2 * draw(st.integers(2, 512)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.normal(size=grid.m) * 10.0 ** draw(st.integers(-300, 300))
+    r = rng.uniform(0.0, 100.0, grid.m) * (rng.uniform(size=grid.m) < 0.8)
+    w = rng.normal(size=grid.m) * 10.0 ** draw(st.integers(-3, 3))
+    dt = draw(st.floats(0.0, 1.0, exclude_min=True)) * grid.spacing / np.abs(w).max()
+    return grid, v, r, w, dt
+
+
+class TestStencilOracles:
+    """The slicing stencils against their np.roll / np.concatenate forms:
+    the same IEEE operations per element, so bitwise equal."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(stencil_cases())
+    def test_slicing_stencils_match_roll_forms(self, case):
+        grid, v, r, w, dt = case
+        field = GridFunction(grid, v)
+        assert np.array_equal(spatial_derivative(field).values,
+                              roll_central_difference(v, grid.spacing))
+        assert np.array_equal(cumulative_trapezoid(field).values,
+                              concatenate_running_trapezoid(v, grid.spacing))
+        advanced = _rusanov_advance(GridFunction(grid, r), GridFunction(grid, w), dt)
+        assert np.array_equal(advanced.values, roll_rusanov_advance(r, w, dt, grid.spacing))
 
 
 class TestWrapDistance:

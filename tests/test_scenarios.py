@@ -259,6 +259,38 @@ class TestRunRecords:
         assert rec.metrics[-1][0] == pytest.approx(0.3)
         assert len(rec.agents) == 0
 
+    def test_recorded_controls_are_the_applied_ones(self):
+        # run_continuum hands back the U each sampled state's step applied;
+        # each is bitwise a fresh controller evaluation of that state, and
+        # the record's u_max column and step counters come from the same run
+        cfg = continuum_config(t_end=0.2)
+        rec = run_continuum_scenario(cfg)
+        controller = scenarios._Controller(cfg, on_starved="raise")
+        start = ContinuumState(von_mises_density(0.0, 0.0, 50.0, controller.grid))
+        run = run_continuum(start, controller.kernel, lambda s: controller(s.rho, s.t)[0],
+                            cfg.t_end, cfl=cfg.cfl, dt_max=cfg.dt,
+                            sample_every=cfg.sample_every)
+        fresh = [scenarios._Controller(cfg, on_starved="raise")(s.rho, s.t)[0] for s in run]
+        assert len(run) == len(rec.metrics) == 5
+        assert all(np.array_equal(applied.values, u.values)
+                   for applied, u in zip(run.u_fields[:-1], fresh))
+        assert [row[3] for row in rec.metrics] == [float(np.abs(u.values).max()) for u in fresh]
+        meta = rec.metadata
+        assert (meta["continuum_steps"], meta["continuum_dt_min"], meta["continuum_dt_max"]) \
+            == (run.steps, run.dt_min, run.dt_max)
+        assert 0.0 < run.dt_min < run.dt_max <= cfg.dt
+
+    def test_feedback_runs_once_per_step_and_for_the_final_sample(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return compute_feedback(*args)
+
+        monkeypatch.setattr(scenarios, "compute_feedback", counted)
+        rec = run_continuum_scenario(continuum_config(t_end=0.2))
+        assert len(calls) == rec.metadata["continuum_steps"] + 1
+
 
 class TestSweeps:
     def test_scalability_rows_in_request_order(self):
@@ -418,6 +450,9 @@ class TestCli:
         out = tmp_path / "cont"
         assert cli_main(["continuum", "--t-end", "0.2", "--out", str(out)]) == 0
         assert (out / "metrics.csv").exists()
+        counters = (out / "metadata.txt").read_text().splitlines()[-3:]
+        assert [line.split(" = ")[0] for line in counters] == [
+            "continuum_steps", "continuum_dt_min", "continuum_dt_max"]
 
     def test_track_subcommand(self, tmp_path):
         out = tmp_path / "tr"
