@@ -1,0 +1,52 @@
+"""Print the sha256 of every file the seven reference CLI commands write.
+
+    python3 scripts/golden_hashes.py > hashes.txt
+
+Run from the root of a checkout; the package is imported from its ``src/``.
+Each command writes into its own subdirectory of a temporary directory, and
+the output is one ``<sha256>  <subdirectory>/<file>`` line per file, sorted
+by path, so that the outputs of two checkouts compare with ``diff``.  A
+command that fails stops the script with its exit code.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COMMANDS = (
+    ("mono", ["regulate-mono", "--seed", "7"]),
+    ("cont", ["continuum"]),
+    ("track", ["track", "--noise-dbw", "20", "--seed", "3"]),
+    ("open", ["open-loop", "--t-end", "1"]),
+    ("bi", ["regulate-bimodal", "--t-end", "0.5"]),
+    ("swn", ["sweep-n", "--n-list", "1,5,inf", "--t-end", "0.2", "--workers", "1"]),
+    ("swnoise", ["sweep-noise", "--p-list", "0,40", "--seeds", "2", "--t-end", "0.1",
+                 "--n", "10", "--workers", "1"]),
+)
+
+
+def main() -> int:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("RINGSWARM_OUT", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        for name, args in COMMANDS:
+            proc = subprocess.run([sys.executable, "-m", "ringswarm.cli", *args,
+                                   "--out", str(out / name)],
+                                  env=env, stdout=subprocess.DEVNULL)
+            if proc.returncode:
+                print(f"golden_hashes: {' '.join(args)} exited with {proc.returncode}",
+                      file=sys.stderr)
+                return proc.returncode
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.relative_to(out).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

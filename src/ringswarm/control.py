@@ -54,6 +54,12 @@ def compute_feedback(rho: GridFunction, rho_d: GridFunction, kernel: MorseKernel
     return GridFunction(grid, gains.kp * e.values - flux_d - flux_e)
 
 
+def starvation_floor(rho: GridFunction) -> float:
+    """Density below which a node is starved: 1e-6 of the uniform level
+    mass / (2*pi)."""
+    return 1e-6 * integrate(rho) / (2.0 * np.pi)
+
+
 def velocity_control(rho: GridFunction, q: GridFunction, *,
                      constant_mode: str = "zero",
                      on_starved: str = "raise") -> GridFunction:
@@ -61,8 +67,8 @@ def velocity_control(rho: GridFunction, q: GridFunction, *,
 
     The integration constant C is 0 in the default ``constant_mode="zero"``
     (minimal-action representative) or q(-pi) with ``"boundary"``.  Nodes
-    where rho falls below 1e-6 of the uniform level mass / (2*pi) signal the
-    degenerate source/sink case: ``on_starved="raise"`` refuses with the
+    where rho falls below ``starvation_floor`` signal the degenerate
+    source/sink case: ``on_starved="raise"`` refuses with the
     offending node, ``"zero"`` returns U = 0 there (used by the agent loop,
     whose estimator keeps the density high wherever inputs are actually
     sampled).
@@ -73,7 +79,7 @@ def velocity_control(rho: GridFunction, q: GridFunction, *,
         raise ValueError(f"unknown constant_mode {constant_mode!r}")
     if on_starved not in ("raise", "zero"):
         raise ValueError(f"unknown on_starved {on_starved!r}")
-    floor = 1e-6 * integrate(rho) / (2.0 * np.pi)
+    floor = starvation_floor(rho)
     starved = rho.values < floor
     if on_starved == "raise" and starved.any():
         j = int(np.argmax(starved))
@@ -95,8 +101,13 @@ def sample_agent_inputs(u_field: GridFunction, positions) -> np.ndarray:
     s = (pos + np.pi) / grid.spacing
     # Positions sitting on a node must sample it exactly; rounding noise in
     # (pos + pi)/spacing would otherwise leak a neighbour's value in.
-    s = np.where(np.abs(s - np.round(s)) < 1e-9, np.round(s), s)
-    j = np.floor(s).astype(int) % grid.m
-    frac = s - np.floor(s)
+    nearest = np.round(s)
+    s = np.where(np.abs(s - nearest) < 1e-9, nearest, s)
+    below = np.floor(s)
+    frac = s - below
+    # s lies in [0, m], so j + 1 is at most m + 1: both nodes are read from
+    # the values extended by their first two, which also wraps them
     v = u_field.values
-    return v[j] * (1.0 - frac) + v[(j + 1) % grid.m] * frac
+    extended = np.concatenate((v, v[:2]))
+    j = below.astype(int)
+    return extended[j] * (1.0 - frac) + extended[j + 1] * frac

@@ -12,6 +12,7 @@ mass is exact and the density stays nonnegative under the CFL bound.
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -61,26 +62,34 @@ def even_lattice(n: int) -> np.ndarray:
 # +-pi and +-2*pi.  Per class (+1 behind or -1 ahead, shift 2*pi*k of the
 # image x_j + 2*pi*k, upper and lower bound of f): agent j is in it when
 # lower < f < upper.  f = 0 (coincident) and f = +-pi (antipodal) are in
-# none, and neither are f = +-2*pi, where the wrapped offset is 0.
+# none, and neither are f = +-2*pi, where the wrapped offset is 0.  f < upper
+# is counted as the complement of f > nextafter(upper, -inf), so the table
+# holds that cut, at_least, in place of upper.
 _TWO_PI = 2.0 * np.pi
-_CLASSES = ((1.0, _TWO_PI, np.inf, _TWO_PI), (1.0, 0.0, np.pi, 0.0),
-            (1.0, -_TWO_PI, -np.pi, -_TWO_PI), (-1.0, _TWO_PI, _TWO_PI, np.pi),
-            (-1.0, 0.0, 0.0, -np.pi), (-1.0, -_TWO_PI, -_TWO_PI, -np.inf))
+_CLASSES = tuple((sign, shift, np.nextafter(upper, -np.inf), lower) for sign, shift, upper, lower in (
+    (1.0, _TWO_PI, np.inf, _TWO_PI), (1.0, 0.0, np.pi, 0.0), (1.0, -_TWO_PI, -np.pi, -_TWO_PI),
+    (-1.0, _TWO_PI, _TWO_PI, np.pi), (-1.0, 0.0, 0.0, -np.pi), (-1.0, -_TWO_PI, -_TWO_PI, -np.inf)))
 _BELOW_ZERO = np.nextafter(0.0, -np.inf)
+# The cuts above 0 that _count_table counts at, in its order, each paired
+# with its neighbour towards -inf.
+_CUTS = (np.pi, _TWO_PI)
+_CUT_PAIRS = np.array([_CUTS, np.nextafter(_CUTS, -np.inf)])[:, :, None]
 # Largest rate-scaled width a * (x - anchor) of one block of the prefix sums;
 # with it no term or partial sum overflows (e^300 * N stays finite).
 _BLOCK_EXPONENT = 300.0
 
 
 def _count_above(y, cuts):
-    """Per agent i and cut c (a column), the number of sorted y_j with
-    fl(y_i - y_j) > c.  That difference falls as j rises, so the count is a
-    boundary in y: searchsorted on y_i - c guesses it, and the raw predicate
-    moves the guess one group of equal positions at a time."""
+    """Per agent i and cut pair (c, nextafter(c, -inf)) (a (2, m, 1) array),
+    the numbers of sorted y_j with fl(y_i - y_j) > c and >= c, broadcastable
+    to (2, m, n).  That difference falls as j rises, so each count is a
+    boundary in y: searchsorted on y_i - c guesses it for both cuts of a
+    pair (they round y_i - c alike), and the raw predicate moves the guess
+    one group of equal positions at a time."""
     padded = np.concatenate(([-np.inf], y, [np.inf]))
-    k = np.searchsorted(y, y - cuts)
+    k = np.searchsorted(y, y - cuts[0])  # one row per pair until a row moves
     while True:
-        back = ~(y - padded[k] > cuts)  # y[k - 1] fails: move left
+        back = y - padded[k] <= cuts  # y[k - 1] fails: move left
         ahead = y - padded[k + 1] > cuts  # y[k] holds: move right
         if not (back.any() or ahead.any()):
             return k
@@ -88,30 +97,82 @@ def _count_above(y, cuts):
         k = np.where(ahead, np.searchsorted(y, padded[k + 1], "right"), k)
 
 
-def _exp_prefix(x, rates):
-    """Prefix sums P[r, j] = sum_{l < j} exp(rates[r] * (x_l - A[j])) of sorted x.
+def _count_table(y, spread):
+    """Counts of sorted y_j with f = fl(y_i - y_j) > c for every cut c the
+    classes use, as the rows of one table; returns it and the number m of
+    the _CUTS within the spread (``_cut_row`` finds a cut's row).
 
-    The anchor A[j] <= x_{j-1} restarts every _BLOCK_EXPONENT / max(rates)
-    of x, and earlier blocks are carried over rescaled, so every sum stays
-    finite and well conditioned however large the rates are.  P[:, 0] = 0.
+    Row 0 is 0 and row 1 is n: the counts at cuts beyond the spread.  Row 2
+    is f > 0, which is y_j < y_i: the start of y_i's run of equal positions.
+    Rows 3 to 3 + 2m hold f > c and then f >= c (that is, f > nextafter(c,
+    -inf)) for the m cuts, from _count_above.  The cuts below 0 follow by
+    transposing: f > -c fails for (i, j) exactly when fl(y_j - y_i) = -f >= c
+    holds, and the j where it holds are those whose own count of f >= c
+    exceeds i.  So one bincount and one cumsum of rows 2 to 3 + 2m give, in
+    the rows after them, f >= 0 (y_j <= y_i), then f >= -c and f > -c.
     """
-    n = x.size
+    n = y.size
+    m = int(spread >= _CUTS[0]) + int(spread >= _CUTS[1])
+    table = np.empty((4 + 4 * m, n), dtype=np.intp)
+    table[0], table[1] = 0, n
+    new = np.empty(n, dtype=bool)  # y_i opens a run
+    new[0] = True
+    np.not_equal(y[1:], y[:-1], out=new[1:])
+    np.maximum.accumulate(np.where(new, np.arange(n), 0), out=table[2])
+    if m:
+        table[3:3 + 2 * m].reshape(2, m, n)[:] = _count_above(y, _CUT_PAIRS[:, :m])
+    known = table[2:3 + 2 * m]
+    flat = (known + (n + 1) * np.arange(1 + 2 * m)[:, None]).ravel()
+    tally = np.bincount(flat, minlength=(1 + 2 * m) * (n + 1))
+    table[3 + 2 * m:] = tally.reshape(-1, n + 1).cumsum(axis=1)[:, :n]
+    return table, m
+
+
+def _cut_row(m, c):
+    """The row of a table with m cuts (see _count_table) that holds the
+    counts of f > c: the cut's own row, or 0 or n beyond the spread."""
+    rows = {0.0: 2, _BELOW_ZERO: 3 + 2 * m}
+    for k, cut in enumerate(_CUTS[:m]):
+        rows[cut], rows[np.nextafter(cut, -np.inf)] = 3 + k, 3 + m + k
+        rows[np.nextafter(-cut, -np.inf)], rows[-cut] = 4 + 2 * m + k, 4 + 3 * m + k
+    return rows.get(c, 0 if c > 0 else 1)
+
+
+def _exp_prefix(y, rates):
+    """Sums of exp(rate * x) over the sorted y below and above each index.
+
+    Row r holds P[j] = sum_{l < j} exp(rates[r] * (y_l - A[j])) at entry j
+    for j in 0..n.  The entries from 2n + 1 down to n + 1 hold the same
+    sums over the mirrored positions x = -y[::-1], so entry n + 1 + c is
+    S[c] = sum_{l >= c} exp(rates[r] * (A - y_l)) with A its anchor.
+    Entries 0 and 2n + 1 are empty sums.  Along either direction the anchor
+    is the first x of its block, a new block starts every
+    _BLOCK_EXPONENT / max(rates) of x, and earlier blocks are carried over
+    rescaled, so every sum stays finite and well conditioned however large
+    the rates are.
+    """
+    n = y.size
     a = rates[:, None]
-    sums = np.zeros((rates.size, n + 1))
-    anchors = np.full(n + 1, x[0])
-    width = _BLOCK_EXPONENT / rates.max()
-    carry = 0.0
-    start = 0
-    while start < n:
-        anchor = x[start]
-        stop = int(np.searchsorted(x, anchor + width, "right"))
-        block = np.cumsum(np.exp(a * (x[start:stop] - anchor)), axis=1)
-        if start:  # the first block carries nothing
-            block += carry * np.exp(a * (anchors[start] - anchor))
-        sums[:, start + 1:stop + 1] = block
-        anchors[start + 1:stop + 1] = anchor
-        carry = block[:, -1:]
-        start = stop
+    width = _BLOCK_EXPONENT / max(rates)
+    sums = np.zeros((rates.size, 2 * n + 2))
+    anchors = np.empty(2 * n + 2)
+    for x, side_sums, side_anchors in ((y, sums[:, :n + 1], anchors[:n + 1]),
+                                       (-y[::-1], sums[:, :n:-1], anchors[:n:-1])):
+        side_anchors[0] = x[0]
+        start = 0
+        while start < n:
+            anchor = x[start]
+            end = anchor + width
+            stop = n if x[-1] <= end else int(np.searchsorted(x, end, "right"))
+            block = side_sums[:, start + 1:stop + 1]
+            np.subtract(x[start:stop], anchor, out=block)
+            block *= a
+            np.exp(block, out=block)
+            np.cumsum(block, axis=1, out=block)
+            if start:  # the first block carries nothing
+                block += side_sums[:, start:start + 1] * np.exp(a * (side_anchors[start] - anchor))
+            side_anchors[start + 1:stop + 1] = anchor
+            start = stop
     return sums, anchors
 
 
@@ -139,45 +200,51 @@ def _interaction_sum(positions: np.ndarray, kernel: MorseKernel) -> np.ndarray:
     if spread == 0.0:  # no pairs apart: at most one agent, or all coincident
         return np.zeros(n)
     # |f| <= spread, so a class can hold agents only where its bounds
-    # straddle [-spread, spread], and a count of f > c beyond the spread is
-    # 0 or n.  The class of j is [count of f >= upper, count of f > lower),
-    # and f >= c is f > nextafter(c, -inf).
-    classes = [(sign, shift, np.nextafter(upper, -np.inf), lower)
-               for sign, shift, upper, lower in _CLASSES if lower < spread and upper > -spread]
-    # f > 0 and f >= 0 are exactly y_j < y_i and y_j <= y_i
-    counts = {0.0: np.searchsorted(y, y, "left"), _BELOW_ZERO: np.searchsorted(y, y, "right")}
-    cuts = sorted({c for cls in classes for c in cls[2:] if abs(c) <= spread} - counts.keys())
-    if cuts:
-        counts.update(zip(cuts, _count_above(y, np.array(cuts)[:, None])))
-
-    def count(c):
-        return counts[c] if c in counts else np.full(n, 0 if c > 0 else n)
-
-    rows = [(sign, shift, count(at_least), count(above))
-            for sign, shift, at_least, above in classes]
-    signs, shifts, lo, hi = (np.array(part) for part in zip(*rows))
-
-    # sum_{j in [lo, hi)} exp(-a (q - y_j)) is T(hi) - T(lo) with
-    # T(j) = P[j] exp(a (A[j] - q)).  A range ahead is a range behind of the
-    # mirrored positions -y[::-1], whose sums follow at offset n + 1.  The
-    # exponent is <= 0 up to rounding wherever P[j] > 0; capping it at 0
-    # keeps P[j] = 0 from meeting an overflowed factor.
+    # straddle [-spread, spread].
+    reach = tuple(lower < spread and at_least >= -spread for _, _, at_least, lower in _CLASSES)
+    table, m = _count_table(y, spread)
+    rows, behind, signs, shifts = _class_layout(reach, m)
+    # Agent j is in a class when lo = count(f > at_least) <= j < hi =
+    # count(f > lower).  Behind, the range sums to T(hi) - T(lo) with
+    # T(j) = P[j] exp(a (A[j] - q)) and q = y_i - shift; ahead it sums to
+    # S[lo] - S[hi] (entries n + 1 + lo and n + 1 + hi, see _exp_prefix)
+    # with q = shift - y_i, and the kernel's sign there makes that
+    # T(n + 1 + hi) - T(n + 1 + lo).  The exponent is <= 0 up to rounding
+    # wherever the sum is > 0; capping it at 0 keeps an empty sum from
+    # meeting an overflowed factor.
+    idx = table[rows]  # (hi, lo) per class
+    idx[:, behind:] += n + 1
     rates = np.array([1.0, 1.0 / kernel.attraction_length])
-    sums_behind, anchors_behind = _exp_prefix(y, rates)
-    sums_ahead, anchors_ahead = _exp_prefix(-y[::-1], rates)
-    sums = np.concatenate((sums_behind, sums_ahead), axis=1)
-    anchors = np.concatenate((anchors_behind, anchors_ahead))
-    ahead = (signs < 0)[:, None]
-    idx = np.concatenate((np.where(ahead, 2 * n + 1 - lo, hi),
-                          np.where(ahead, 2 * n + 1 - hi, lo))).ravel()
-    q = np.tile((signs[:, None] * (y - shifts[:, None])).ravel(), 2)
-    exponents = np.minimum(rates[:, None] * (anchors[idx] - q), 0.0)
-    terms = np.take(sums, idx, axis=1) * np.exp(exponents)
-    terms = terms.reshape(2, 2, len(classes), n)
-    weights = np.array([1.0, -kernel.attraction_strength])[:, None] * signs
+    sums, anchors = _exp_prefix(y, rates)
+    base = anchors[idx]
+    base -= signs * (y - shifts)
+    np.minimum(base, 0.0, out=base)
+    diff = np.empty((rates.size, signs.size, n))
+    terms = np.empty_like(base)
+    for rate, sums_at, out in zip(rates, sums, diff):
+        np.multiply(base, rate, out=terms)
+        np.exp(terms, out=terms)
+        terms *= sums_at[idx]
+        np.subtract(terms[0], terms[1], out=out)
+    weights = np.array([1.0] * signs.size + [-kernel.attraction_strength] * signs.size)
     out = np.empty(n)
-    out[order] = kernel.strength * np.einsum("rk,rkn->n", weights, terms[:, 0] - terms[:, 1])
+    out[order] = kernel.strength * (weights @ diff.reshape(-1, n))
     return out
+
+
+@cache
+def _class_layout(reach, m):
+    """The classes picked by the mask ``reach`` over _CLASSES, as the rows
+    (count(f > lower), count(f > at_least)) of a table with m cuts, the
+    number of classes behind (they come first), and the signs and shifts
+    as columns."""
+    classes = [cls for cls, inside in zip(_CLASSES, reach) if inside]
+    rows = np.array([(_cut_row(m, lower), _cut_row(m, at_least))
+                     for _, _, at_least, lower in classes]).T
+    signs, shifts = (np.array(part)[:, None] for part in list(zip(*classes))[:2])
+    for shared in (rows, signs, shifts):  # the cache hands out the same arrays
+        shared.setflags(write=False)
+    return rows, int((signs > 0).sum()), signs, shifts
 
 
 def microscopic_rhs(positions: np.ndarray, kernel: MorseKernel,

@@ -23,9 +23,12 @@ def wrap_angle(a):
 
 def wrap_into_domain(a):
     """Wrap into [-pi, pi) touching only out-of-range entries, so values
-    already in the domain keep their exact floating-point representation."""
+    already in the domain keep their exact floating-point representation.
+    When every entry is inside, the input array itself is returned."""
     a = np.asarray(a, dtype=float)
     inside = (a >= -np.pi) & (a < np.pi)
+    if inside.all():
+        return a
     return np.where(inside, a, wrap_angle(a))
 
 

@@ -25,6 +25,7 @@ from .control import (
     ControllerGains,
     compute_feedback,
     sample_agent_inputs,
+    starvation_floor,
     velocity_control,
 )
 from .density import (
@@ -224,7 +225,9 @@ def _record_sample(record: RunRecord, config: ScenarioConfig, t: float, rho: Gri
 class _Controller:
     """One controller evaluation, shared by both runners: target, feedback q
     plus the configured noise, the worst |integral of q| so far, then the U
-    field (none in the open loop; starved nodes as ``on_starved`` says).
+    field (none in the open loop; starved nodes as ``on_starved`` says,
+    and under "zero" ``starved_updates`` counts the evaluations that had
+    any).
     The grid, kernel, a static target and the noise generator are built
     once per run."""
 
@@ -238,6 +241,7 @@ class _Controller:
         self.gains = ControllerGains(config.kp)
         self.rng = None if config.noise_power_dbw is None else np.random.default_rng(config.seed)
         self.q_integral_worst = 0.0
+        self.starved_updates = 0
 
     def desired(self, t: float) -> GridFunction:
         """The target density rho_d at time ``t``."""
@@ -253,6 +257,8 @@ class _Controller:
             noise = self.rng.normal(0.0, _noise_std(self.config.noise_power_dbw), self.grid.m)
             q = GridFunction(self.grid, q.values + noise)
         self.q_integral_worst = max(self.q_integral_worst, abs(integrate(q)))
+        if self.on_starved == "zero":
+            self.starved_updates += bool((rho.values < starvation_floor(rho)).any())
         u_field = velocity_control(rho, q, constant_mode=self.config.integration_constant,
                                    on_starved=self.on_starved)
         return u_field, rho_d
@@ -280,6 +286,7 @@ def run_microscopic(config: ScenarioConfig) -> RunRecord:
             state = step_swarm(state, controller.kernel, u_field, integrator)
     record.metadata["q_integral_worst"] = controller.q_integral_worst
     record.metadata["final_kl"] = record.final_kl()
+    record.metadata["starved_updates"] = controller.starved_updates
     return record
 
 

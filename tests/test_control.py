@@ -16,6 +16,7 @@ from ringswarm import (
     velocity_control,
     velocity_field,
     von_mises_density,
+    wrap_into_domain,
 )
 
 
@@ -227,3 +228,21 @@ class TestSampleAgentInputs:
         from ringswarm import wrap_angle
         rotated = sample_agent_inputs(u_rot, wrap_angle(positions + shift * grid.spacing))
         assert np.allclose(rotated, sample_agent_inputs(u, positions), atol=1e-12)
+
+    @pytest.mark.parametrize("m", [4, 6, 64, 256, 1000])
+    def test_matches_modulo_formula(self, m):
+        # the shifted-copy read of node j + 1 against the two-modulo formula,
+        # bit for bit, off and on nodes and at the seam
+        grid = RingGrid(m)
+        rng = np.random.default_rng(57 + m)
+        u = GridFunction(grid, rng.normal(size=m))
+        positions = np.concatenate((
+            rng.uniform(-np.pi - 0.05, np.pi + 0.05, 5000), grid.nodes,
+            [-np.pi, np.pi, np.nextafter(np.pi, 0.0), np.nextafter(-np.pi, 0.0)]))
+        wrapped = np.asarray(wrap_into_domain(positions))
+        s = (wrapped + np.pi) / grid.spacing
+        s = np.where(np.abs(s - np.round(s)) < 1e-9, np.round(s), s)
+        j = np.floor(s).astype(int) % m
+        frac = s - np.floor(s)
+        expected = u.values[j] * (1.0 - frac) + u.values[(j + 1) % m] * frac
+        assert np.array_equal(sample_agent_inputs(u, positions), expected)

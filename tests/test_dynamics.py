@@ -31,6 +31,9 @@ from ringswarm.density import WrappedGaussianEstimator
 from ringswarm.dynamics import _interaction_sum
 
 EPS = np.finfo(float).eps
+# 0, +-pi and +-2*pi, each with its neighbour towards -inf (f >= c is f > that)
+COUNT_CUTS = [cut for c in (0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi)
+              for cut in (c, np.nextafter(c, -np.inf))]
 
 
 def direct_interaction_sum(positions, kernel):
@@ -158,6 +161,18 @@ class TestMicroscopicRhs:
         assert np.abs(got - ref).max() <= tol
         assert abs(got.sum()) < 1e-10
 
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(interaction_cases())
+    def test_class_counts_match_pairwise_counts(self, case):
+        # every count the classes read, against the O(N^2) count of the
+        # raw differences: ties, exact antipodes and seam-straddling spreads
+        pos, _ = case
+        y = np.sort(pos)
+        table, m = dynamics._count_table(y, y[-1] - y[0])
+        f = y[:, None] - y[None, :]
+        for c in COUNT_CUTS:
+            assert np.array_equal(table[dynamics._cut_row(m, c)], (f > c).sum(axis=1)), c
+
 
 class TestStepSwarm:
     def test_single_agent_is_stationary(self):
@@ -183,6 +198,34 @@ class TestStepSwarm:
         a = rk4_positions(pos0, kernel, 0.05, 1e-3)
         b = rk4_positions(wrap_angle(pos0 + delta), kernel, 0.05, 1e-3)
         assert np.abs(wrap_angle(b - a - delta)).max() < 1e-9
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(st.integers(1, 300), st.integers(-300, 300), st.integers(0, 2**32 - 1))
+    def test_grid_aligned_rotation_property(self, n, shift, seed):
+        # Shifting the swarm by whole grid steps rolls the estimate and the
+        # feedback q, and an RK4 step under the U field rolled with it is the
+        # shifted step.  U itself does not roll: velocity_control pins the
+        # flux rho * U to 0 at the seam -pi, which stays put.
+        grid = RingGrid(256)
+        x = np.random.default_rng(seed).uniform(-np.pi, np.pi, n)
+        shifted = wrap_angle(x + shift * grid.spacing)
+        estimator = WrappedGaussianEstimator(0.2, grid)
+        rho, rho_shifted = estimator.estimate(x), estimator.estimate(shifted)
+        peak = rho.values.max()
+        assert np.abs(np.roll(rho.values, shift) - rho_shifted.values).max() <= 1e-12 * peak
+        kernel = MorseKernel(0.5, 0.5, strength=1.0 / n)
+        target = von_mises_density(0.3, 4.0, float(n), grid)
+        gains = ControllerGains(10.0)
+        q = compute_feedback(rho, target, kernel, gains)
+        q_shifted = compute_feedback(rho_shifted, GridFunction(grid, np.roll(target.values, shift)),
+                                     kernel, gains)
+        assert np.abs(np.roll(q.values, shift) - q_shifted.values).max() <= 1e-12 * gains.kp * peak
+        u_field = velocity_control(rho, q, on_starved="zero")
+        spec = IntegratorSpec(dt=1e-3)
+        stepped = step_swarm(SwarmState(x), kernel, u_field, spec).positions
+        rolled = GridFunction(grid, np.roll(u_field.values, shift))
+        stepped_shifted = step_swarm(SwarmState(shifted), kernel, rolled, spec).positions
+        assert np.abs(wrap_angle(stepped_shifted - stepped - shift * grid.spacing)).max() <= 1e-9
 
     def test_euler_first_order(self):
         kernel = MorseKernel(2.0, 2.0, strength=2.0)

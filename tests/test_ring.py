@@ -13,6 +13,7 @@ from ringswarm import (
     integrate,
     spatial_derivative,
     wrap_angle,
+    wrap_into_domain,
 )
 from ringswarm.density import von_mises_density
 from ringswarm.dynamics import _rusanov_advance
@@ -121,6 +122,20 @@ class TestWrapDistance:
         rng = np.random.default_rng(9)
         d = wrap_angle(rng.uniform(-10, 10, 500) - rng.uniform(-10, 10, 500))
         assert np.all(d >= -np.pi) and np.all(d < np.pi)
+
+
+class TestWrapIntoDomain:
+    def test_inside_values_pass_through_untouched(self):
+        inside = np.array([-np.pi, -1.0, 0.0, np.nextafter(np.pi, 0.0)])
+        assert wrap_into_domain(inside) is inside
+
+    def test_only_outside_values_move(self):
+        a = np.array([-np.pi - 0.01, -1.0, np.pi, 0.3])
+        wrapped = wrap_into_domain(a)
+        assert not np.shares_memory(wrapped, a)
+        assert np.array_equal(wrapped[[1, 3]], a[[1, 3]])
+        assert np.array_equal(wrapped[[0, 2]], wrap_angle(a[[0, 2]]))
+        assert np.all(wrapped >= -np.pi) and np.all(wrapped < np.pi)
 
 
 class TestRingGrid:

@@ -258,6 +258,30 @@ class TestRunRecords:
         assert rec.metadata["q_integral_worst"] < 1e-9
         assert rec.metrics[-1][0] == pytest.approx(0.3)
         assert len(rec.agents) == 0
+        assert "starved_updates" not in rec.metadata  # a starved node raises there
+
+    def test_two_agents_starve_every_update(self):
+        rec = run_microscopic(monomodal_config(n_agents=2, t_end=0.2, record_agents=False,
+                                               record_density=False))
+        assert rec.metadata["starved_updates"] == 201  # t = 0, 0.001, ..., 0.2
+
+    def test_starved_updates_count_the_zeroed_controls(self, monkeypatch):
+        # an update counts when the U it applies was zeroed at some node:
+        # rho below 1e-6 of its mean there
+        zeroed = []
+
+        def spy(rho, q, **kwargs):
+            floor = 1e-6 * rho.values.mean()
+            zeroed.append(bool((rho.values < floor).any()))
+            return velocity_control(rho, q, **kwargs)
+
+        monkeypatch.setattr(scenarios, "velocity_control", spy)
+        rec = run_microscopic(monomodal_config(n_agents=5, t_end=0.3, record_agents=False,
+                                               record_density=False))
+        assert 0 < sum(zeroed) < len(zeroed) == 301
+        assert rec.metadata["starved_updates"] == sum(zeroed)
+        open_loop = run_microscopic(open_loop_config(n_agents=12, t_end=0.1))
+        assert open_loop.metadata["starved_updates"] == 0
 
     def test_recorded_controls_are_the_applied_ones(self):
         # run_continuum hands back the U each sampled state's step applied;
