@@ -37,21 +37,23 @@ def compute_feedback(rho: GridFunction, rho_d: GridFunction, kernel: MorseKernel
                      gains: ControllerGains) -> GridFunction:
     """The mass source q = kp*e - [e*Vd]_x - [rho_d*Ve]_x with e = rho_d - rho.
 
-    Vd and Ve are the kernel convolutions of the desired density and of the
-    error (``velocity_field`` caches Vd for a static target; it keys on the
-    density object, so e stays a GridFunction while the flux products are
-    plain arrays); the flux derivatives use the shared periodic
-    central-difference stencil, which makes the integral of q vanish
-    identically.
+    Vd = f * rho_d, and Ve = f * e is formed as Vd - V(rho) by linearity.
+    ``velocity_field`` caches per density object: Vd of a static target is
+    convolved once per run, and in the continuum V(rho) is the field that
+    ``continuum_velocity`` has just convolved for the same state, so each
+    call costs at most one new convolution.  The flux derivatives use the
+    shared periodic central-difference stencil, which makes the integral of
+    q vanish identically.
     """
     if rho.grid != rho_d.grid:
         raise ValueError("rho and rho_d must share a grid")
     grid = rho.grid
-    e = GridFunction(grid, rho_d.values - rho.values)
-    v_desired, v_error = velocity_field(kernel, rho_d), velocity_field(kernel, e)
-    flux_d = central_difference(e.values * v_desired.values, grid.spacing)
-    flux_e = central_difference(rho_d.values * v_error.values, grid.spacing)
-    return GridFunction(grid, gains.kp * e.values - flux_d - flux_e)
+    e = rho_d.values - rho.values
+    v_desired = velocity_field(kernel, rho_d).values
+    v_error = v_desired - velocity_field(kernel, rho).values
+    flux_d = central_difference(e * v_desired, grid.spacing)
+    flux_e = central_difference(rho_d.values * v_error, grid.spacing)
+    return GridFunction(grid, gains.kp * e - flux_d - flux_e)
 
 
 def starvation_floor(rho: GridFunction) -> float:
@@ -65,10 +67,10 @@ def velocity_control(rho: GridFunction, q: GridFunction, *,
                      on_starved: str = "raise") -> GridFunction:
     """Solve [rho * U]_x = -q: U = -(running integral of q + C) / rho.
 
-    The integration constant C is 0 in the default ``constant_mode="zero"``
-    (minimal-action representative) or q(-pi) with ``"boundary"``.  Nodes
-    where rho falls below ``starvation_floor`` signal the degenerate
-    source/sink case: ``on_starved="raise"`` refuses with the
+    The integration constant C is 0 in the default ``constant_mode="zero"``,
+    which pins the flux rho*U to 0 at the seam -pi, or q(-pi) with
+    ``"boundary"``.  Nodes where rho falls below ``starvation_floor`` signal
+    the degenerate source/sink case: ``on_starved="raise"`` refuses with the
     offending node, ``"zero"`` returns U = 0 there (used by the agent loop,
     whose estimator keeps the density high wherever inputs are actually
     sampled).

@@ -289,22 +289,20 @@ class ContinuumState:
 
 
 def continuum_velocity(state: ContinuumState, kernel: MorseKernel, control):
-    """Total advection speed V + U for the controlled conservation law, and
-    the control U it added (None when ``control`` is None or returns None)."""
-    v = velocity_field(kernel, state.rho)
+    """Total advection speed w = V + U of the controlled conservation law as
+    an array, and the control U it added (None when ``control`` is None or
+    returns None)."""
+    v = velocity_field(kernel, state.rho).values
     u = control(state) if control is not None else None
-    if u is None:
-        return v, None
-    return GridFunction(v.grid, v.values + u.values), u
+    return (v, None) if u is None else (v + u.values, u)
 
 
-def _rusanov_advance(rho: GridFunction, w: GridFunction, dt: float) -> GridFunction:
+def _rusanov_advance(rho: GridFunction, w: np.ndarray, dt: float) -> GridFunction:
     """Conservative update of rho under the frozen speed field w."""
     grid = rho.grid
     r = rho.values
-    wv = w.values
-    flux = r * wv
-    speed = np.abs(wv)
+    flux = r * w
+    speed = np.abs(w)
     a = np.maximum(speed, next_neighbour(speed))  # face j+1/2 wave speed
     face = 0.5 * (flux + next_neighbour(flux)) - 0.5 * a * (next_neighbour(r) - r)
     r_new = r - (dt / grid.spacing) * backward_difference(face)
@@ -314,12 +312,15 @@ def _rusanov_advance(rho: GridFunction, w: GridFunction, dt: float) -> GridFunct
     return GridFunction(grid, r_new)
 
 
-def max_stable_dt(w: GridFunction, cfl: float) -> float:
-    """Largest admissible step cfl * Delta / max|w| for the speed field w."""
-    top = float(np.abs(w.values).max())
+def max_stable_dt(w: np.ndarray, spacing: float, cfl: float) -> float:
+    """Largest admissible step cfl * spacing / max|w| for the speed field w;
+    a non-finite speed raises, since it would give a zero step."""
+    top = float(np.abs(w).max())
+    if not math.isfinite(top):
+        raise RuntimeError("non-finite advection speed; run aborted")
     if top == 0.0:
         return np.inf
-    return cfl * w.grid.spacing / top
+    return cfl * spacing / top
 
 
 @dataclass(frozen=True)
@@ -363,7 +364,7 @@ def run_continuum(state: ContinuumState, kernel: MorseKernel, control, t_end: fl
         w, u = continuum_velocity(state, kernel, control)
         if len(u_fields) < len(states):  # the step from a sampled state
             u_fields.append(u)
-        dt = min(max_stable_dt(w, cfl), dt_max, target - state.t)
+        dt = min(max_stable_dt(w, state.rho.grid.spacing, cfl), dt_max, target - state.t)
         state = ContinuumState(rho=_rusanov_advance(state.rho, w, dt), t=state.t + dt)
         steps += 1
         shortest, longest = min(shortest, dt), max(longest, dt)

@@ -74,7 +74,9 @@ class MorseKernel:
         return float(np.sqrt(integrate(GridFunction(grid, fx.values**2))))
 
 
-@lru_cache(maxsize=8)  # a static target hits; per-update densities just miss
+# A static target hits, and so does the continuum feedback's V(rho), which
+# continuum_velocity has just convolved for the same state.
+@lru_cache(maxsize=8)
 def velocity_field(kernel: MorseKernel, density: GridFunction) -> GridFunction:
     """Advection velocity induced by a density: the circular convolution f * rho,
     cached per (kernel, density object)."""

@@ -14,7 +14,6 @@ concentrated targets.
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -346,6 +345,8 @@ def _run_jobs(fn, jobs, workers):
         workers = min(os.cpu_count() or 1, len(jobs))
     if workers <= 1 or len(jobs) <= 1:
         return [fn(job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor  # only pooled sweeps pay for it
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))  # map preserves request order
 

@@ -8,6 +8,7 @@ from ringswarm import (
     GridFunction,
     MorseKernel,
     RingGrid,
+    circular_convolve,
     compute_feedback,
     integrate,
     l2_norm,
@@ -58,6 +59,18 @@ def feedback_cases(draw):
     return rho, rho_d, kernel, ControllerGains(draw(st.floats(0.1, 100.0)))
 
 
+def two_convolution_feedback(rho, rho_d, kernel, gains):
+    """The feedback with Ve convolved from e = rho_d - rho itself, as it was
+    assembled before Ve = Vd - V(rho): the oracle for compute_feedback."""
+    grid = rho.grid
+    samples = kernel.sample_on_grid(grid)
+    e = GridFunction(grid, rho_d.values - rho.values)
+    v_desired, v_error = circular_convolve(samples, rho_d), circular_convolve(samples, e)
+    flux_d = spatial_derivative(GridFunction(grid, e.values * v_desired.values))
+    flux_e = spatial_derivative(GridFunction(grid, rho_d.values * v_error.values))
+    return gains.kp * e.values - flux_d.values - flux_e.values
+
+
 class TestComputeFeedback:
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(feedback_cases())
@@ -66,6 +79,14 @@ class TestComputeFeedback:
         error_size = integrate(GridFunction(rho.grid, np.abs(rho_d.values - rho.values)))
         q = compute_feedback(rho, rho_d, kernel, gains)
         assert abs(integrate(q)) <= 1e-12 * (gains.kp * error_size + 1.0)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(feedback_cases())
+    def test_matches_the_two_convolution_oracle(self, case):
+        rho, rho_d, kernel, gains = case
+        expected = two_convolution_feedback(rho, rho_d, kernel, gains)
+        q = compute_feedback(rho, rho_d, kernel, gains).values
+        assert np.abs(q - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_matched_densities_give_zero_feedback(self, grid, kernel, gains):
         rho_d = von_mises_density(0.0, 4.0, 50.0, grid)

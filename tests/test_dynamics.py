@@ -373,7 +373,7 @@ class TestContinuum:
         steps = []
 
         def advance(rho, w, dt):
-            steps.append((dt, float(np.abs(w.values).max())))
+            steps.append((dt, float(np.abs(w).max())))
             return rusanov_advance(rho, w, dt)
 
         rusanov_advance = dynamics._rusanov_advance
@@ -383,6 +383,14 @@ class TestContinuum:
         assert len(steps) > 1
         assert all(dt * top <= 0.4 * grid.spacing * (1 + 1e-12) for dt, top in steps)
         assert sum(dt for dt, _ in steps) == pytest.approx(0.05)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_max_stable_dt_rejects_a_non_finite_speed(self, bad):
+        # an infinite speed would give dt = 0 and the run would never end
+        w = np.linspace(-1.0, 1.0, 16)
+        w[5] = bad
+        with pytest.raises(RuntimeError, match="non-finite advection speed"):
+            dynamics.max_stable_dt(w, 2.0 * np.pi / 16, 0.4)
 
     @pytest.mark.parametrize("t0,t_end,every,times", [
         (0.5, 0.6, 0.05, [0.5, 0.55, 0.6]),

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from ringswarm import (
     RingGrid,
     SwarmState,
     WrappedGaussianEstimator,
+    circular_convolve,
     compute_feedback,
     even_lattice,
     integrate,
@@ -23,7 +28,8 @@ from ringswarm import (
     velocity_field,
     von_mises_density,
 )
-from ringswarm import scenarios
+import ringswarm
+from ringswarm import kernels, scenarios
 from ringswarm.cli import main as cli_main
 from ringswarm.records import AGENTS_HEADER, DENSITY_HEADER, METRICS_HEADER, SWEEP_HEADER
 from ringswarm.scenarios import (
@@ -240,17 +246,44 @@ class TestRunRecords:
     def test_static_target_is_convolved_once_per_run(self, cfg, monkeypatch):
         # the target's velocity field is computed at the first controller
         # evaluation and taken from the cache at every later one
-        evaluations = []
+        targets, convolved = [], []
 
-        def counted(*args):
-            evaluations.append(args)
-            return compute_feedback(*args)
+        def feedback(rho, rho_d, *args):
+            targets.append(rho_d)
+            return compute_feedback(rho, rho_d, *args)
 
-        monkeypatch.setattr(scenarios, "compute_feedback", counted)
-        velocity_field.cache_clear()
+        def convolve(samples, density):
+            convolved.append(density)
+            return circular_convolve(samples, density)
+
+        monkeypatch.setattr(scenarios, "compute_feedback", feedback)
+        monkeypatch.setattr(kernels, "circular_convolve", convolve)
         (run_continuum_scenario if cfg.scenario == "continuum" else run_microscopic)(cfg)
-        assert len(evaluations) > 1
-        assert velocity_field.cache_info().hits == len(evaluations) - 1
+        assert len(targets) > 1 and all(t is targets[0] for t in targets)
+        assert sum(d is targets[0] for d in convolved) == 1
+
+    @pytest.mark.parametrize("cfg", [continuum_config(t_end=0.1),
+                                     monomodal_config(n_agents=10, t_end=0.1)],
+                             ids=["continuum", "regulate-mono"])
+    def test_one_convolution_per_update(self, cfg, monkeypatch):
+        # the target once, then V(rho) per update: the feedback forms
+        # V(e) = Vd - V(rho), and in the continuum it reuses the V(rho)
+        # that the step convolved; the continuum's final sample is the one
+        # update that no step shares
+        calls = []
+
+        def convolve(*args):
+            calls.append(args)
+            return circular_convolve(*args)
+
+        monkeypatch.setattr(kernels, "circular_convolve", convolve)
+        if cfg.scenario == "continuum":
+            rec = run_continuum_scenario(cfg)
+            assert len(calls) == rec.metadata["continuum_steps"] + 2
+        else:
+            run_microscopic(cfg)
+            updates = round(cfg.t_end / cfg.dt) + 1
+            assert len(calls) == updates + 1
 
     def test_continuum_record(self):
         rec = run_continuum_scenario(monomodal_config(t_end=0.3, record_density=False))
@@ -337,6 +370,14 @@ class TestSweeps:
         serial = run_scalability_sweep(cfg, n_list=[5, 10], workers=1)
         parallel = run_scalability_sweep(cfg, n_list=[5, 10], workers=2)
         assert serial == parallel
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # only a sweep with workers > 1 imports the pool, so runs do not pay for it
+        code = ("import sys, ringswarm, ringswarm.cli; "
+                "sys.exit('concurrent.futures.process' in sys.modules)")
+        src = str(Path(ringswarm.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_continuum_member_of_a_noisy_sweep_is_noise_free(self):
         cfg = monomodal_config(t_end=0.1, noise_power_dbw=20.0, record_agents=False,
