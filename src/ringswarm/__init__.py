@@ -17,9 +17,7 @@ from .ring import (
     wrap_angle,
     wrap_into_domain,
     circular_convolve,
-    spatial_derivative,
     integrate,
-    cumulative_trapezoid,
 )
 from .kernels import MorseKernel, velocity_field, young_bound_check
 from .density import (
@@ -66,7 +64,7 @@ from .records import RunRecord
 __all__ = [
     "__version__",
     "RingGrid", "GridFunction", "wrap_angle", "wrap_into_domain",
-    "circular_convolve", "spatial_derivative", "integrate", "cumulative_trapezoid",
+    "circular_convolve", "integrate",
     "MorseKernel", "velocity_field", "young_bound_check",
     "WrappedGaussianEstimator", "von_mises_density", "bimodal_density",
     "MonomodalTarget", "BimodalTarget", "TrackingTarget", "TrackingSchedule",

@@ -82,6 +82,9 @@ def _load_config(command: str, args) -> ScenarioConfig:
             raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise SystemExit(f"ringswarm: cannot read config {args.config}: {exc}")
+        if not isinstance(raw, dict):
+            raise SystemExit(f"ringswarm: config {args.config} must hold a JSON object, "
+                             f"got {raw!r}")
         bad = set(raw) - _FIELDS
         if bad:
             raise SystemExit(f"ringswarm: unknown config keys: {sorted(bad)}")
@@ -139,6 +142,8 @@ def main(argv=None) -> int:
         n_list = p_list = None
         if command == "sweep-n" and args.n_list:
             n_list = _parse_n_list(args.n_list)
+        if getattr(args, "workers", None) is not None and args.workers < 1:
+            raise SystemExit(f"ringswarm: --workers must be at least 1, got {args.workers}")
         if command == "sweep-noise" and args.seeds < 1:
             raise SystemExit(f"ringswarm: --seeds must be at least 1, got {args.seeds}")
         if command == "sweep-noise" and args.p_list:

@@ -12,7 +12,6 @@ mass is exact and the density stays nonnegative under the CFL bound.
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -57,37 +56,38 @@ def even_lattice(n: int) -> np.ndarray:
     return -np.pi + (np.arange(n) + 0.5) * 2.0 * np.pi / n
 
 
-# The direct sum wraps a raw difference f = fl(x_i - x_j) >= pi down and
-# f < -pi up by 2*pi, so the pair's class is set by where f lies among 0,
-# +-pi and +-2*pi.  Per class (+1 behind or -1 ahead, shift 2*pi*k of the
-# image x_j + 2*pi*k, upper and lower bound of f): agent j is in it when
-# lower < f < upper.  f = 0 (coincident) and f = +-pi (antipodal) are in
-# none, and neither are f = +-2*pi, where the wrapped offset is 0.  f < upper
-# is counted as the complement of f > nextafter(upper, -inf), so the table
-# holds that cut, at_least, in place of upper.
+# With the positions in [-pi, pi) (the sum wraps them first), the raw
+# difference f = fl(x_i - x_j) has |f| <= 2*pi, and the direct sum wraps it
+# once: f >= pi down and f < -pi up by 2*pi.  So agent j is in one of four
+# classes (sign +1 behind or -1 ahead, image x_j + shift): behind with f in
+# (0, pi), shift 0, or in (-2*pi, -pi), shift -2*pi; ahead with f in
+# (pi, 2*pi), shift 2*pi, or in (-pi, 0), shift 0.  f = 0 (coincident),
+# f = +-pi (antipodal) and f = +-2*pi (wrapped offset 0, which a difference
+# just short of 2*pi can round to) are in none.  Per layout: the rows
+# (hi, lo) of _count_table, agent j being in a class when lo <= j < hi,
+# then the signs and shifts as columns, the classes behind first.  Below a
+# spread of pi only the own-image classes can hold agents, and they read
+# the unsearched table.
 _TWO_PI = 2.0 * np.pi
-_CLASSES = tuple((sign, shift, np.nextafter(upper, -np.inf), lower) for sign, shift, upper, lower in (
-    (1.0, _TWO_PI, np.inf, _TWO_PI), (1.0, 0.0, np.pi, 0.0), (1.0, -_TWO_PI, -np.pi, -_TWO_PI),
-    (-1.0, _TWO_PI, _TWO_PI, np.pi), (-1.0, 0.0, 0.0, -np.pi), (-1.0, -_TWO_PI, -_TWO_PI, -np.inf)))
-_BELOW_ZERO = np.nextafter(0.0, -np.inf)
-# The cuts above 0 that _count_table counts at, in its order, each paired
-# with its neighbour towards -inf.
-_CUTS = (np.pi, _TWO_PI)
-_CUT_PAIRS = np.array([_CUTS, np.nextafter(_CUTS, -np.inf)])[:, :, None]
+_FOUR_CLASSES = (np.array([[2, 9, 3, 8], [4, 7, 5, 6]]), np.array([[1.0], [1.0], [-1.0], [-1.0]]),
+                 np.array([[0.0], [-_TWO_PI], [_TWO_PI], [0.0]]))
+_OWN_IMAGE_CLASSES = (np.array([[2, 1], [0, 3]]), np.array([[1.0], [-1.0]]), np.zeros((2, 1)))
+# The cut pair _count_above searches: pi and its neighbour towards -inf.
+_PI_PAIR = np.array([[np.pi], [np.nextafter(np.pi, -np.inf)]])
 # Largest rate-scaled width a * (x - anchor) of one block of the prefix sums;
 # with it no term or partial sum overflows (e^300 * N stays finite).
 _BLOCK_EXPONENT = 300.0
 
 
 def _count_above(y, cuts):
-    """Per agent i and cut pair (c, nextafter(c, -inf)) (a (2, m, 1) array),
-    the numbers of sorted y_j with fl(y_i - y_j) > c and >= c, broadcastable
-    to (2, m, n).  That difference falls as j rises, so each count is a
-    boundary in y: searchsorted on y_i - c guesses it for both cuts of a
-    pair (they round y_i - c alike), and the raw predicate moves the guess
-    one group of equal positions at a time."""
+    """Per agent i and cut c of ``cuts`` (a (k, 1) array of neighbouring
+    cuts), the number of sorted y_j with fl(y_i - y_j) > c, broadcastable
+    to (k, n).  That difference falls as j rises, so each count is a
+    boundary in y: searchsorted on y_i - cuts[0] guesses it for every cut
+    (they round y_i - c alike), and the raw predicate moves the guess one
+    group of equal positions at a time."""
     padded = np.concatenate(([-np.inf], y, [np.inf]))
-    k = np.searchsorted(y, y - cuts[0])  # one row per pair until a row moves
+    k = np.searchsorted(y, y - cuts[0])  # one row for all cuts until a row moves
     while True:
         back = y - padded[k] <= cuts  # y[k - 1] fails: move left
         ahead = y - padded[k + 1] > cuts  # y[k] holds: move right
@@ -97,45 +97,31 @@ def _count_above(y, cuts):
         k = np.where(ahead, np.searchsorted(y, padded[k + 1], "right"), k)
 
 
-def _count_table(y, spread):
-    """Counts of sorted y_j with f = fl(y_i - y_j) > c for every cut c the
-    classes use, as the rows of one table; returns it and the number m of
-    the _CUTS within the spread (``_cut_row`` finds a cut's row).
+def _count_table(y, search):
+    """Counts of sorted y_j with f = fl(y_i - y_j) > c, one row per cut c.
 
-    Row 0 is 0 and row 1 is n: the counts at cuts beyond the spread.  Row 2
-    is f > 0, which is y_j < y_i: the start of y_i's run of equal positions.
-    Rows 3 to 3 + 2m hold f > c and then f >= c (that is, f > nextafter(c,
-    -inf)) for the m cuts, from _count_above.  The cuts below 0 follow by
-    transposing: f > -c fails for (i, j) exactly when fl(y_j - y_i) = -f >= c
-    holds, and the j where it holds are those whose own count of f >= c
-    exceeds i.  So one bincount and one cumsum of rows 2 to 3 + 2m give, in
-    the rows after them, f >= 0 (y_j <= y_i), then f >= -c and f > -c.
+    Rows 0 and 1 are 0 and n, and row 2 is f > 0 (y_j < y_i: the start of
+    y_i's run of equal positions).  With ``search``, rows 3 to 5 are f > pi,
+    f >= pi (f > nextafter(pi, -inf)) and f >= 2*pi, which only a spread of
+    2*pi can reach.  The cuts below 0 follow by transposing: f > -c fails
+    for (i, j) exactly when fl(y_j - y_i) = -f >= c, and the j where that
+    holds are those whose own count of f >= c exceeds i.  So one bincount
+    and one cumsum of the rows from 2 give, after them, f >= 0, then with
+    ``search`` f >= -pi, f > -pi and f > -2*pi.
     """
     n = y.size
-    m = int(spread >= _CUTS[0]) + int(spread >= _CUTS[1])
-    table = np.empty((4 + 4 * m, n), dtype=np.intp)
+    known = 4 if search else 1
+    table = np.empty((2 + 2 * known, n), dtype=np.intp)
     table[0], table[1] = 0, n
-    new = np.empty(n, dtype=bool)  # y_i opens a run
-    new[0] = True
-    np.not_equal(y[1:], y[:-1], out=new[1:])
+    new = np.concatenate(([True], y[1:] != y[:-1]))  # y_i opens a run
     np.maximum.accumulate(np.where(new, np.arange(n), 0), out=table[2])
-    if m:
-        table[3:3 + 2 * m].reshape(2, m, n)[:] = _count_above(y, _CUT_PAIRS[:, :m])
-    known = table[2:3 + 2 * m]
-    flat = (known + (n + 1) * np.arange(1 + 2 * m)[:, None]).ravel()
-    tally = np.bincount(flat, minlength=(1 + 2 * m) * (n + 1))
-    table[3 + 2 * m:] = tally.reshape(-1, n + 1).cumsum(axis=1)[:, :n]
-    return table, m
-
-
-def _cut_row(m, c):
-    """The row of a table with m cuts (see _count_table) that holds the
-    counts of f > c: the cut's own row, or 0 or n beyond the spread."""
-    rows = {0.0: 2, _BELOW_ZERO: 3 + 2 * m}
-    for k, cut in enumerate(_CUTS[:m]):
-        rows[cut], rows[np.nextafter(cut, -np.inf)] = 3 + k, 3 + m + k
-        rows[np.nextafter(-cut, -np.inf)], rows[-cut] = 4 + 2 * m + k, 4 + 3 * m + k
-    return rows.get(c, 0 if c > 0 else 1)
+    if search:
+        table[3:5] = _count_above(y, _PI_PAIR)
+        table[5] = 0 if y[-1] - y[0] < _TWO_PI else _count_above(y, np.nextafter([[_TWO_PI]], 0))
+    flat = (table[2:2 + known] + (n + 1) * np.arange(known)[:, None]).ravel()
+    tally = np.bincount(flat, minlength=known * (n + 1))
+    table[2 + known:] = tally.reshape(-1, n + 1).cumsum(axis=1)[:, :n]
+    return table
 
 
 def _exp_prefix(y, rates):
@@ -179,41 +165,40 @@ def _exp_prefix(y, rates):
 def _interaction_sum(positions: np.ndarray, kernel: MorseKernel) -> np.ndarray:
     """Exact O(N log N) sum of kernel velocities over all ordered pairs.
 
-    The pair (i, j) has the wrapped offset w = x_i - x_j - 2*pi*k of the
-    direct sum, with the image k in {-1, 0, 1} picked from the raw
-    difference fl(x_i - x_j); agent j lies behind i (w > 0) or ahead of it
-    (w < 0).  Coincident agents add nothing (sgn 0 = 0), and so do exactly
-    antipodal ones (fl(x_i - x_j) = +-pi): the half-open convention would
-    give them w = -pi from both sides, and the two-sided mean of the odd
-    kernel there is 0, as in ``MorseKernel.sample_on_grid``.
+    Positions outside [-pi, pi), such as staged RK4 positions, are wrapped
+    first, as ``sample_agent_inputs`` does.  The pair (i, j) then has the
+    wrapped offset w = x_i - x_j - 2*pi*k of the direct sum, with the image
+    k in {-1, 0, 1} picked from the raw difference fl(x_i - x_j); agent j
+    lies behind i (w > 0) or ahead of it (w < 0).  Coincident agents add
+    nothing (sgn 0 = 0), and so do exactly antipodal ones (fl(x_i - x_j) =
+    +-pi): the half-open convention would give them w = -pi from both
+    sides, and the two-sided mean of the odd kernel there is 0, as in
+    ``MorseKernel.sample_on_grid``.
 
     Because exp(-a|w|) separates into exp(-a x_i) exp(a (x_j + 2*pi*k)),
-    each class (behind or ahead, one image) is a contiguous range of the
-    sorted positions, summed in O(1) per agent from prefix sums of
-    exp(+-a x) for a = 1 and a = 1/L.  Positions may lie slightly outside
-    [-pi, pi), as the staged RK4 positions do.
+    each of the four classes (behind or ahead, one image) is a contiguous
+    range of the sorted positions, summed in O(1) per agent from prefix
+    sums of exp(+-a x) for a = 1 and a = 1/L.
     """
     n = positions.size
     order = np.argsort(positions, kind="stable")
     y = positions[order]
+    if n and (y[0] < -np.pi or y[-1] >= np.pi):
+        return _interaction_sum(wrap_into_domain(positions), kernel)
     spread = y[-1] - y[0] if n else 0.0
     if spread == 0.0:  # no pairs apart: at most one agent, or all coincident
         return np.zeros(n)
-    # |f| <= spread, so a class can hold agents only where its bounds
-    # straddle [-spread, spread].
-    reach = tuple(lower < spread and at_least >= -spread for _, _, at_least, lower in _CLASSES)
-    table, m = _count_table(y, spread)
-    rows, behind, signs, shifts = _class_layout(reach, m)
-    # Agent j is in a class when lo = count(f > at_least) <= j < hi =
-    # count(f > lower).  Behind, the range sums to T(hi) - T(lo) with
+    search = spread >= np.pi  # |f| <= spread: below pi no f reaches +-pi
+    rows, signs, shifts = _FOUR_CLASSES if search else _OWN_IMAGE_CLASSES
+    # Behind, the range lo <= j < hi sums to T(hi) - T(lo) with
     # T(j) = P[j] exp(a (A[j] - q)) and q = y_i - shift; ahead it sums to
     # S[lo] - S[hi] (entries n + 1 + lo and n + 1 + hi, see _exp_prefix)
     # with q = shift - y_i, and the kernel's sign there makes that
     # T(n + 1 + hi) - T(n + 1 + lo).  The exponent is <= 0 up to rounding
     # wherever the sum is > 0; capping it at 0 keeps an empty sum from
     # meeting an overflowed factor.
-    idx = table[rows]  # (hi, lo) per class
-    idx[:, behind:] += n + 1
+    idx = _count_table(y, search)[rows]  # (hi, lo) per class
+    idx[:, signs.size // 2:] += n + 1
     rates = np.array([1.0, 1.0 / kernel.attraction_length])
     sums, anchors = _exp_prefix(y, rates)
     base = anchors[idx]
@@ -230,21 +215,6 @@ def _interaction_sum(positions: np.ndarray, kernel: MorseKernel) -> np.ndarray:
     out = np.empty(n)
     out[order] = kernel.strength * (weights @ diff.reshape(-1, n))
     return out
-
-
-@cache
-def _class_layout(reach, m):
-    """The classes picked by the mask ``reach`` over _CLASSES, as the rows
-    (count(f > lower), count(f > at_least)) of a table with m cuts, the
-    number of classes behind (they come first), and the signs and shifts
-    as columns."""
-    classes = [cls for cls, inside in zip(_CLASSES, reach) if inside]
-    rows = np.array([(_cut_row(m, lower), _cut_row(m, at_least))
-                     for _, _, at_least, lower in classes]).T
-    signs, shifts = (np.array(part)[:, None] for part in list(zip(*classes))[:2])
-    for shared in (rows, signs, shifts):  # the cache hands out the same arrays
-        shared.setflags(write=False)
-    return rows, int((signs > 0).sum()), signs, shifts
 
 
 def microscopic_rhs(positions: np.ndarray, kernel: MorseKernel,

@@ -4,8 +4,7 @@ Everything downstream (interaction velocities, density estimation, the
 feedback law, both solvers) builds on the uniform grid and the periodic
 primitives defined here: angle wrapping, circular convolution,
 central differences and the trapezoid quadratures.  The periodic stencils
-are plain-array functions sliced without np.roll; the GridFunction forms
-wrap them, and the hot loops call them directly.
+are plain-array functions sliced without np.roll.
 """
 
 from dataclasses import dataclass
@@ -114,11 +113,6 @@ def central_difference(v: np.ndarray, spacing: float) -> np.ndarray:
     return d
 
 
-def spatial_derivative(field: GridFunction) -> GridFunction:
-    """Second-order periodic central difference (v_{j+1} - v_{j-1}) / (2*Delta)."""
-    return GridFunction(field.grid, central_difference(field.values, field.grid.spacing))
-
-
 def integrate(field: GridFunction) -> float:
     """Periodic trapezoid rule (equals the rectangle rule on a closed ring)."""
     return float(field.grid.spacing * field.values.sum())
@@ -131,11 +125,6 @@ def running_trapezoid(v: np.ndarray, spacing: float) -> np.ndarray:
     out[0] = 0.0
     np.cumsum(0.5 * (v[1:] + v[:-1]) * spacing, out=out[1:])
     return out
-
-
-def cumulative_trapezoid(field: GridFunction) -> GridFunction:
-    """Trapezoid running integral from -pi: value j = Delta * sum_{i<j} (v_i + v_{i+1})/2."""
-    return GridFunction(field.grid, running_trapezoid(field.values, field.grid.spacing))
 
 
 def next_neighbour(v: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ concentrated targets.
 """
 
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -53,6 +54,18 @@ from .ring import GridFunction, RingGrid, integrate, wrap_angle
 DEFAULT_SWEEP_N = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, "inf")
 DEFAULT_NOISE_DBW = (0.0, 20.0, 40.0, 60.0, 80.0)
 INITIAL_LAYOUTS = ("even", "clumped")
+_FIELD_KINDS = {bool: bool, int: (int, np.integer), float: numbers.Real, str: str}
+
+
+def _has_field_type(value, annotation) -> bool:
+    """Whether a config value fits its field's annotation: a bool field takes
+    only a bool; an int field an integer, a float field a real number and a
+    str field a str, none of them a bool; ``float | None`` also takes None."""
+    if annotation == float | None:
+        return value is None or _has_field_type(value, float)
+    if isinstance(value, bool):
+        return annotation is bool
+    return isinstance(value, _FIELD_KINDS[annotation])
 
 
 @dataclass(frozen=True)
@@ -87,11 +100,11 @@ class ScenarioConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            if not _has_field_type(value, f.type):
+                raise ValueError(f"{f.name} must be of type "
+                                 f"{getattr(f.type, '__name__', f.type)}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        for name in ("n_agents", "grid_m", "seed"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ValueError(f"{name} must be an integer")
         for name in ("n_agents", "attraction_strength", "attraction_length", "kp", "grid_m",
                      "dt", "t_end", "bandwidth", "sample_every"):
             if getattr(self, name) <= 0:
@@ -341,9 +354,12 @@ def _noise_entry(args):
 
 
 def _run_jobs(fn, jobs, workers):
-    if workers is None:
-        workers = min(os.cpu_count() or 1, len(jobs))
-    if workers <= 1 or len(jobs) <= 1:
+    # A pool forks all its workers at the first submit, so it gets no more
+    # than there are jobs.
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    workers = min(workers or os.cpu_count() or 1, len(jobs))
+    if workers <= 1:
         return [fn(job) for job in jobs]
     from concurrent.futures import ProcessPoolExecutor  # only pooled sweeps pay for it
 

@@ -13,12 +13,12 @@ from ringswarm import (
     integrate,
     l2_norm,
     sample_agent_inputs,
-    spatial_derivative,
     velocity_control,
     velocity_field,
     von_mises_density,
     wrap_into_domain,
 )
+from ringswarm.ring import central_difference
 
 
 @pytest.fixture
@@ -66,9 +66,9 @@ def two_convolution_feedback(rho, rho_d, kernel, gains):
     samples = kernel.sample_on_grid(grid)
     e = GridFunction(grid, rho_d.values - rho.values)
     v_desired, v_error = circular_convolve(samples, rho_d), circular_convolve(samples, e)
-    flux_d = spatial_derivative(GridFunction(grid, e.values * v_desired.values))
-    flux_e = spatial_derivative(GridFunction(grid, rho_d.values * v_error.values))
-    return gains.kp * e.values - flux_d.values - flux_e.values
+    flux_d = central_difference(e.values * v_desired.values, grid.spacing)
+    flux_e = central_difference(rho_d.values * v_error.values, grid.spacing)
+    return gains.kp * e.values - flux_d - flux_e
 
 
 class TestComputeFeedback:
@@ -133,11 +133,10 @@ class TestComputeFeedback:
             q = compute_feedback(rho, rho_d, kernel, gains)
             e = GridFunction(grid, rho_d.values - rho.values)
             v, v_desired, v_error = (velocity_field(kernel, f) for f in (rho, rho_d, e))
-            flux_dd = spatial_derivative(GridFunction(grid, rho_d.values * v_desired.values))
-            flux = spatial_derivative(GridFunction(grid, rho.values * v.values))
-            flux_ee = spatial_derivative(GridFunction(grid, e.values * v_error.values))
-            residual = (flux_dd.values - flux.values + q.values
-                        - gains.kp * e.values + flux_ee.values)
+            flux_dd = central_difference(rho_d.values * v_desired.values, grid.spacing)
+            flux = central_difference(rho.values * v.values, grid.spacing)
+            flux_ee = central_difference(e.values * v_error.values, grid.spacing)
+            residual = flux_dd - flux + q.values - gains.kp * e.values + flux_ee
             assert l2_norm(GridFunction(grid, residual)) < 1e-8
 
     def test_grid_mismatch_rejected(self, kernel, gains):
@@ -173,8 +172,8 @@ class TestVelocityControl:
         rho = von_mises_density(0.0, 2.0, 50.0, grid)
         q = GridFunction(grid, np.sin(grid.nodes) + 0.4 * np.cos(2 * grid.nodes))
         u = velocity_control(rho, q)
-        residual = spatial_derivative(GridFunction(grid, rho.values * u.values))
-        err = l2_norm(GridFunction(grid, residual.values + q.values))
+        residual = central_difference(rho.values * u.values, grid.spacing)
+        err = l2_norm(GridFunction(grid, residual + q.values))
         # second-order scheme: error tracks dx^2
         assert err < 2.0 * grid.spacing**2 * l2_norm(q)
 

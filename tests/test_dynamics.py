@@ -25,21 +25,32 @@ from ringswarm import (
     velocity_control,
     von_mises_density,
     wrap_angle,
+    wrap_into_domain,
 )
 from ringswarm import dynamics
 from ringswarm.density import WrappedGaussianEstimator
 from ringswarm.dynamics import _interaction_sum
 
 EPS = np.finfo(float).eps
-# 0, +-pi and +-2*pi, each with its neighbour towards -inf (f >= c is f > that)
-COUNT_CUTS = [cut for c in (0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi)
-              for cut in (c, np.nextafter(c, -np.inf))]
+
+
+def below(c):
+    """The cut under c: f > below(c) is f >= c."""
+    return np.nextafter(c, -np.inf)
+
+
+# Per row of dynamics._count_table, the cut c whose count of f > c it
+# holds: searched, and unsearched (valid when the spread is below pi).
+SEARCHED_CUTS = [2 * np.pi, below(-2 * np.pi), 0.0, np.pi, below(np.pi), below(2 * np.pi),
+                 below(0.0), below(-np.pi), -np.pi, -2 * np.pi]
+UNSEARCHED_CUTS = [below(np.pi), -np.pi, 0.0, below(0.0)]
 
 
 def direct_interaction_sum(positions, kernel):
-    """O(N^2) oracle: the kernel at every ordered pair's raw difference,
-    wrapped once per side into [-pi, pi); exactly antipodal pairs take the
-    two-sided mean 0."""
+    """O(N^2) oracle: the positions wrapped into [-pi, pi), then the kernel
+    at every ordered pair's raw difference, wrapped once per side into
+    [-pi, pi); exactly antipodal pairs take the two-sided mean 0."""
+    positions = wrap_into_domain(positions)
     d = positions[:, None] - positions[None, :]
     antipodal = np.abs(d) == np.pi
     d[d >= np.pi] -= 2.0 * np.pi
@@ -51,11 +62,19 @@ def direct_interaction_sum(positions, kernel):
     return kernel.strength * f.sum(axis=1)
 
 
+def staged_positions(rng, n):
+    """Staged RK4 positions: unwrapped, straddling the seam."""
+    pos = rng.choice([-np.pi, np.pi], n) + rng.uniform(-0.02, 0.02, n)
+    pos[: n // 2] = rng.uniform(-np.pi - 0.01, np.pi + 0.01, n // 2)
+    return pos
+
+
 @st.composite
 def interaction_cases(draw):
-    """Swarms of 1-300 agents in five layouts, with random G and 1/L up to 200."""
+    """Swarms of 1-300 agents in six layouts, with random G and 1/L up to 200."""
     n = draw(st.integers(1, 300))
-    layout = draw(st.sampled_from(("uniform", "coincident", "antipodal", "lattice", "staged")))
+    layout = draw(st.sampled_from(("uniform", "coincident", "antipodal", "lattice", "staged",
+                                   "seam")))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if layout == "uniform":
         pos = rng.uniform(-np.pi, np.pi, n)
@@ -67,9 +86,12 @@ def interaction_cases(draw):
         pos = np.concatenate((half, half - np.pi * np.sign(half)))[:n]
     elif layout == "lattice":
         pos = even_lattice(n)
-    else:  # staged RK4 positions: unwrapped, straddling the seam
-        pos = rng.choice([-np.pi, np.pi], n) + rng.uniform(-0.02, 0.02, n)
-        pos[: n // 2] = rng.uniform(-np.pi - 0.01, np.pi + 0.01, n // 2)
+    elif layout == "staged":
+        pos = staged_positions(rng, n)
+    else:  # agents on both ends of the domain, whose difference rounds to 2*pi
+        pos = rng.uniform(-np.pi, np.pi, n)
+        pos[rng.random(n) < 0.3] = -np.pi
+        pos[rng.random(n) < 0.3] = below(np.pi)
     g = draw(st.floats(0.05, 3.0))
     inv_l = draw(st.floats(0.05, 200.0))
     return pos, MorseKernel(g, 1.0 / inv_l, strength=0.01)
@@ -164,14 +186,25 @@ class TestMicroscopicRhs:
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(interaction_cases())
     def test_class_counts_match_pairwise_counts(self, case):
-        # every count the classes read, against the O(N^2) count of the
-        # raw differences: ties, exact antipodes and seam-straddling spreads
+        # every count the classes read, on the wrapped positions, against
+        # the O(N^2) count of the raw differences: ties, exact antipodes and
+        # differences that round to +-2*pi
         pos, _ = case
-        y = np.sort(pos)
-        table, m = dynamics._count_table(y, y[-1] - y[0])
+        y = np.sort(wrap_into_domain(pos))
         f = y[:, None] - y[None, :]
-        for c in COUNT_CUTS:
-            assert np.array_equal(table[dynamics._cut_row(m, c)], (f > c).sum(axis=1)), c
+        layouts = [(True, SEARCHED_CUTS)] + [(False, UNSEARCHED_CUTS)] * int(y[-1] - y[0] < np.pi)
+        for search, cuts in layouts:
+            table = dynamics._count_table(y, search)
+            for row, c in zip(table, cuts, strict=True):
+                assert np.array_equal(row, (f > c).sum(axis=1)), (search, c)
+
+    def test_out_of_domain_swarm_sums_like_its_wrapped_copy(self):
+        rng = np.random.default_rng(66)
+        kernel = MorseKernel(0.5, 0.5, strength=0.01)
+        for _ in range(200):
+            pos = staged_positions(rng, int(rng.integers(2, 300)))
+            assert np.array_equal(_interaction_sum(pos, kernel),
+                                  _interaction_sum(wrap_into_domain(pos), kernel))
 
 
 class TestStepSwarm:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -77,6 +78,10 @@ INVALID_CONFIGS = {
     "attraction-length-negative": {"attraction_length": -0.5},
     "seed-negative": {"seed": -1},
     "seed-fractional": {"seed": 1.5},
+    "n-agents-bool": {"n_agents": True},
+    "record-agents-string": {"record_agents": "no"},
+    "mu-string": {"mu": "0"},
+    "noise-power-string": {"noise_power_dbw": "20"},
 }
 
 
@@ -371,6 +376,37 @@ class TestSweeps:
         parallel = run_scalability_sweep(cfg, n_list=[5, 10], workers=2)
         assert serial == parallel
 
+    def test_pool_is_capped_at_the_job_count(self, monkeypatch):
+        # a pool forks all its workers at once, so none are started here
+        class Recorder:
+            def __init__(self, max_workers):
+                assert max_workers == 2
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        seen = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        cfg = monomodal_config(t_end=0.01, record_agents=False, record_density=False)
+        rows = run_scalability_sweep(cfg, n_list=[1, 5], workers=10**6)
+        assert seen == [2]
+        assert [r[2] for r in rows] == ["ok", "ok"]
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers):
+        cfg = monomodal_config(t_end=0.01)
+        with pytest.raises(ValueError, match="workers"):
+            run_scalability_sweep(cfg, n_list=[1], workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            run_noise_sweep(cfg, p_list=[0.0], n_seeds=1, workers=workers)
+
     def test_import_leaves_the_process_pool_unloaded(self):
         # only a sweep with workers > 1 imports the pool, so runs do not pay for it
         code = ("import sys, ringswarm, ringswarm.cli; "
@@ -547,6 +583,13 @@ class TestCli:
         assert cli_main(["sweep-noise", "--seeds", "0", "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["sweep-n", "sweep-noise"])
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_is_usage_error(self, tmp_path, command, workers):
+        out = tmp_path / "sweep"
+        assert cli_main([command, "--workers", workers, "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_malformed_p_list_is_usage_error(self):
         assert cli_main(["sweep-noise", "--p-list", "0,x"]) == 2
 
@@ -571,6 +614,14 @@ class TestCli:
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"bogus": 1}))
         assert cli_main(["regulate-mono", "--config", str(cfg_file)]) == 2
+
+    @pytest.mark.parametrize("text", ["5", "null", "[]"])
+    def test_config_that_is_not_an_object_is_usage_error(self, tmp_path, text):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(text)
+        out = tmp_path / "run"
+        assert cli_main(["continuum", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_invalid_config_value_is_runtime_error(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
