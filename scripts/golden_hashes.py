@@ -1,15 +1,17 @@
-"""Print the sha256 of every file the seven reference CLI commands write.
+"""Print the sha256 of every file the eight reference CLI commands write.
 
     python3 scripts/golden_hashes.py > hashes.txt
 
 Run from the root of a checkout; the package is imported from its ``src/``.
-Each command writes into its own subdirectory of a temporary directory, and
+The commands run in a temporary directory that holds the config files they
+read, and each writes into its own subdirectory of an ``out`` directory there;
 the output is one ``<sha256>  <subdirectory>/<file>`` line per file, sorted
 by path, so that the outputs of two checkouts compare with ``diff``.  A
 command that fails stops the script with its exit code.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -17,6 +19,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# The default targets are centred at 0; an off-centre one shows a control
+# law that depends on where the seam -pi lies.
+CONFIGS = {"mu1.json": {"mu": 1.0}}
 COMMANDS = (
     ("mono", ["regulate-mono", "--seed", "7"]),
     ("cont", ["continuum"]),
@@ -26,6 +31,7 @@ COMMANDS = (
     ("swn", ["sweep-n", "--n-list", "1,5,inf", "--t-end", "0.2", "--workers", "1"]),
     ("swnoise", ["sweep-noise", "--p-list", "0,40", "--seeds", "2", "--t-end", "0.1",
                  "--n", "10", "--workers", "1"]),
+    ("cont-mu1", ["continuum", "--config", "mu1.json"]),
 )
 
 
@@ -33,11 +39,13 @@ def main() -> int:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("RINGSWARM_OUT", None)
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp)
+        for file_name, config in CONFIGS.items():
+            (Path(tmp) / file_name).write_text(json.dumps(config))
+        out = Path(tmp) / "out"
         for name, args in COMMANDS:
             proc = subprocess.run([sys.executable, "-m", "ringswarm.cli", *args,
                                    "--out", str(out / name)],
-                                  env=env, stdout=subprocess.DEVNULL)
+                                  cwd=tmp, env=env, stdout=subprocess.DEVNULL)
             if proc.returncode:
                 print(f"golden_hashes: {' '.join(args)} exited with {proc.returncode}",
                       file=sys.stderr)

@@ -19,7 +19,7 @@ from .ring import (
     circular_convolve,
     integrate,
 )
-from .kernels import MorseKernel, velocity_field, young_bound_check
+from .kernels import MorseKernel, velocity_field
 from .density import (
     WrappedGaussianEstimator,
     von_mises_density,
@@ -65,7 +65,7 @@ __all__ = [
     "__version__",
     "RingGrid", "GridFunction", "wrap_angle", "wrap_into_domain",
     "circular_convolve", "integrate",
-    "MorseKernel", "velocity_field", "young_bound_check",
+    "MorseKernel", "velocity_field",
     "WrappedGaussianEstimator", "von_mises_density", "bimodal_density",
     "MonomodalTarget", "BimodalTarget", "TrackingTarget", "TrackingSchedule",
     "target_at", "kl_divergence", "l2_norm",

@@ -3,7 +3,10 @@
 Three stages: assemble the mass-source feedback q from the density error,
 solve [rho * U]_x = -q for the velocity-space control U, and sample U at
 the agent positions.  q has zero spatial integral by construction, so the
-control never creates or destroys mass.
+control never creates or destroys mass.  The solve fixes U only up to a
+constant flux; the one chosen gives U zero sum over the unstarved nodes,
+the flux of least kinetic energy, which does not depend on where the
+domain's seam lies.
 """
 
 from dataclasses import dataclass
@@ -11,15 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import MorseKernel, velocity_field
-from .ring import (
-    GridFunction,
-    central_difference,
-    integrate,
-    running_trapezoid,
-    wrap_into_domain,
-)
-
-CONSTANT_MODES = ("zero", "boundary")
+from .ring import GridFunction, central_difference, integrate, wrap_into_domain
 
 
 @dataclass(frozen=True)
@@ -63,22 +58,22 @@ def starvation_floor(rho: GridFunction) -> float:
 
 
 def velocity_control(rho: GridFunction, q: GridFunction, *,
-                     constant_mode: str = "zero",
                      on_starved: str = "raise") -> GridFunction:
-    """Solve [rho * U]_x = -q: U = -(running integral of q + C) / rho.
+    """Solve [rho * U]_x = -q: U = -(Q + C) / rho with Q a trapezoid
+    running integral of q.
 
-    The integration constant C is 0 in the default ``constant_mode="zero"``,
-    which pins the flux rho*U to 0 at the seam -pi, or q(-pi) with
-    ``"boundary"``.  Nodes where rho falls below ``starvation_floor`` signal
-    the degenerate source/sink case: ``on_starved="raise"`` refuses with the
-    offending node, ``"zero"`` returns U = 0 there (used by the agent loop,
+    The flux constant C = -sum(Q / rho) / sum(1 / rho) over the unstarved
+    nodes gives U zero sum there: the minimal-kinetic-energy flux, the C
+    that minimises sum(rho * U**2).  It does not depend on the seam -pi, so
+    a grid-aligned rotation of rho and q rolls U.  Nodes where rho falls
+    below ``starvation_floor`` signal the degenerate source/sink case:
+    ``on_starved="raise"`` refuses with the offending node, ``"zero"``
+    returns U = 0 there and leaves them out of C (used by the agent loop,
     whose estimator keeps the density high wherever inputs are actually
     sampled).
     """
     if rho.grid != q.grid:
         raise ValueError("rho and q must share a grid")
-    if constant_mode not in CONSTANT_MODES:
-        raise ValueError(f"unknown constant_mode {constant_mode!r}")
     if on_starved not in ("raise", "zero"):
         raise ValueError(f"unknown on_starved {on_starved!r}")
     floor = starvation_floor(rho)
@@ -89,9 +84,12 @@ def velocity_control(rho: GridFunction, q: GridFunction, *,
             f"density {rho.values[j]:.3e} below floor {floor:.3e} at node {j} "
             f"(x={rho.grid.nodes[j]:+.4f}); the control would act as a source/sink"
         )
-    constant = q.values[0] if constant_mode == "boundary" else 0.0
-    cum = running_trapezoid(q.values, rho.grid.spacing)
-    u = -(cum + constant) / np.where(starved, 1.0, rho.values)
+    # The trapezoid running integral of q is spacing * (cumsum(q) - q/2) up
+    # to a constant, which C absorbs; the spacing rides on the weights.
+    cum = np.cumsum(q.values)
+    cum -= 0.5 * q.values
+    weight = rho.grid.spacing / np.where(starved, np.inf, rho.values)  # 0 on starved nodes
+    u = ((cum * weight).sum() / weight.sum() - cum) * weight
     u[starved] = 0.0
     return GridFunction(rho.grid, u)
 

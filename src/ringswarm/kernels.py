@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ring import GridFunction, RingGrid, circular_convolve, integrate
+from .ring import GridFunction, RingGrid, circular_convolve
 
 
 @dataclass(frozen=True)
@@ -65,14 +65,6 @@ class MorseKernel:
         values[0] = 0.5 * (self.evaluate(np.pi) + self.evaluate(-np.pi))
         return GridFunction(grid, values)
 
-    def sample_derivative_on_grid(self, grid: RingGrid) -> GridFunction:
-        return GridFunction(grid, self.derivative(grid.nodes))
-
-    def derivative_l2_norm(self, grid: RingGrid) -> float:
-        """||f_x||_2 over one period, by grid quadrature."""
-        fx = self.sample_derivative_on_grid(grid)
-        return float(np.sqrt(integrate(GridFunction(grid, fx.values**2))))
-
 
 # A static target hits, and so does the continuum feedback's V(rho), which
 # continuum_velocity has just convolved for the same state.
@@ -81,14 +73,3 @@ def velocity_field(kernel: MorseKernel, density: GridFunction) -> GridFunction:
     """Advection velocity induced by a density: the circular convolution f * rho,
     cached per (kernel, density object)."""
     return circular_convolve(kernel.sample_on_grid(density.grid), density)
-
-
-def young_bound_check(kernel: MorseKernel, error_field: GridFunction):
-    """Return (||f_x * e||_inf, ||f_x||_2 ||e||_2); Young's inequality says lhs <= rhs."""
-    grid = error_field.grid
-    fx = kernel.sample_derivative_on_grid(grid)
-    ve_x = circular_convolve(fx, error_field)
-    lhs = float(np.abs(ve_x.values).max())
-    e_l2 = float(np.sqrt(integrate(GridFunction(grid, error_field.values**2))))
-    rhs = kernel.derivative_l2_norm(grid) * e_l2
-    return lhs, rhs

@@ -3,7 +3,7 @@
 Everything downstream (interaction velocities, density estimation, the
 feedback law, both solvers) builds on the uniform grid and the periodic
 primitives defined here: angle wrapping, circular convolution,
-central differences and the trapezoid quadratures.  The periodic stencils
+central differences and the trapezoid quadrature.  The periodic stencils
 are plain-array functions sliced without np.roll.
 """
 
@@ -17,7 +17,10 @@ TWO_PI = 2.0 * np.pi
 
 def wrap_angle(a):
     """Map angles (scalar or array) to the half-open interval [-pi, pi)."""
-    return (np.asarray(a) + np.pi) % TWO_PI - np.pi
+    w = (np.asarray(a) + np.pi) % TWO_PI - np.pi
+    # Just below an odd multiple of pi the modulo rounds up to 2*pi; the pi
+    # that gives is the seam, -pi.
+    return w - TWO_PI * (w >= np.pi)
 
 
 def wrap_into_domain(a):
@@ -116,15 +119,6 @@ def central_difference(v: np.ndarray, spacing: float) -> np.ndarray:
 def integrate(field: GridFunction) -> float:
     """Periodic trapezoid rule (equals the rectangle rule on a closed ring)."""
     return float(field.grid.spacing * field.values.sum())
-
-
-def running_trapezoid(v: np.ndarray, spacing: float) -> np.ndarray:
-    """Trapezoid running integral from the first sample: value j =
-    spacing * sum_{i<j} (v_i + v_{i+1})/2."""
-    out = np.empty_like(v)
-    out[0] = 0.0
-    np.cumsum(0.5 * (v[1:] + v[:-1]) * spacing, out=out[1:])
-    return out
 
 
 def next_neighbour(v: np.ndarray) -> np.ndarray:

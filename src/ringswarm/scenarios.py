@@ -21,7 +21,6 @@ import numpy as np
 
 from . import __version__
 from .control import (
-    CONSTANT_MODES,
     ControllerGains,
     compute_feedback,
     sample_agent_inputs,
@@ -90,7 +89,6 @@ class ScenarioConfig:
     seed: int = 0
     sample_every: float = 0.05
     mean_field_scaling: bool = True
-    integration_constant: str = "zero"
     cfl: float = 0.4
     initial: str = "even"
     clump_halfwidth: float = 0.3
@@ -121,8 +119,7 @@ class ScenarioConfig:
         if self.bandwidth < 2.0 * math.pi / self.grid_m:
             raise ValueError(f"bandwidth={self.bandwidth} is below the grid spacing "
                              f"2*pi/{self.grid_m}")
-        for name, allowed in (("scheme", SCHEMES), ("initial", INITIAL_LAYOUTS),
-                              ("integration_constant", CONSTANT_MODES)):
+        for name, allowed in (("scheme", SCHEMES), ("initial", INITIAL_LAYOUTS)):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         # Slack for the bound's own decimal value: 2.78/10 is 0.27799999999999997.
@@ -149,17 +146,18 @@ class ScenarioConfig:
 
 
 def monomodal_config(**overrides) -> ScenarioConfig:
-    return ScenarioConfig(scenario="regulate-mono", concentration=4.0, mu=0.0, **overrides)
+    return ScenarioConfig(scenario="regulate-mono", **overrides)
 
 
 def bimodal_config(**overrides) -> ScenarioConfig:
-    return ScenarioConfig(scenario="regulate-bimodal", concentration=8.0, **overrides)
+    overrides.setdefault("concentration", 8.0)
+    return ScenarioConfig(scenario="regulate-bimodal", **overrides)
 
 
 def tracking_config(**overrides) -> ScenarioConfig:
     # Long enough for the full waypoint cycle (~3.35 s) plus settle.
     overrides.setdefault("t_end", 4.0)
-    return ScenarioConfig(scenario="track", concentration=4.0, **overrides)
+    return ScenarioConfig(scenario="track", **overrides)
 
 
 def open_loop_config(**overrides) -> ScenarioConfig:
@@ -170,7 +168,7 @@ def open_loop_config(**overrides) -> ScenarioConfig:
 
 
 def continuum_config(**overrides) -> ScenarioConfig:
-    return ScenarioConfig(scenario="continuum", concentration=4.0, mu=0.0, **overrides)
+    return ScenarioConfig(scenario="continuum", **overrides)
 
 
 def build_kernel(config: ScenarioConfig) -> MorseKernel:
@@ -271,8 +269,7 @@ class _Controller:
         self.q_integral_worst = max(self.q_integral_worst, abs(integrate(q)))
         if self.on_starved == "zero":
             self.starved_updates += bool((rho.values < starvation_floor(rho)).any())
-        u_field = velocity_control(rho, q, constant_mode=self.config.integration_constant,
-                                   on_starved=self.on_starved)
+        u_field = velocity_control(rho, q, on_starved=self.on_starved)
         return u_field, rho_d
 
 

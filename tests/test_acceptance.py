@@ -41,6 +41,8 @@ from ringswarm.scenarios import (
     run_scalability_sweep,
 )
 
+from kernel_norms import derivative_l2_norm
+
 pytestmark = pytest.mark.acceptance
 
 KL_LANDMARK = 0.2
@@ -122,7 +124,7 @@ def test_criterion_3_error_decay_bound():
     els = np.array([l2_norm(GridFunction(grid, rho_d.values - s.rho.values))
                     for s in states])
     slope = float(np.polyfit(ts, np.log(els**2), 1)[0])
-    bound = -2.0 * kp + kernel.derivative_l2_norm(grid) * e0
+    bound = -2.0 * kp + derivative_l2_norm(kernel, grid) * e0
     allowed = bound + 0.1 * abs(bound)
     check(3, "error-norm decay bound", slope <= allowed,
           f"d/dt log||e||^2 = {slope:.2f} <= {allowed:.2f} "

@@ -79,6 +79,8 @@ class TestComputeFeedback:
         error_size = integrate(GridFunction(rho.grid, np.abs(rho_d.values - rho.values)))
         q = compute_feedback(rho, rho_d, kernel, gains)
         assert abs(integrate(q)) <= 1e-12 * (gains.kp * error_size + 1.0)
+        u = velocity_control(rho, q).values
+        assert abs(u.sum()) <= 1e-12 * np.abs(u).sum()
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(feedback_cases())
@@ -157,14 +159,27 @@ class TestVelocityControl:
         assert np.all(u.values == 0.0)
 
     def test_uniform_density_sine_source_antiderivative(self, grid):
-        # [rho U]_x = -sin  =>  U = -(1 - (-cos x - 1) ... ) worked out:
-        # integral of sin from -pi to x is -(1 + cos x), so U = (2*pi/N)(1 + cos x).
+        # [rho U]_x = -sin  =>  rho U = cos x + C; the zero-sum member of
+        # that family on the uniform density N / (2*pi) is U = (2*pi/N) cos x.
         n = 50.0
         rho = von_mises_density(0.0, 0.0, n, grid)
         q = GridFunction(grid, np.sin(grid.nodes))
         u = velocity_control(rho, q)
-        expected = (2 * np.pi / n) * (1.0 + np.cos(grid.nodes))
+        expected = (2 * np.pi / n) * np.cos(grid.nodes)
         assert np.abs(u.values - expected).max() < 1e-3
+
+    def test_flux_steps_are_trapezoid_steps(self, grid):
+        # rho * U = -(Q + C), so between neighbouring nodes the flux falls by
+        # the trapezoid step spacing * (q_j + q_{j+1}) / 2; only the seam
+        # step closes the loop, by the integral of q
+        rng = np.random.default_rng(58)
+        rho = positive_random_field(grid, rng)
+        q = GridFunction(grid, rng.normal(size=grid.m))
+        flux = rho.values * velocity_control(rho, q).values
+        steps = grid.spacing * 0.5 * (q.values[1:] + q.values[:-1])
+        assert np.abs(np.diff(flux) + steps).max() <= 1e-12 * np.abs(flux).max()
+        seam = flux[0] - flux[-1] + grid.spacing * 0.5 * (q.values[-1] + q.values[0])
+        assert seam == pytest.approx(integrate(q), abs=1e-12 * np.abs(flux).max())
 
     @pytest.mark.parametrize("m", [64, 128, 256])
     def test_discrete_consistency_order(self, m):
@@ -176,14 +191,6 @@ class TestVelocityControl:
         err = l2_norm(GridFunction(grid, residual + q.values))
         # second-order scheme: error tracks dx^2
         assert err < 2.0 * grid.spacing**2 * l2_norm(q)
-
-    def test_integration_constant_offset(self, grid):
-        rho = von_mises_density(0.0, 3.0, 50.0, grid)
-        q = GridFunction(grid, np.sin(grid.nodes) + 0.2 * np.sin(3 * grid.nodes))
-        u0 = velocity_control(rho, q, constant_mode="zero")
-        u1 = velocity_control(rho, q, constant_mode="boundary")
-        expected = -q.values[0] / rho.values
-        assert np.allclose(u1.values - u0.values, expected, rtol=1e-12, atol=1e-15)
 
     def test_starved_node_raises_with_location(self, grid):
         values = np.full(grid.m, 50.0 / (2 * np.pi))
@@ -206,8 +213,6 @@ class TestVelocityControl:
     def test_bad_modes_rejected(self, grid):
         rho = von_mises_density(0.0, 0.0, 50.0, grid)
         q = GridFunction(grid, np.zeros(grid.m))
-        with pytest.raises(ValueError):
-            velocity_control(rho, q, constant_mode="other")
         with pytest.raises(ValueError):
             velocity_control(rho, q, on_starved="clip")
 

@@ -31,6 +31,8 @@ from ringswarm import dynamics
 from ringswarm.density import WrappedGaussianEstimator
 from ringswarm.dynamics import _interaction_sum
 
+from kernel_norms import derivative_l2_norm
+
 EPS = np.finfo(float).eps
 
 
@@ -235,10 +237,10 @@ class TestStepSwarm:
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(st.integers(1, 300), st.integers(-300, 300), st.integers(0, 2**32 - 1))
     def test_grid_aligned_rotation_property(self, n, shift, seed):
-        # Shifting the swarm by whole grid steps rolls the estimate and the
-        # feedback q, and an RK4 step under the U field rolled with it is the
-        # shifted step.  U itself does not roll: velocity_control pins the
-        # flux rho * U to 0 at the seam -pi, which stays put.
+        # Shifting the swarm and the target by whole grid steps rolls the
+        # estimate and the feedback q, and the RK4 step under the U solved
+        # from them is the shifted step: the zero-sum gauge of U does not
+        # depend on where the seam -pi lies.
         grid = RingGrid(256)
         x = np.random.default_rng(seed).uniform(-np.pi, np.pi, n)
         shifted = wrap_angle(x + shift * grid.spacing)
@@ -256,8 +258,8 @@ class TestStepSwarm:
         u_field = velocity_control(rho, q, on_starved="zero")
         spec = IntegratorSpec(dt=1e-3)
         stepped = step_swarm(SwarmState(x), kernel, u_field, spec).positions
-        rolled = GridFunction(grid, np.roll(u_field.values, shift))
-        stepped_shifted = step_swarm(SwarmState(shifted), kernel, rolled, spec).positions
+        u_shifted = velocity_control(rho_shifted, q_shifted, on_starved="zero")
+        stepped_shifted = step_swarm(SwarmState(shifted), kernel, u_shifted, spec).positions
         assert np.abs(wrap_angle(stepped_shifted - stepped - shift * grid.spacing)).max() <= 1e-9
 
     def test_euler_first_order(self):
@@ -470,7 +472,7 @@ class TestContinuum:
         els = np.array([l2_norm(GridFunction(grid, rho_d.values - s.rho.values))
                         for s in states])
         slope = np.polyfit(ts, np.log(els**2), 1)[0]
-        guaranteed = 2.0 * kp - MorseKernel(0.5, 0.5).derivative_l2_norm(grid) * e0
+        guaranteed = 2.0 * kp - derivative_l2_norm(MorseKernel(0.5, 0.5), grid) * e0
         assert els[-1] < els[0]
         assert -slope >= guaranteed
 

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ringswarm import GridFunction, RingGrid, MorseKernel, velocity_field, young_bound_check
+from ringswarm import GridFunction, RingGrid, MorseKernel, velocity_field
 from ringswarm.density import von_mises_density
+
+from kernel_norms import young_bound_check
 
 
 def random_smooth_field(grid, rng, modes=6, zero_mean=True):

@@ -58,7 +58,6 @@ INVALID_CONFIGS = {
     "grid-m-too-small": {"grid_m": 2},
     "scheme-unknown": {"scheme": "foo"},
     "initial-unknown": {"initial": "random"},
-    "integration-constant-unknown": {"integration_constant": "mean"},
     "bandwidth-pi": {"bandwidth": math.pi},
     "bandwidth-below-spacing": {"bandwidth": 0.02},  # 2*pi/256 is 0.0245
     "t-end-off-dt-grid": {"t_end": 0.0125},
@@ -116,6 +115,14 @@ class TestConfigDefaults:
         cfg = open_loop_config()
         assert cfg.initial == "clumped"
         assert cfg.t_end == 20.0
+
+    @pytest.mark.parametrize("factory, overrides", [
+        (monomodal_config, {"mu": 1.0}), (monomodal_config, {"concentration": 2.0}),
+        (continuum_config, {"mu": 1.0}), (continuum_config, {"concentration": 2.0}),
+        (bimodal_config, {"concentration": 4.0}), (tracking_config, {"concentration": 2.0})])
+    def test_factories_take_overrides_of_their_fields(self, factory, overrides):
+        cfg = factory(**overrides)
+        assert all(getattr(cfg, name) == value for name, value in overrides.items())
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -289,6 +296,17 @@ class TestRunRecords:
             run_microscopic(cfg)
             updates = round(cfg.t_end / cfg.dt) + 1
             assert len(calls) == updates + 1
+
+    def test_continuum_run_rolls_with_its_target(self):
+        # a target shifted by whole grid steps gives the same run, rolled:
+        # the velocity solve's gauge does not depend on the seam -pi
+        shift, m = 40, 256
+        base = run_continuum_scenario(continuum_config(t_end=0.5))
+        moved = run_continuum_scenario(continuum_config(mu=shift * 2 * math.pi / m, t_end=0.5))
+        assert moved.metadata["continuum_steps"] == base.metadata["continuum_steps"]
+        rho, rho_moved = (np.array([row[2] for row in rec.density]).reshape(-1, m)
+                          for rec in (base, moved))
+        assert np.abs(np.roll(rho, shift, axis=1) - rho_moved).max() <= 1e-12 * rho.max()
 
     def test_continuum_record(self):
         rec = run_continuum_scenario(monomodal_config(t_end=0.3, record_density=False))
@@ -612,8 +630,9 @@ class TestCli:
 
     def test_bad_config_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"bogus": 1}))
-        assert cli_main(["regulate-mono", "--config", str(cfg_file)]) == 2
+        for overrides in ({"bogus": 1}, {"integration_constant": "zero"}):
+            cfg_file.write_text(json.dumps(overrides))
+            assert cli_main(["regulate-mono", "--config", str(cfg_file)]) == 2
 
     @pytest.mark.parametrize("text", ["5", "null", "[]"])
     def test_config_that_is_not_an_object_is_usage_error(self, tmp_path, text):
