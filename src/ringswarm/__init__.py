@@ -15,7 +15,6 @@ from .ring import (
     RingGrid,
     GridFunction,
     wrap_angle,
-    wrap_into_domain,
     circular_convolve,
     integrate,
 )
@@ -63,8 +62,7 @@ from .records import RunRecord
 
 __all__ = [
     "__version__",
-    "RingGrid", "GridFunction", "wrap_angle", "wrap_into_domain",
-    "circular_convolve", "integrate",
+    "RingGrid", "GridFunction", "wrap_angle", "circular_convolve", "integrate",
     "MorseKernel", "velocity_field",
     "WrappedGaussianEstimator", "von_mises_density", "bimodal_density",
     "MonomodalTarget", "BimodalTarget", "TrackingTarget", "TrackingSchedule",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import MorseKernel, velocity_field
-from .ring import GridFunction, central_difference, integrate, wrap_into_domain
+from .ring import GridFunction, central_difference, integrate, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ def velocity_control(rho: GridFunction, q: GridFunction, *,
 def sample_agent_inputs(u_field: GridFunction, positions) -> np.ndarray:
     """Evaluate U at agent positions by periodic linear interpolation."""
     grid = u_field.grid
-    pos = wrap_into_domain(np.asarray(positions, dtype=float))
+    pos = wrap_angle(positions)
     s = (pos + np.pi) / grid.spacing
     # Positions sitting on a node must sample it exactly; rounding noise in
     # (pos + pi)/spacing would otherwise leak a neighbour's value in.

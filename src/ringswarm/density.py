@@ -219,8 +219,6 @@ def kl_divergence(rho: GridFunction, rho_d: GridFunction) -> float:
     1 before taking sum p * log(p/q); always nonnegative, zero iff the
     normalised fields coincide.
     """
-    if not (np.all(np.isfinite(rho.values)) and np.all(np.isfinite(rho_d.values))):
-        raise ValueError("KL divergence needs finite density samples")
     p = np.maximum(rho.values, KL_FLOOR)
     q = np.maximum(rho_d.values, KL_FLOOR)
     p = p / p.sum()

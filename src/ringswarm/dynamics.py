@@ -17,7 +17,7 @@ import numpy as np
 
 from .control import sample_agent_inputs
 from .kernels import MorseKernel, velocity_field
-from .ring import GridFunction, backward_difference, next_neighbour, wrap_into_domain
+from .ring import GridFunction, backward_difference, next_neighbour, wrap_angle
 
 SCHEMES = ("euler", "rk4")
 
@@ -30,7 +30,7 @@ class SwarmState:
     t: float = 0.0
 
     def __post_init__(self):
-        pos = wrap_into_domain(np.asarray(self.positions, dtype=float)).copy()
+        pos = wrap_angle(self.positions).copy()
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
 
@@ -184,7 +184,7 @@ def _interaction_sum(positions: np.ndarray, kernel: MorseKernel) -> np.ndarray:
     order = np.argsort(positions, kind="stable")
     y = positions[order]
     if n and (y[0] < -np.pi or y[-1] >= np.pi):
-        return _interaction_sum(wrap_into_domain(positions), kernel)
+        return _interaction_sum(wrap_angle(positions), kernel)
     spread = y[-1] - y[0] if n else 0.0
     if spread == 0.0:  # no pairs apart: at most one agent, or all coincident
         return np.zeros(n)
@@ -296,10 +296,11 @@ def max_stable_dt(w: np.ndarray, spacing: float, cfl: float) -> float:
 @dataclass(frozen=True)
 class ContinuumRun(Sequence):
     """What ``run_continuum`` evaluated.  As a sequence it is the sampled
-    states.  ``u_fields[k]`` is the control U that the step from
-    ``states[k]`` applied: None in the open loop, and for the last state,
-    from which no step starts.  ``steps`` counts the Rusanov steps, and
-    ``dt_min``/``dt_max`` are their extremes (nan when there was none)."""
+    states.  ``u_fields[k]`` is the control U of ``states[k]``: the one its
+    step applied, or for the last state, from which no step starts, its
+    evaluation after the run; None in the open loop.  ``steps`` counts the
+    Rusanov steps, and ``dt_min``/``dt_max`` are their extremes (nan when
+    there was none)."""
 
     states: tuple
     u_fields: tuple
@@ -318,7 +319,7 @@ def run_continuum(state: ContinuumState, kernel: MorseKernel, control, t_end: fl
                   cfl: float = 0.4, dt_max: float = 1e-3,
                   sample_every: float = 0.05) -> ContinuumRun:
     """Advance to t_end with adaptive CFL-limited steps; returns the sampled
-    states with the controls applied from them (see ``ContinuumRun``).
+    states with the control of each (see ``ContinuumRun``).
 
     Steps land exactly on the sampling instants, the multiples of
     ``sample_every`` after the start ``state.t``, so trajectories are
@@ -341,7 +342,7 @@ def run_continuum(state: ContinuumState, kernel: MorseKernel, control, t_end: fl
         if state.t >= target - 1e-12:
             states.append(state)
             k += 1
-    u_fields.append(None)
+    u_fields.append(control(state) if control is not None else None)
     if not steps:
         shortest = longest = math.nan
     return ContinuumRun(tuple(states), tuple(u_fields), steps, shortest, longest)

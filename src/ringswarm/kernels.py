@@ -41,16 +41,6 @@ class MorseKernel:
         e_att = np.exp(-a / self.attraction_length)
         return self.strength * np.sign(z) * (np.exp(-a) - self.attraction_strength * e_att)
 
-    def derivative(self, z):
-        """Even, continuous derivative (G/L) exp(-|z|/L) - exp(-|z|).
-
-        The classical derivative away from 0, extended at the origin by its
-        two-sided limit G/L - 1.
-        """
-        a = np.abs(np.asarray(z, dtype=float))
-        g_over_l = self.attraction_strength / self.attraction_length
-        return self.strength * (g_over_l * np.exp(-a / self.attraction_length) - np.exp(-a))
-
     @lru_cache(maxsize=64)  # bounded, since each entry keeps its kernel alive
     def sample_on_grid(self, grid: RingGrid) -> GridFunction:
         """Kernel sampled at the node angles (wrapped offsets), cached per grid.

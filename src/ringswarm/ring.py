@@ -16,22 +16,18 @@ TWO_PI = 2.0 * np.pi
 
 
 def wrap_angle(a):
-    """Map angles (scalar or array) to the half-open interval [-pi, pi)."""
-    w = (np.asarray(a) + np.pi) % TWO_PI - np.pi
-    # Just below an odd multiple of pi the modulo rounds up to 2*pi; the pi
-    # that gives is the seam, -pi.
-    return w - TWO_PI * (w >= np.pi)
+    """Map angles (scalar or array) to the half-open interval [-pi, pi).
 
-
-def wrap_into_domain(a):
-    """Wrap into [-pi, pi) touching only out-of-range entries, so values
-    already in the domain keep their exact floating-point representation.
-    When every entry is inside, the input array itself is returned."""
+    Entries already inside keep their exact floating-point value, and an
+    array with every entry inside is returned as the same object."""
     a = np.asarray(a, dtype=float)
     inside = (a >= -np.pi) & (a < np.pi)
-    if inside.all():
-        return a
-    return np.where(inside, a, wrap_angle(a))
+    if not inside.all():
+        w = (a + np.pi) % TWO_PI - np.pi
+        # Just below an odd multiple of pi the modulo rounds up to 2*pi; the
+        # pi that gives is the seam, -pi.
+        a = np.where(inside, a, w - TWO_PI * (w >= np.pi))
+    return a if a.ndim else a[()]
 
 
 @dataclass(frozen=True)

@@ -258,19 +258,18 @@ class _Controller:
         return self.target if self.target is not None else target_at(self.program, t, self.grid)[0]
 
     def __call__(self, rho: GridFunction, t: float):
-        """(U field or None, rho_d) for the density ``rho`` at time ``t``."""
-        rho_d = self.desired(t)
+        """The U field for the density ``rho`` at time ``t``, or None in the
+        open loop."""
         if self.config.scenario == "open-loop":
-            return None, rho_d
-        q = compute_feedback(rho, rho_d, self.kernel, self.gains)
+            return None
+        q = compute_feedback(rho, self.desired(t), self.kernel, self.gains)
         if self.rng is not None:
             noise = self.rng.normal(0.0, _noise_std(self.config.noise_power_dbw), self.grid.m)
             q = GridFunction(self.grid, q.values + noise)
         self.q_integral_worst = max(self.q_integral_worst, abs(integrate(q)))
         if self.on_starved == "zero":
             self.starved_updates += bool((rho.values < starvation_floor(rho)).any())
-        u_field = velocity_control(rho, q, on_starved=self.on_starved)
-        return u_field, rho_d
+        return velocity_control(rho, q, on_starved=self.on_starved)
 
 
 def run_microscopic(config: ScenarioConfig) -> RunRecord:
@@ -286,11 +285,12 @@ def run_microscopic(config: ScenarioConfig) -> RunRecord:
     stride = int(round(config.sample_every / config.dt))
     for i in range(n_steps + 1):
         rho_hat = estimator.estimate(state.positions)
-        u_field, rho_d = controller(rho_hat, state.t)
+        u_field = controller(rho_hat, state.t)
         if i % stride == 0 or i == n_steps:
             u = (np.zeros(state.n_agents) if u_field is None
                  else sample_agent_inputs(u_field, state.positions))
-            _record_sample(record, config, state.t, rho_hat, rho_d, u, state.positions)
+            _record_sample(record, config, state.t, rho_hat, controller.desired(state.t), u,
+                           state.positions)
         if i < n_steps:
             state = step_swarm(state, controller.kernel, u_field, integrator)
     record.metadata["q_integral_worst"] = controller.q_integral_worst
@@ -305,14 +305,11 @@ def run_continuum_scenario(config: ScenarioConfig) -> RunRecord:
     mass = float(config.n_agents)
     rho0 = von_mises_density(0.0, 0.0, mass, controller.grid)  # uniform start, mass N
     run = run_continuum(ContinuumState(rho0, 0.0), controller.kernel,
-                        lambda s: controller(s.rho, s.t)[0], config.t_end,
+                        lambda s: controller(s.rho, s.t), config.t_end,
                         cfl=config.cfl, dt_max=config.dt, sample_every=config.sample_every)
     record = RunRecord(config=asdict(config), metadata=_base_metadata(config))
-    # Worst over the applied controls, so before the final sample's evaluation.
     record.metadata["q_integral_worst"] = controller.q_integral_worst
-    # Every sample but the last is the start of a step, which applied its U.
-    final_u = controller(run[-1].rho, run[-1].t)[0]
-    for s, u_field in zip(run, run.u_fields[:-1] + (final_u,)):
+    for s, u_field in zip(run, run.u_fields):
         u = np.zeros(s.rho.grid.m) if u_field is None else u_field.values
         _record_sample(record, config, s.t, s.rho, controller.desired(s.t), u)
     record.metadata["final_kl"] = record.final_kl()
@@ -323,31 +320,16 @@ def run_continuum_scenario(config: ScenarioConfig) -> RunRecord:
     return record
 
 
-def _sweep_entry(args):
-    """One scalability-sweep run; module-level so process pools can pickle it."""
-    config, n = args
+def _sweep_member(args):
+    """Final KL and status of one sweep member, the config with its
+    overrides; module-level so process pools can pickle it."""
+    config, overrides = args
     try:
-        if n == "inf":
-            # The continuum limit is noise-free.
-            rec = run_continuum_scenario(replace(config, scenario="continuum",
-                                                 noise_power_dbw=None))
-        else:
-            rec = run_microscopic(replace(config, scenario="regulate-mono", n_agents=int(n),
-                                          record_agents=False, record_density=False))
-        return (str(n), rec.final_kl(), "ok")
+        config = replace(config, **overrides)
+        run = run_continuum_scenario if config.scenario == "continuum" else run_microscopic
+        return run(config).final_kl(), "ok"
     except Exception as exc:  # keep sweep tables exhaustive, no silent skips
-        return (str(n), math.nan, f"error: {exc}")
-
-
-def _noise_entry(args):
-    config, power, seed = args
-    try:
-        rec = run_microscopic(replace(config, scenario="regulate-mono",
-                                      noise_power_dbw=float(power), seed=seed,
-                                      record_agents=False, record_density=False))
-        return (power, seed, rec.final_kl(), "ok")
-    except Exception as exc:
-        return (power, seed, math.nan, f"error: {exc}")
+        return math.nan, f"error: {exc}"
 
 
 def _run_jobs(fn, jobs, workers):
@@ -369,8 +351,12 @@ def run_scalability_sweep(config: ScenarioConfig | None = None, n_list=None,
     """Final KL of the monomodal scenario per swarm size; 'inf' runs the continuum."""
     config = config or monomodal_config()
     n_list = list(DEFAULT_SWEEP_N if n_list is None else n_list)
-    jobs = [(config, n) for n in n_list]
-    return _run_jobs(_sweep_entry, jobs, workers)
+    # The continuum limit is noise-free.
+    members = [dict(scenario="continuum", noise_power_dbw=None) if n == "inf"
+               else dict(scenario="regulate-mono", n_agents=int(n), record_agents=False,
+                         record_density=False) for n in n_list]
+    outcomes = _run_jobs(_sweep_member, [(config, m) for m in members], workers)
+    return [(str(n), *outcome) for n, outcome in zip(n_list, outcomes)]
 
 
 def run_noise_sweep(config: ScenarioConfig | None = None, p_list=None,
@@ -380,15 +366,16 @@ def run_noise_sweep(config: ScenarioConfig | None = None, p_list=None,
         raise ValueError(f"n_seeds must be at least 1, got {n_seeds}")
     config = config or monomodal_config()
     p_list = list(DEFAULT_NOISE_DBW if p_list is None else p_list)
-    jobs = [(config, power, config.seed + 1000 * i)
-            for power in p_list for i in range(n_seeds)]
-    outcomes = _run_jobs(_noise_entry, jobs, workers)
+    members = [dict(scenario="regulate-mono", noise_power_dbw=float(power),
+                    seed=config.seed + 1000 * i, record_agents=False, record_density=False)
+               for power in p_list for i in range(n_seeds)]
+    outcomes = _run_jobs(_sweep_member, [(config, m) for m in members], workers)
     rows = []
     for i, power in enumerate(p_list):  # by position: == never holds for nan
         mine = outcomes[i * n_seeds:(i + 1) * n_seeds]
-        errors = [o[3] for o in mine if o[3] != "ok"]
+        errors = [status for _, status in mine if status != "ok"]
         if errors:
             rows.append((power, math.nan, errors[0]))
         else:
-            rows.append((power, float(np.mean([o[2] for o in mine])), "ok"))
+            rows.append((power, float(np.mean([kl for kl, _ in mine])), "ok"))
     return rows

@@ -5,8 +5,20 @@ import numpy as np
 from ringswarm import GridFunction, MorseKernel, RingGrid, circular_convolve, integrate
 
 
+def kernel_derivative(kernel: MorseKernel, z):
+    """Even, continuous derivative (G/L) exp(-|z|/L) - exp(-|z|) of the
+    Morse kernel.
+
+    The classical derivative away from 0, extended at the origin by its
+    two-sided limit G/L - 1.
+    """
+    a = np.abs(np.asarray(z, dtype=float))
+    g_over_l = kernel.attraction_strength / kernel.attraction_length
+    return kernel.strength * (g_over_l * np.exp(-a / kernel.attraction_length) - np.exp(-a))
+
+
 def sample_derivative_on_grid(kernel: MorseKernel, grid: RingGrid) -> GridFunction:
-    return GridFunction(grid, kernel.derivative(grid.nodes))
+    return GridFunction(grid, kernel_derivative(kernel, grid.nodes))
 
 
 def derivative_l2_norm(kernel: MorseKernel, grid: RingGrid) -> float:

@@ -16,7 +16,7 @@ from ringswarm import (
     velocity_control,
     velocity_field,
     von_mises_density,
-    wrap_into_domain,
+    wrap_angle,
 )
 from ringswarm.ring import central_difference
 
@@ -250,7 +250,6 @@ class TestSampleAgentInputs:
         positions = rng.uniform(-np.pi, np.pi, 40)
         shift = 31
         u_rot = GridFunction(grid, np.roll(u.values, shift))
-        from ringswarm import wrap_angle
         rotated = sample_agent_inputs(u_rot, wrap_angle(positions + shift * grid.spacing))
         assert np.allclose(rotated, sample_agent_inputs(u, positions), atol=1e-12)
 
@@ -264,7 +263,7 @@ class TestSampleAgentInputs:
         positions = np.concatenate((
             rng.uniform(-np.pi - 0.05, np.pi + 0.05, 5000), grid.nodes,
             [-np.pi, np.pi, np.nextafter(np.pi, 0.0), np.nextafter(-np.pi, 0.0)]))
-        wrapped = np.asarray(wrap_into_domain(positions))
+        wrapped = wrap_angle(positions)
         s = (wrapped + np.pi) / grid.spacing
         s = np.where(np.abs(s - np.round(s)) < 1e-9, np.round(s), s)
         j = np.floor(s).astype(int) % m

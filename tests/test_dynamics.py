@@ -25,7 +25,6 @@ from ringswarm import (
     velocity_control,
     von_mises_density,
     wrap_angle,
-    wrap_into_domain,
 )
 from ringswarm import dynamics
 from ringswarm.density import WrappedGaussianEstimator
@@ -52,7 +51,7 @@ def direct_interaction_sum(positions, kernel):
     """O(N^2) oracle: the positions wrapped into [-pi, pi), then the kernel
     at every ordered pair's raw difference, wrapped once per side into
     [-pi, pi); exactly antipodal pairs take the two-sided mean 0."""
-    positions = wrap_into_domain(positions)
+    positions = wrap_angle(positions)
     d = positions[:, None] - positions[None, :]
     antipodal = np.abs(d) == np.pi
     d[d >= np.pi] -= 2.0 * np.pi
@@ -192,7 +191,7 @@ class TestMicroscopicRhs:
         # the O(N^2) count of the raw differences: ties, exact antipodes and
         # differences that round to +-2*pi
         pos, _ = case
-        y = np.sort(wrap_into_domain(pos))
+        y = np.sort(wrap_angle(pos))
         f = y[:, None] - y[None, :]
         layouts = [(True, SEARCHED_CUTS)] + [(False, UNSEARCHED_CUTS)] * int(y[-1] - y[0] < np.pi)
         for search, cuts in layouts:
@@ -206,7 +205,7 @@ class TestMicroscopicRhs:
         for _ in range(200):
             pos = staged_positions(rng, int(rng.integers(2, 300)))
             assert np.array_equal(_interaction_sum(pos, kernel),
-                                  _interaction_sum(wrap_into_domain(pos), kernel))
+                                  _interaction_sum(wrap_angle(pos), kernel))
 
 
 class TestStepSwarm:
@@ -519,9 +518,13 @@ class TestContinuum:
         run = run_continuum(ContinuumState(von_mises_density(0.0, 0.0, n, grid)), kernel,
                             control, 0.1, dt_max=0.02, sample_every=0.03)
         assert [s.t for s in run] == pytest.approx([0.0, 0.03, 0.06, 0.09, 0.1])
-        assert len(run.u_fields) == len(run) and run.u_fields[-1] is None
-        assert all(u is applied[s.t] for s, u in zip(run, run.u_fields[:-1]))
-        assert len(applied) == run.steps == len(steps)
+        assert len(run.u_fields) == len(run)
+        assert all(u is applied[s.t] for s, u in zip(run, run.u_fields))
+        # the last state starts no step; its U is evaluated once after the run
+        last = run[-1].rho
+        fresh = velocity_control(last, compute_feedback(last, rho_d, kernel, gains))
+        assert np.array_equal(run.u_fields[-1].values, fresh.values)
+        assert len(applied) - 1 == run.steps == len(steps)
         assert (run.dt_min, run.dt_max) == (min(steps), max(steps))
         assert 0.0 < run.dt_min < run.dt_max <= 0.02
 

@@ -11,7 +11,6 @@ from ringswarm import (
     circular_convolve,
     integrate,
     wrap_angle,
-    wrap_into_domain,
 )
 from ringswarm.ring import central_difference
 from ringswarm.density import von_mises_density
@@ -81,6 +80,7 @@ class TestWrapDistance:
 
     def test_no_wrap_needed(self):
         assert wrap_angle(0.1 - -0.1) == pytest.approx(0.2, abs=1e-15)
+        assert wrap_angle(0.1) == 0.1  # an in-range angle keeps its exact value
 
     def test_antipodal_maps_to_minus_pi(self):
         assert wrap_angle(np.pi / 2 - -np.pi / 2) == -np.pi
@@ -119,24 +119,24 @@ class TestWrapDistance:
         a = np.array([np.nextafter(below, -np.inf), below, -np.pi,
                       np.nextafter(-np.pi, np.inf), np.nextafter(np.pi, -np.inf), np.pi,
                       np.nextafter(np.pi, np.inf), np.nextafter(-3 * np.pi, -np.inf)])
-        for wrapped in (wrap_angle(a), wrap_into_domain(a)):
-            assert np.all(wrapped >= -np.pi) and np.all(wrapped < np.pi)
+        wrapped = wrap_angle(a)
+        assert np.all(wrapped >= -np.pi) and np.all(wrapped < np.pi)
         assert wrap_angle(below) == -np.pi
         inside = (a >= -np.pi) & (a < np.pi)
-        assert np.array_equal(wrap_into_domain(a)[inside], a[inside])
+        assert np.array_equal(wrapped[inside], a[inside])
 
 
 class TestWrapIntoDomain:
     def test_inside_values_pass_through_untouched(self):
-        inside = np.array([-np.pi, -1.0, 0.0, np.nextafter(np.pi, 0.0)])
-        assert wrap_into_domain(inside) is inside
+        inside = np.array([-np.pi, -1.0, 0.0, 0.1, np.nextafter(np.pi, 0.0)])
+        assert wrap_angle(inside) is inside
 
     def test_only_outside_values_move(self):
         a = np.array([-np.pi - 0.01, -1.0, np.pi, 0.3])
-        wrapped = wrap_into_domain(a)
+        wrapped = wrap_angle(a)
         assert not np.shares_memory(wrapped, a)
         assert np.array_equal(wrapped[[1, 3]], a[[1, 3]])
-        assert np.array_equal(wrapped[[0, 2]], wrap_angle(a[[0, 2]]))
+        assert np.array_equal(wrapped[[0, 2]], [np.pi - 0.01, -np.pi])
         assert np.all(wrapped >= -np.pi) and np.all(wrapped < np.pi)
 
 

@@ -115,6 +115,10 @@ class TestConfigDefaults:
         cfg = open_loop_config()
         assert cfg.initial == "clumped"
         assert cfg.t_end == 20.0
+        # the clumped starts lie inside [-pi, pi), so wrapping moves none
+        h, n = cfg.clump_halfwidth, cfg.n_agents
+        expected = -h + 2.0 * h * (np.arange(n) + 0.5) / n
+        assert np.array_equal(scenarios.initial_positions(cfg), expected)
 
     @pytest.mark.parametrize("factory, overrides", [
         (monomodal_config, {"mu": 1.0}), (monomodal_config, {"concentration": 2.0}),
@@ -340,20 +344,20 @@ class TestRunRecords:
         assert open_loop.metadata["starved_updates"] == 0
 
     def test_recorded_controls_are_the_applied_ones(self):
-        # run_continuum hands back the U each sampled state's step applied;
-        # each is bitwise a fresh controller evaluation of that state, and
+        # run_continuum hands back the U of each sampled state, the last one
+        # included; each is bitwise a fresh controller evaluation of that state, and
         # the record's u_max column and step counters come from the same run
         cfg = continuum_config(t_end=0.2)
         rec = run_continuum_scenario(cfg)
         controller = scenarios._Controller(cfg, on_starved="raise")
         start = ContinuumState(von_mises_density(0.0, 0.0, 50.0, controller.grid))
-        run = run_continuum(start, controller.kernel, lambda s: controller(s.rho, s.t)[0],
+        run = run_continuum(start, controller.kernel, lambda s: controller(s.rho, s.t),
                             cfg.t_end, cfl=cfg.cfl, dt_max=cfg.dt,
                             sample_every=cfg.sample_every)
-        fresh = [scenarios._Controller(cfg, on_starved="raise")(s.rho, s.t)[0] for s in run]
+        fresh = [scenarios._Controller(cfg, on_starved="raise")(s.rho, s.t) for s in run]
         assert len(run) == len(rec.metrics) == 5
         assert all(np.array_equal(applied.values, u.values)
-                   for applied, u in zip(run.u_fields[:-1], fresh))
+                   for applied, u in zip(run.u_fields, fresh, strict=True))
         assert [row[3] for row in rec.metrics] == [float(np.abs(u.values).max()) for u in fresh]
         meta = rec.metadata
         assert (meta["continuum_steps"], meta["continuum_dt_min"], meta["continuum_dt_max"]) \
@@ -393,6 +397,18 @@ class TestSweeps:
         serial = run_scalability_sweep(cfg, n_list=[5, 10], workers=1)
         parallel = run_scalability_sweep(cfg, n_list=[5, 10], workers=2)
         assert serial == parallel
+        cfg = monomodal_config(t_end=0.1, n_agents=10)
+        serial = run_noise_sweep(cfg, p_list=[0.0, 40.0], n_seeds=1, workers=1)
+        parallel = run_noise_sweep(cfg, p_list=[0.0, 40.0], n_seeds=1, workers=2)
+        assert serial == parallel and [r[2] for r in serial] == ["ok", "ok"]
+
+    def test_unconvertible_entries_fail_before_any_member_runs(self, monkeypatch):
+        monkeypatch.setattr(scenarios, "_sweep_member", lambda job: pytest.fail("a member ran"))
+        cfg = monomodal_config(t_end=0.01)
+        with pytest.raises(ValueError):
+            run_scalability_sweep(cfg, n_list=[5, "five"], workers=1)
+        with pytest.raises(ValueError):
+            run_noise_sweep(cfg, p_list=[0.0, "loud"], n_seeds=1, workers=1)
 
     def test_pool_is_capped_at_the_job_count(self, monkeypatch):
         # a pool forks all its workers at once, so none are started here
