@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import MorseKernel, velocity_field
-from .ring import GridFunction, central_difference, integrate, wrap_angle
+from .kernels import velocity_field  # noqa: F401 (unused; a perfbench span hook's name)
+from .ring import GridFunction, central_difference, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -28,70 +28,60 @@ class ControllerGains:
             raise ValueError("kp must be positive")
 
 
-def compute_feedback(rho: GridFunction, rho_d: GridFunction, kernel: MorseKernel,
-                     gains: ControllerGains) -> GridFunction:
+def compute_feedback(rho: np.ndarray, v: np.ndarray, rho_d: np.ndarray, v_d: np.ndarray,
+                     gains: ControllerGains, spacing: float) -> np.ndarray:
     """The mass source q = kp*e - [e*Vd]_x - [rho_d*Ve]_x with e = rho_d - rho.
 
-    Vd = f * rho_d, and Ve = f * e is formed as Vd - V(rho) by linearity.
-    ``velocity_field`` caches per density object: Vd of a static target is
-    convolved once per run, and in the continuum V(rho) is the field that
-    ``continuum_velocity`` has just convolved for the same state, so each
-    call costs at most one new convolution.  The flux derivatives use the
-    shared periodic central-difference stencil, which makes the integral of
-    q vanish identically.
+    Arrays on one grid: the density ``rho`` and its velocity field
+    ``v`` = f * rho (``velocity_field``), the target ``rho_d`` and
+    ``v_d`` = f * rho_d.  Ve = f * e is formed as v_d - v by linearity, so
+    the feedback itself convolves nothing: the continuum step passes the
+    V(rho) it transports with, and a static target's Vd is a constant of
+    the run.  The flux derivatives use the shared periodic
+    central-difference stencil, which makes the integral of q vanish
+    identically.
     """
-    if rho.grid != rho_d.grid:
-        raise ValueError("rho and rho_d must share a grid")
-    grid = rho.grid
-    e = rho_d.values - rho.values
-    v_desired = velocity_field(kernel, rho_d).values
-    v_error = v_desired - velocity_field(kernel, rho).values
-    flux_d = central_difference(e * v_desired, grid.spacing)
-    flux_e = central_difference(rho_d.values * v_error, grid.spacing)
-    return GridFunction(grid, gains.kp * e - flux_d - flux_e)
+    e = rho_d - rho
+    flux_e = v_d - v  # Ve, then rho_d * Ve
+    flux_e *= rho_d
+    q = gains.kp * e
+    q -= central_difference(e * v_d, spacing)
+    q -= central_difference(flux_e, spacing)
+    return q
 
 
-def starvation_floor(rho: GridFunction) -> float:
+def starvation_floor(rho: np.ndarray, spacing: float) -> float:
     """Density below which a node is starved: 1e-6 of the uniform level
     mass / (2*pi)."""
-    return 1e-6 * integrate(rho) / (2.0 * np.pi)
+    return 1e-6 * float(spacing * rho.sum()) / (2.0 * np.pi)
 
 
-def velocity_control(rho: GridFunction, q: GridFunction, *,
-                     on_starved: str = "raise") -> GridFunction:
+def velocity_control(rho: np.ndarray, q: np.ndarray, spacing: float,
+                     starved: np.ndarray) -> np.ndarray:
     """Solve [rho * U]_x = -q: U = -(Q + C) / rho with Q a trapezoid
-    running integral of q.
+    running integral of q, all three arrays on one grid.
 
     The flux constant C = -sum(Q / rho) / sum(1 / rho) over the unstarved
     nodes gives U zero sum there: the minimal-kinetic-energy flux, the C
     that minimises sum(rho * U**2).  It does not depend on the seam -pi, so
-    a grid-aligned rotation of rho and q rolls U.  Nodes where rho falls
-    below ``starvation_floor`` signal the degenerate source/sink case:
-    ``on_starved="raise"`` refuses with the offending node, ``"zero"``
-    returns U = 0 there and leaves them out of C (used by the agent loop,
-    whose estimator keeps the density high wherever inputs are actually
-    sampled).
+    a grid-aligned rotation of rho and q rolls U.  The mask ``starved``
+    marks the nodes below ``starvation_floor``, where the control would act
+    as a source or sink: U is 0 there and they are left out of C.  Whether
+    such a node refuses the update or only zeroes U there is the caller's
+    choice (the continuum refuses; the agent loop, whose estimator keeps
+    the density high wherever inputs are actually sampled, zeroes).
     """
-    if rho.grid != q.grid:
-        raise ValueError("rho and q must share a grid")
-    if on_starved not in ("raise", "zero"):
-        raise ValueError(f"unknown on_starved {on_starved!r}")
-    floor = starvation_floor(rho)
-    starved = rho.values < floor
-    if on_starved == "raise" and starved.any():
-        j = int(np.argmax(starved))
-        raise ValueError(
-            f"density {rho.values[j]:.3e} below floor {floor:.3e} at node {j} "
-            f"(x={rho.grid.nodes[j]:+.4f}); the control would act as a source/sink"
-        )
     # The trapezoid running integral of q is spacing * (cumsum(q) - q/2) up
     # to a constant, which C absorbs; the spacing rides on the weights.
-    cum = np.cumsum(q.values)
-    cum -= 0.5 * q.values
-    weight = rho.grid.spacing / np.where(starved, np.inf, rho.values)  # 0 on starved nodes
-    u = ((cum * weight).sum() / weight.sum() - cum) * weight
-    u[starved] = 0.0
-    return GridFunction(rho.grid, u)
+    cum = q.cumsum()
+    cum -= 0.5 * q
+    any_starved = starved.any()
+    weight = spacing / (np.where(starved, np.inf, rho) if any_starved else rho)  # 0 if starved
+    u = (cum * weight).sum() / weight.sum() - cum
+    u *= weight
+    if any_starved:
+        u[starved] = 0.0
+    return u
 
 
 def sample_agent_inputs(u_field: GridFunction, positions) -> np.ndarray:

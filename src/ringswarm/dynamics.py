@@ -17,7 +17,7 @@ import numpy as np
 
 from .control import sample_agent_inputs
 from .kernels import MorseKernel, velocity_field
-from .ring import GridFunction, backward_difference, next_neighbour, wrap_angle
+from .ring import GridFunction, wrap_angle
 
 SCHEMES = ("euler", "rk4")
 
@@ -258,28 +258,45 @@ class ContinuumState:
     t: float = 0.0
 
 
-def continuum_velocity(state: ContinuumState, kernel: MorseKernel, control):
-    """Total advection speed w = V + U of the controlled conservation law as
-    an array, and the control U it added (None when ``control`` is None or
-    returns None)."""
-    v = velocity_field(kernel, state.rho).values
-    u = control(state) if control is not None else None
-    return (v, None) if u is None else (v + u.values, u)
+def continuum_velocity(rho: np.ndarray, t: float, kernel_samples: GridFunction, control):
+    """Total advection speed w = V + U of the controlled conservation law for
+    the density samples ``rho`` at time ``t``, and the control U it added.
+
+    V = f * rho is convolved once and handed to ``control(rho, V, t)``,
+    which returns U as an array, or None (the open loop); U is None also
+    when ``control`` is None."""
+    v = velocity_field(kernel_samples, rho)
+    u = control(rho, v, t) if control is not None else None
+    return (v, None) if u is None else (v + u, u)
 
 
-def _rusanov_advance(rho: GridFunction, w: np.ndarray, dt: float) -> GridFunction:
-    """Conservative update of rho under the frozen speed field w."""
-    grid = rho.grid
-    r = rho.values
-    flux = r * w
-    speed = np.abs(w)
-    a = np.maximum(speed, next_neighbour(speed))  # face j+1/2 wave speed
-    face = 0.5 * (flux + next_neighbour(flux)) - 0.5 * a * (next_neighbour(r) - r)
-    r_new = r - (dt / grid.spacing) * backward_difference(face)
-    if r_new.min() < -1e-12:
-        raise RuntimeError(f"density fell to {r_new.min():.3e}; scheme positivity violated")
-    np.maximum(r_new, 0.0, out=r_new)
-    return GridFunction(grid, r_new)
+def _rusanov_advance(r: np.ndarray, w: np.ndarray, dt: float, spacing: float) -> np.ndarray:
+    """Conservative update of the density samples r under the frozen speed
+    field w; a negative or non-finite result raises."""
+    m = r.size
+    ext = np.empty((3, m + 1))  # flux, speed, r, each with node 0 again at m
+    np.multiply(r, w, out=ext[0, :m])
+    np.abs(w, out=ext[1, :m])
+    ext[2, :m] = r
+    ext[:, m] = ext[:, 0]
+    flux, speed, dens = ext
+    a = np.maximum(speed[:-1], speed[1:])  # face j+1/2 wave speed
+    a *= 0.5
+    a *= dens[1:] - dens[:-1]
+    face = flux[:-1] + flux[1:]
+    face *= 0.5
+    face -= a
+    r_new = np.empty(m)  # the backward difference of the faces, then the update
+    np.subtract(face[1:], face[:-1], out=r_new[1:])
+    r_new[0] = face[0] - face[-1]
+    r_new *= dt / spacing
+    np.subtract(r, r_new, out=r_new)
+    low = r_new.min()
+    if not low >= -1e-12:
+        raise RuntimeError(f"density fell to {low:.3e}; scheme positivity violated")
+    if low <= 0.0:
+        np.maximum(r_new, 0.0, out=r_new)
+    return r_new
 
 
 def max_stable_dt(w: np.ndarray, spacing: float, cfl: float) -> float:
@@ -296,11 +313,11 @@ def max_stable_dt(w: np.ndarray, spacing: float, cfl: float) -> float:
 @dataclass(frozen=True)
 class ContinuumRun(Sequence):
     """What ``run_continuum`` evaluated.  As a sequence it is the sampled
-    states.  ``u_fields[k]`` is the control U of ``states[k]``: the one its
-    step applied, or for the last state, from which no step starts, its
-    evaluation after the run; None in the open loop.  ``steps`` counts the
-    Rusanov steps, and ``dt_min``/``dt_max`` are their extremes (nan when
-    there was none)."""
+    states.  ``u_fields[k]`` is the control U of ``states[k]`` as an array:
+    the one its step applied, or for the last state, from which no step
+    starts, its evaluation after the run; None in the open loop.
+    ``steps`` counts the Rusanov steps, and ``dt_min``/``dt_max`` are their
+    extremes (nan when there was none)."""
 
     states: tuple
     u_fields: tuple
@@ -321,28 +338,34 @@ def run_continuum(state: ContinuumState, kernel: MorseKernel, control, t_end: fl
     """Advance to t_end with adaptive CFL-limited steps; returns the sampled
     states with the control of each (see ``ContinuumRun``).
 
-    Steps land exactly on the sampling instants, the multiples of
-    ``sample_every`` after the start ``state.t``, so trajectories are
-    reproducible regardless of the adaptive step history in between.
+    ``control`` is None or, as in ``continuum_velocity``, maps the density
+    array, its V and the time to U.  Steps land exactly on the sampling
+    instants, the multiples of ``sample_every`` after the start
+    ``state.t``, so trajectories are reproducible regardless of the
+    adaptive step history in between.
     """
+    grid = state.rho.grid
+    samples = kernel.sample_on_grid(grid)
+    rho, t = state.rho.values, state.t
     states, u_fields = [state], []
     steps, shortest, longest = 0, math.inf, 0.0
-    k = int(state.t // sample_every) + 1
-    if k * sample_every <= state.t + 1e-12:  # the start sits on an instant
+    k = int(t // sample_every) + 1
+    if k * sample_every <= t + 1e-12:  # the start sits on an instant
         k += 1
-    while state.t < t_end - 1e-12:
+    while t < t_end - 1e-12:
         target = min(k * sample_every, t_end)
-        w, u = continuum_velocity(state, kernel, control)
+        w, u = continuum_velocity(rho, t, samples, control)
         if len(u_fields) < len(states):  # the step from a sampled state
             u_fields.append(u)
-        dt = min(max_stable_dt(w, state.rho.grid.spacing, cfl), dt_max, target - state.t)
-        state = ContinuumState(rho=_rusanov_advance(state.rho, w, dt), t=state.t + dt)
+        dt = min(max_stable_dt(w, grid.spacing, cfl), dt_max, target - t)
+        rho = _rusanov_advance(rho, w, dt, grid.spacing)
+        t += dt
         steps += 1
         shortest, longest = min(shortest, dt), max(longest, dt)
-        if state.t >= target - 1e-12:
-            states.append(state)
+        if t >= target - 1e-12:
+            states.append(ContinuumState(GridFunction(grid, rho), t))
             k += 1
-    u_fields.append(control(state) if control is not None else None)
+    u_fields.append(None if control is None else control(rho, velocity_field(samples, rho), t))
     if not steps:
         shortest = longest = math.nan
     return ContinuumRun(tuple(states), tuple(u_fields), steps, shortest, longest)

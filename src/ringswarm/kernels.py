@@ -3,7 +3,8 @@
 The Morse kernel maps a wrapped angular offset to a velocity contribution:
 odd, zero at the origin, exponentially vanishing, with unit-strength
 repulsion and a tunable attractive term.  Convolving it against a density
-gives the advection velocity of the crowd.
+gives the advection velocity of the crowd, a circular convolution on the
+grid.
 """
 
 from dataclasses import dataclass
@@ -11,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ring import GridFunction, RingGrid, circular_convolve
+from .ring import GridFunction, RingGrid
 
 
 @dataclass(frozen=True)
@@ -56,10 +57,19 @@ class MorseKernel:
         return GridFunction(grid, values)
 
 
-# A static target hits, and so does the continuum feedback's V(rho), which
-# continuum_velocity has just convolved for the same state.
-@lru_cache(maxsize=8)
-def velocity_field(kernel: MorseKernel, density: GridFunction) -> GridFunction:
-    """Advection velocity induced by a density: the circular convolution f * rho,
-    cached per (kernel, density object)."""
-    return circular_convolve(kernel.sample_on_grid(density.grid), density)
+def velocity_field(kernel_samples: GridFunction, density: np.ndarray) -> np.ndarray:
+    """Advection velocity induced by density samples: the discrete circular
+    convolution V(x) = Delta * sum_j f(x - y_j) density(y_j) on the grid of
+    ``kernel_samples`` (f at the node angles read as wrapped offsets, as
+    ``MorseKernel.sample_on_grid`` gives them).
+
+    Real FFTs against the samples' cached offset spectrum; agrees with the
+    direct O(m^2) sum to roundoff.  Needs an even node count.
+    """
+    grid = kernel_samples.grid
+    if density.shape != (grid.m,):
+        raise ValueError(f"grid mismatch: {grid.m} kernel samples, density of shape "
+                         f"{density.shape}")
+    v = np.fft.irfft(kernel_samples.offset_spectrum * np.fft.rfft(density), n=grid.m)
+    v *= grid.spacing
+    return v

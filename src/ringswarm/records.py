@@ -18,8 +18,6 @@ SWEEP_HEADER = ("param", "d_kl_final", "status")
 
 
 def _fmt(value):
-    if type(value) is float:  # the bulk of every CSV
-        return repr(value)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -32,9 +30,10 @@ def _fmt(value):
 
 
 def write_csv(path: Path, header, rows):
+    """Rows of floats, ints and text; str(float) is the shortest round-trip repr."""
     with path.open("w", encoding="utf-8") as out:
         out.write(",".join(header) + "\n")
-        out.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+        out.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def write_metadata(path: Path, sections: dict):

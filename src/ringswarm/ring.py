@@ -2,9 +2,9 @@
 
 Everything downstream (interaction velocities, density estimation, the
 feedback law, both solvers) builds on the uniform grid and the periodic
-primitives defined here: angle wrapping, circular convolution,
-central differences and the trapezoid quadrature.  The periodic stencils
-are plain-array functions sliced without np.roll.
+primitives defined here: angle wrapping, the kernel spectrum of a
+circular convolution, central differences and the trapezoid quadrature.
+The periodic stencils are plain-array functions sliced without np.roll.
 """
 
 from dataclasses import dataclass
@@ -54,7 +54,7 @@ class RingGrid:
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """Real-valued samples on a RingGrid, value j taken at node x_j; equality
-    and hashing go by identity, so caches can key on an instance."""
+    and hashing go by identity (a sample array has no single truth value)."""
 
     grid: RingGrid
     values: np.ndarray
@@ -74,32 +74,14 @@ class GridFunction:
     @cached_property
     def offset_spectrum(self):
         """Read-only rfft of the samples reindexed by offset (offset n*Delta
-        sits at node (n + m/2) % m): the kernel side of circular_convolve,
-        computed once per sample set."""
+        sits at node (n + m/2) % m): the kernel side of a circular
+        convolution, computed once per sample set.  Needs an even node
+        count, so that node-to-node offsets land exactly on grid angles."""
+        if self.grid.m % 2:
+            raise ValueError("circular convolution needs an even node count")
         spectrum = np.fft.rfft(np.roll(self.values, -(self.grid.m // 2)))
         spectrum.setflags(write=False)
         return spectrum
-
-
-def _check_same_grid(a: GridFunction, b: GridFunction):
-    if a.grid != b.grid:
-        raise ValueError(f"grid mismatch: m={a.grid.m} vs m={b.grid.m}")
-
-
-def circular_convolve(kernel_samples: GridFunction, density: GridFunction) -> GridFunction:
-    """Discrete circular convolution Delta * sum_j kernel(x - y_j) density(y_j).
-
-    ``kernel_samples`` holds the kernel evaluated at the grid nodes (node
-    angles read as wrapped offsets).  Implemented with real FFTs; agrees
-    with the direct O(m^2) sum to roundoff.  Requires an even node count so
-    node-to-node offsets land exactly on grid angles.
-    """
-    _check_same_grid(kernel_samples, density)
-    m = density.grid.m
-    if m % 2 != 0:
-        raise ValueError("circular convolution needs an even node count")
-    out = np.fft.irfft(kernel_samples.offset_spectrum * np.fft.rfft(density.values), n=m)
-    return GridFunction(density.grid, density.grid.spacing * out)
 
 
 def central_difference(v: np.ndarray, spacing: float) -> np.ndarray:
@@ -115,16 +97,3 @@ def central_difference(v: np.ndarray, spacing: float) -> np.ndarray:
 def integrate(field: GridFunction) -> float:
     """Periodic trapezoid rule (equals the rectangle rule on a closed ring)."""
     return float(field.grid.spacing * field.values.sum())
-
-
-def next_neighbour(v: np.ndarray) -> np.ndarray:
-    """v_{j+1} of periodic samples (np.roll(v, -1), by slicing)."""
-    return np.concatenate((v[1:], v[:1]))
-
-
-def backward_difference(v: np.ndarray) -> np.ndarray:
-    """v_j - v_{j-1} of periodic samples, by slicing."""
-    d = np.empty_like(v)
-    np.subtract(v[1:], v[:-1], out=d[1:])
-    d[0] = v[0] - v[-1]
-    return d

@@ -46,7 +46,7 @@ from .dynamics import (
     run_continuum,
     step_swarm,
 )
-from .kernels import MorseKernel
+from .kernels import MorseKernel, velocity_field
 from .records import RunRecord
 from .ring import GridFunction, RingGrid, integrate, wrap_angle
 
@@ -233,21 +233,27 @@ def _record_sample(record: RunRecord, config: ScenarioConfig, t: float, rho: Gri
 
 
 class _Controller:
-    """One controller evaluation, shared by both runners: target, feedback q
-    plus the configured noise, the worst |integral of q| so far, then the U
-    field (none in the open loop; starved nodes as ``on_starved`` says,
-    and under "zero" ``starved_updates`` counts the evaluations that had
-    any).
-    The grid, kernel, a static target and the noise generator are built
-    once per run."""
+    """One controller evaluation on plain arrays, shared by both runners:
+    target, feedback q plus the configured noise, the worst |integral of q|
+    so far, then the U field (none in the open loop).  A node below the
+    starvation floor refuses the update when ``on_starved`` is "raise";
+    under "zero" U is 0 there and ``starved_updates`` counts the
+    evaluations that had any.  A non-finite q refuses as well.
+    The grid, the kernel's samples, a static target with its velocity
+    field, and the noise generator are built once per run."""
 
     def __init__(self, config: ScenarioConfig, on_starved: str):
+        if on_starved not in ("raise", "zero"):
+            raise ValueError(f"unknown on_starved {on_starved!r}")
         self.config, self.on_starved = config, on_starved
         self.grid = RingGrid(config.grid_m)
         self.kernel = build_kernel(config)
+        self.samples = self.kernel.sample_on_grid(self.grid)
         self.program = build_target(config)
         self.target = (None if isinstance(self.program, TrackingTarget)
                        else target_at(self.program, 0.0, self.grid)[0])
+        self.target_v = (None if self.target is None
+                         else velocity_field(self.samples, self.target.values))
         self.gains = ControllerGains(config.kp)
         self.rng = None if config.noise_power_dbw is None else np.random.default_rng(config.seed)
         self.q_integral_worst = 0.0
@@ -257,19 +263,30 @@ class _Controller:
         """The target density rho_d at time ``t``."""
         return self.target if self.target is not None else target_at(self.program, t, self.grid)[0]
 
-    def __call__(self, rho: GridFunction, t: float):
-        """The U field for the density ``rho`` at time ``t``, or None in the
-        open loop."""
+    def __call__(self, rho: np.ndarray, v: np.ndarray, t: float):
+        """The U field (an array) for the density samples ``rho`` with
+        velocity field ``v`` at time ``t``, or None in the open loop."""
         if self.config.scenario == "open-loop":
             return None
-        q = compute_feedback(rho, self.desired(t), self.kernel, self.gains)
+        spacing, rho_d = self.grid.spacing, self.desired(t).values
+        v_d = self.target_v if self.target is not None else velocity_field(self.samples, rho_d)
+        q = compute_feedback(rho, v, rho_d, v_d, self.gains, spacing)
         if self.rng is not None:
-            noise = self.rng.normal(0.0, _noise_std(self.config.noise_power_dbw), self.grid.m)
-            q = GridFunction(self.grid, q.values + noise)
-        self.q_integral_worst = max(self.q_integral_worst, abs(integrate(q)))
-        if self.on_starved == "zero":
-            self.starved_updates += bool((rho.values < starvation_floor(rho)).any())
-        return velocity_control(rho, q, on_starved=self.on_starved)
+            q += self.rng.normal(0.0, _noise_std(self.config.noise_power_dbw), self.grid.m)
+        q_integral = abs(float(spacing * q.sum()))
+        if not math.isfinite(q_integral):
+            raise RuntimeError(f"non-finite feedback q at t={t:.6f}; run aborted")
+        self.q_integral_worst = max(self.q_integral_worst, q_integral)
+        floor = starvation_floor(rho, spacing)
+        starved = rho < floor
+        if starved.any():
+            if self.on_starved == "raise":
+                j = int(np.argmax(starved))
+                raise ValueError(
+                    f"density {rho[j]:.3e} below floor {floor:.3e} at node {j} "
+                    f"(x={self.grid.nodes[j]:+.4f}); the control would act as a source/sink")
+            self.starved_updates += 1
+        return velocity_control(rho, q, spacing, starved)
 
 
 def run_microscopic(config: ScenarioConfig) -> RunRecord:
@@ -285,7 +302,9 @@ def run_microscopic(config: ScenarioConfig) -> RunRecord:
     stride = int(round(config.sample_every / config.dt))
     for i in range(n_steps + 1):
         rho_hat = estimator.estimate(state.positions)
-        u_field = controller(rho_hat, state.t)
+        u_values = controller(rho_hat.values,
+                              velocity_field(controller.samples, rho_hat.values), state.t)
+        u_field = None if u_values is None else GridFunction(controller.grid, u_values)
         if i % stride == 0 or i == n_steps:
             u = (np.zeros(state.n_agents) if u_field is None
                  else sample_agent_inputs(u_field, state.positions))
@@ -304,13 +323,12 @@ def run_continuum_scenario(config: ScenarioConfig) -> RunRecord:
     controller = _Controller(config, on_starved="raise")
     mass = float(config.n_agents)
     rho0 = von_mises_density(0.0, 0.0, mass, controller.grid)  # uniform start, mass N
-    run = run_continuum(ContinuumState(rho0, 0.0), controller.kernel,
-                        lambda s: controller(s.rho, s.t), config.t_end,
+    run = run_continuum(ContinuumState(rho0, 0.0), controller.kernel, controller, config.t_end,
                         cfl=config.cfl, dt_max=config.dt, sample_every=config.sample_every)
     record = RunRecord(config=asdict(config), metadata=_base_metadata(config))
     record.metadata["q_integral_worst"] = controller.q_integral_worst
-    for s, u_field in zip(run, run.u_fields):
-        u = np.zeros(s.rho.grid.m) if u_field is None else u_field.values
+    for s, u in zip(run, run.u_fields):
+        u = np.zeros(s.rho.grid.m) if u is None else u
         _record_sample(record, config, s.t, s.rho, controller.desired(s.t), u)
     record.metadata["final_kl"] = record.final_kl()
     record.metadata["mass_drift"] = abs(integrate(run[-1].rho) - mass)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ringswarm import GridFunction, MorseKernel, RingGrid, circular_convolve, integrate
+from ringswarm import GridFunction, MorseKernel, RingGrid, integrate, velocity_field
 
 
 def kernel_derivative(kernel: MorseKernel, z):
@@ -30,7 +30,7 @@ def derivative_l2_norm(kernel: MorseKernel, grid: RingGrid) -> float:
 def young_bound_check(kernel: MorseKernel, error_field: GridFunction):
     """Return (||f_x * e||_inf, ||f_x||_2 ||e||_2); Young's inequality says lhs <= rhs."""
     grid = error_field.grid
-    ve_x = circular_convolve(sample_derivative_on_grid(kernel, grid), error_field)
-    lhs = float(np.abs(ve_x.values).max())
+    ve_x = velocity_field(sample_derivative_on_grid(kernel, grid), error_field.values)
+    lhs = float(np.abs(ve_x).max())
     e_l2 = float(np.sqrt(integrate(GridFunction(grid, error_field.values**2))))
     return lhs, derivative_l2_norm(kernel, grid) * e_l2

@@ -19,14 +19,12 @@ from ringswarm import (
     MorseKernel,
     RingGrid,
     SwarmState,
-    circular_convolve,
-    compute_feedback,
     integrate,
     l2_norm,
     microscopic_rhs,
     run_continuum,
     step_swarm,
-    velocity_control,
+    velocity_field,
     von_mises_density,
     wrap_angle,
 )
@@ -42,6 +40,7 @@ from ringswarm.scenarios import (
 )
 
 from kernel_norms import derivative_l2_norm
+from loop_parts import continuum_control
 
 pytestmark = pytest.mark.acceptance
 
@@ -111,9 +110,7 @@ def test_criterion_3_error_decay_bound():
     kernel = MorseKernel(0.5, 0.5, strength=1.0 / n)
     gains = ControllerGains(kp)
     rho_d = von_mises_density(0.0, 0.0, n, grid)
-
-    def control(s):
-        return velocity_control(s.rho, compute_feedback(s.rho, rho_d, kernel, gains))
+    control = continuum_control(rho_d, kernel, gains)
 
     rho0 = GridFunction(grid, rho_d.values + 0.05 * np.sin(grid.nodes))
     assert abs(integrate(rho0) - n) < 1e-12  # mass-preserving perturbation
@@ -160,7 +157,7 @@ def test_criterion_5_oracle_equivalence():
 
         kernel = GridFunction(grid, trig_kernel(grid.nodes))
         density = GridFunction(grid, rng.normal(size=m))
-        fast = circular_convolve(kernel, density).values
+        fast = velocity_field(kernel, density.values)
         x = grid.nodes
         d = (x[:, None] - x[None, :] + np.pi) % (2 * np.pi) - np.pi
         direct = grid.spacing * (trig_kernel(d) @ density.values)

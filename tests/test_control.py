@@ -8,8 +8,8 @@ from ringswarm import (
     GridFunction,
     MorseKernel,
     RingGrid,
-    circular_convolve,
     compute_feedback,
+    continuum_config,
     integrate,
     l2_norm,
     sample_agent_inputs,
@@ -18,7 +18,10 @@ from ringswarm import (
     von_mises_density,
     wrap_angle,
 )
+from ringswarm import scenarios
 from ringswarm.ring import central_difference
+
+from loop_parts import feedback, solve, starved_nodes
 
 
 @pytest.fixture
@@ -64,11 +67,11 @@ def two_convolution_feedback(rho, rho_d, kernel, gains):
     assembled before Ve = Vd - V(rho): the oracle for compute_feedback."""
     grid = rho.grid
     samples = kernel.sample_on_grid(grid)
-    e = GridFunction(grid, rho_d.values - rho.values)
-    v_desired, v_error = circular_convolve(samples, rho_d), circular_convolve(samples, e)
-    flux_d = central_difference(e.values * v_desired.values, grid.spacing)
-    flux_e = central_difference(rho_d.values * v_error.values, grid.spacing)
-    return gains.kp * e.values - flux_d - flux_e
+    e = rho_d.values - rho.values
+    v_desired, v_error = velocity_field(samples, rho_d.values), velocity_field(samples, e)
+    flux_d = central_difference(e * v_desired, grid.spacing)
+    flux_e = central_difference(rho_d.values * v_error, grid.spacing)
+    return gains.kp * e - flux_d - flux_e
 
 
 class TestComputeFeedback:
@@ -77,9 +80,9 @@ class TestComputeFeedback:
     def test_q_integral_vanishes_property(self, case):
         rho, rho_d, kernel, gains = case
         error_size = integrate(GridFunction(rho.grid, np.abs(rho_d.values - rho.values)))
-        q = compute_feedback(rho, rho_d, kernel, gains)
+        q = feedback(rho, rho_d, kernel, gains)
         assert abs(integrate(q)) <= 1e-12 * (gains.kp * error_size + 1.0)
-        u = velocity_control(rho, q).values
+        u = solve(rho, q).values
         assert abs(u.sum()) <= 1e-12 * np.abs(u).sum()
 
     @settings(derandomize=True, deadline=None, max_examples=200)
@@ -87,24 +90,24 @@ class TestComputeFeedback:
     def test_matches_the_two_convolution_oracle(self, case):
         rho, rho_d, kernel, gains = case
         expected = two_convolution_feedback(rho, rho_d, kernel, gains)
-        q = compute_feedback(rho, rho_d, kernel, gains).values
+        q = feedback(rho, rho_d, kernel, gains).values
         assert np.abs(q - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_matched_densities_give_zero_feedback(self, grid, kernel, gains):
         rho_d = von_mises_density(0.0, 4.0, 50.0, grid)
-        assert np.all(compute_feedback(rho_d, rho_d, kernel, gains).values == 0.0)
+        assert np.all(feedback(rho_d, rho_d, kernel, gains).values == 0.0)
 
     def test_q_has_zero_integral_for_matched_mass(self, grid, kernel, gains):
         rho = von_mises_density(0.0, 0.0, 50.0, grid)  # uniform, mass 50
         rho_d = von_mises_density(0.0, 4.0, 50.0, grid)
-        assert abs(integrate(compute_feedback(rho, rho_d, kernel, gains))) < 1e-9
+        assert abs(integrate(feedback(rho, rho_d, kernel, gains))) < 1e-9
 
     def test_q_integral_vanishes_on_random_pairs(self, grid, kernel, gains):
         rng = np.random.default_rng(50)
         for _ in range(100):
             rho = positive_random_field(grid, rng)
             rho_d = positive_random_field(grid, rng)
-            q = compute_feedback(rho, rho_d, kernel, gains)
+            q = feedback(rho, rho_d, kernel, gains)
             assert abs(integrate(q)) < 1e-9 * (l2_norm(q) + 1.0)
 
     def test_q_linear_in_error_at_fixed_target(self, grid, kernel, gains):
@@ -119,9 +122,9 @@ class TestComputeFeedback:
 
         e1 = zero_mass_error(0.6)
         e2 = zero_mass_error(0.9)
-        q1 = compute_feedback(GridFunction(grid, rho_d.values - e1), rho_d, kernel, gains)
-        q2 = compute_feedback(GridFunction(grid, rho_d.values - e2), rho_d, kernel, gains)
-        q12 = compute_feedback(GridFunction(grid, rho_d.values - e1 - e2), rho_d, kernel, gains)
+        q1 = feedback(GridFunction(grid, rho_d.values - e1), rho_d, kernel, gains)
+        q2 = feedback(GridFunction(grid, rho_d.values - e2), rho_d, kernel, gains)
+        q12 = feedback(GridFunction(grid, rho_d.values - e1 - e2), rho_d, kernel, gains)
         assert np.abs(q12.values - q1.values - q2.values).max() < 1e-10
 
     def test_error_equation_algebra(self, grid, kernel, gains):
@@ -132,20 +135,22 @@ class TestComputeFeedback:
         for _ in range(10):
             rho = positive_random_field(grid, rng)
             rho_d = positive_random_field(grid, rng)
-            q = compute_feedback(rho, rho_d, kernel, gains)
-            e = GridFunction(grid, rho_d.values - rho.values)
-            v, v_desired, v_error = (velocity_field(kernel, f) for f in (rho, rho_d, e))
-            flux_dd = central_difference(rho_d.values * v_desired.values, grid.spacing)
-            flux = central_difference(rho.values * v.values, grid.spacing)
-            flux_ee = central_difference(e.values * v_error.values, grid.spacing)
-            residual = flux_dd - flux + q.values - gains.kp * e.values + flux_ee
+            q = feedback(rho, rho_d, kernel, gains)
+            e = rho_d.values - rho.values
+            samples = kernel.sample_on_grid(grid)
+            v, v_desired, v_error = (velocity_field(samples, f) for f in (rho.values,
+                                                                           rho_d.values, e))
+            flux_dd = central_difference(rho_d.values * v_desired, grid.spacing)
+            flux = central_difference(rho.values * v, grid.spacing)
+            flux_ee = central_difference(e * v_error, grid.spacing)
+            residual = flux_dd - flux + q.values - gains.kp * e + flux_ee
             assert l2_norm(GridFunction(grid, residual)) < 1e-8
 
-    def test_grid_mismatch_rejected(self, kernel, gains):
-        rho = von_mises_density(0.0, 0.0, 50.0, RingGrid(128))
-        rho_d = von_mises_density(0.0, 4.0, 50.0, RingGrid(256))
+    def test_grid_mismatch_rejected(self, gains):
+        rho = von_mises_density(0.0, 0.0, 50.0, RingGrid(128)).values
+        rho_d = von_mises_density(0.0, 4.0, 50.0, RingGrid(256)).values
         with pytest.raises(ValueError):
-            compute_feedback(rho, rho_d, kernel, gains)
+            compute_feedback(rho, np.zeros(128), rho_d, np.zeros(256), gains, 2 * np.pi / 128)
 
     def test_gain_validation(self):
         with pytest.raises(ValueError):
@@ -155,7 +160,7 @@ class TestComputeFeedback:
 class TestVelocityControl:
     def test_zero_q_gives_zero_field(self, grid):
         rho = von_mises_density(0.0, 0.0, 50.0, grid)
-        u = velocity_control(rho, GridFunction(grid, np.zeros(grid.m)))
+        u = solve(rho, GridFunction(grid, np.zeros(grid.m)))
         assert np.all(u.values == 0.0)
 
     def test_uniform_density_sine_source_antiderivative(self, grid):
@@ -164,7 +169,7 @@ class TestVelocityControl:
         n = 50.0
         rho = von_mises_density(0.0, 0.0, n, grid)
         q = GridFunction(grid, np.sin(grid.nodes))
-        u = velocity_control(rho, q)
+        u = solve(rho, q)
         expected = (2 * np.pi / n) * np.cos(grid.nodes)
         assert np.abs(u.values - expected).max() < 1e-3
 
@@ -175,7 +180,7 @@ class TestVelocityControl:
         rng = np.random.default_rng(58)
         rho = positive_random_field(grid, rng)
         q = GridFunction(grid, rng.normal(size=grid.m))
-        flux = rho.values * velocity_control(rho, q).values
+        flux = rho.values * solve(rho, q).values
         steps = grid.spacing * 0.5 * (q.values[1:] + q.values[:-1])
         assert np.abs(np.diff(flux) + steps).max() <= 1e-12 * np.abs(flux).max()
         seam = flux[0] - flux[-1] + grid.spacing * 0.5 * (q.values[-1] + q.values[0])
@@ -186,35 +191,36 @@ class TestVelocityControl:
         grid = RingGrid(m)
         rho = von_mises_density(0.0, 2.0, 50.0, grid)
         q = GridFunction(grid, np.sin(grid.nodes) + 0.4 * np.cos(2 * grid.nodes))
-        u = velocity_control(rho, q)
+        u = solve(rho, q)
         residual = central_difference(rho.values * u.values, grid.spacing)
         err = l2_norm(GridFunction(grid, residual + q.values))
         # second-order scheme: error tracks dx^2
         assert err < 2.0 * grid.spacing**2 * l2_norm(q)
 
     def test_starved_node_raises_with_location(self, grid):
+        # the continuum's controller refuses an update with a starved node
         values = np.full(grid.m, 50.0 / (2 * np.pi))
         values[37] = 1e-12
-        rho = GridFunction(grid, values)
-        q = GridFunction(grid, np.sin(grid.nodes))
+        controller = scenarios._Controller(continuum_config(), on_starved="raise")
         with pytest.raises(ValueError, match="node 37"):
-            velocity_control(rho, q)
+            controller(values, np.zeros(grid.m), 0.0)
 
     def test_starved_node_zeroed_on_request(self, grid):
         values = np.full(grid.m, 50.0 / (2 * np.pi))
         values[37] = 1e-12
         rho = GridFunction(grid, values)
         q = GridFunction(grid, np.sin(grid.nodes))
-        u = velocity_control(rho, q, on_starved="zero")
+        assert np.flatnonzero(starved_nodes(rho)).tolist() == [37]
+        u = solve(rho, q)
         assert u.values[37] == 0.0
         assert np.all(np.isfinite(u.values))
         assert np.abs(u.values).max() > 0.0
+        # the starved node is left out of the constant: U sums to 0 elsewhere
+        assert abs(u.values.sum()) <= 1e-12 * np.abs(u.values).sum()
 
-    def test_bad_modes_rejected(self, grid):
-        rho = von_mises_density(0.0, 0.0, 50.0, grid)
-        q = GridFunction(grid, np.zeros(grid.m))
-        with pytest.raises(ValueError):
-            velocity_control(rho, q, on_starved="clip")
+    def test_bad_modes_rejected(self):
+        with pytest.raises(ValueError, match="on_starved"):
+            scenarios._Controller(continuum_config(), on_starved="clip")
 
 
 class TestSampleAgentInputs:

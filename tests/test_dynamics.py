@@ -13,7 +13,6 @@ from ringswarm import (
     MorseKernel,
     RingGrid,
     SwarmState,
-    compute_feedback,
     even_lattice,
     integrate,
     kl_divergence,
@@ -22,7 +21,7 @@ from ringswarm import (
     run_continuum,
     sample_agent_inputs,
     step_swarm,
-    velocity_control,
+    velocity_field,
     von_mises_density,
     wrap_angle,
 )
@@ -31,6 +30,7 @@ from ringswarm.density import WrappedGaussianEstimator
 from ringswarm.dynamics import _interaction_sum
 
 from kernel_norms import derivative_l2_norm
+from loop_parts import continuum_control, feedback, solve
 
 EPS = np.finfo(float).eps
 
@@ -250,14 +250,14 @@ class TestStepSwarm:
         kernel = MorseKernel(0.5, 0.5, strength=1.0 / n)
         target = von_mises_density(0.3, 4.0, float(n), grid)
         gains = ControllerGains(10.0)
-        q = compute_feedback(rho, target, kernel, gains)
-        q_shifted = compute_feedback(rho_shifted, GridFunction(grid, np.roll(target.values, shift)),
-                                     kernel, gains)
+        q = feedback(rho, target, kernel, gains)
+        q_shifted = feedback(rho_shifted, GridFunction(grid, np.roll(target.values, shift)),
+                             kernel, gains)
         assert np.abs(np.roll(q.values, shift) - q_shifted.values).max() <= 1e-12 * gains.kp * peak
-        u_field = velocity_control(rho, q, on_starved="zero")
+        u_field = solve(rho, q)
         spec = IntegratorSpec(dt=1e-3)
         stepped = step_swarm(SwarmState(x), kernel, u_field, spec).positions
-        u_shifted = velocity_control(rho_shifted, q_shifted, on_starved="zero")
+        u_shifted = solve(rho_shifted, q_shifted)
         stepped_shifted = step_swarm(SwarmState(shifted), kernel, u_shifted, spec).positions
         assert np.abs(wrap_angle(stepped_shifted - stepped - shift * grid.spacing)).max() <= 1e-9
 
@@ -288,8 +288,7 @@ class TestStepSwarm:
 
         def control(state):
             rho = estimator.estimate(state.positions)
-            q = compute_feedback(rho, target, kernel, gains)
-            return velocity_control(rho, q, on_starved="zero")
+            return solve(rho, feedback(rho, target, kernel, gains))
 
         runs = []
         for _ in range(2):
@@ -307,9 +306,8 @@ class TestStepSwarm:
         kernel = MorseKernel(0.5, 0.5, strength=1 / 20)
         x = np.random.default_rng(66).uniform(-2.0, 2.0, 20)
         rho = WrappedGaussianEstimator(0.2, grid).estimate(x)
-        q = compute_feedback(rho, von_mises_density(0.0, 4.0, 20.0, grid), kernel,
-                             ControllerGains(10.0))
-        u_field = velocity_control(rho, q, on_starved="zero")
+        q = feedback(rho, von_mises_density(0.0, 4.0, 20.0, grid), kernel, ControllerGains(10.0))
+        u_field = solve(rho, q)
         for field in (u_field, None):
             out = step_swarm(SwarmState(x), kernel, field, IntegratorSpec(1e-3, "euler"))
             assert np.array_equal(out.positions, x + 1e-3 * microscopic_rhs(x, kernel, field))
@@ -365,9 +363,7 @@ def continuum_cases(draw):
     control = None
     if draw(st.booleans()):
         rho_d, gains = smooth_positive(), ControllerGains(draw(st.floats(0.1, 100.0)))
-
-        def control(s):
-            return velocity_control(s.rho, compute_feedback(s.rho, rho_d, kernel, gains))
+        control = continuum_control(rho_d, kernel, gains)
     return rho0, kernel, control
 
 
@@ -406,9 +402,9 @@ class TestContinuum:
         state = ContinuumState(von_mises_density(0.0, 4.0, 50.0, grid), 0.0)
         steps = []
 
-        def advance(rho, w, dt):
+        def advance(rho, w, dt, spacing):
             steps.append((dt, float(np.abs(w).max())))
-            return rusanov_advance(rho, w, dt)
+            return rusanov_advance(rho, w, dt, spacing)
 
         rusanov_advance = dynamics._rusanov_advance
         monkeypatch.setattr(dynamics, "_rusanov_advance", advance)
@@ -436,9 +432,9 @@ class TestContinuum:
         state = ContinuumState(von_mises_density(0.0, 1.0, 10.0, grid), t0)
         steps = []
 
-        def advance(rho, w, dt):
+        def advance(rho, w, dt, spacing):
             steps.append(dt)
-            return rusanov_advance(rho, w, dt)
+            return rusanov_advance(rho, w, dt, spacing)
 
         rusanov_advance = dynamics._rusanov_advance
         monkeypatch.setattr(dynamics, "_rusanov_advance", advance)
@@ -459,9 +455,7 @@ class TestContinuum:
         kernel = MorseKernel(0.5, 0.5, strength=1.0 / n)
         gains = ControllerGains(kp)
         rho_d = von_mises_density(0.0, 4.0, n, grid)
-
-        def control(s):
-            return velocity_control(s.rho, compute_feedback(s.rho, rho_d, kernel, gains))
+        control = continuum_control(rho_d, kernel, gains)
 
         rho0 = von_mises_density(0.0, 0.0, n, grid)
         e0 = l2_norm(GridFunction(grid, rho_d.values - rho0.values))
@@ -502,16 +496,17 @@ class TestContinuum:
         kernel = MorseKernel(0.5, 0.5, strength=1.0 / n)
         gains = ControllerGains(10.0)
         rho_d = von_mises_density(0.0, 4.0, n, grid)
+        regulate = continuum_control(rho_d, kernel, gains)
         applied = {}
         steps = []
 
-        def control(s):
-            applied[s.t] = velocity_control(s.rho, compute_feedback(s.rho, rho_d, kernel, gains))
-            return applied[s.t]
+        def control(rho, v, t):
+            applied[t] = regulate(rho, v, t)
+            return applied[t]
 
-        def advance(rho, w, dt):
+        def advance(rho, w, dt, spacing):
             steps.append(dt)
-            return rusanov_advance(rho, w, dt)
+            return rusanov_advance(rho, w, dt, spacing)
 
         rusanov_advance = dynamics._rusanov_advance
         monkeypatch.setattr(dynamics, "_rusanov_advance", advance)
@@ -521,9 +516,9 @@ class TestContinuum:
         assert len(run.u_fields) == len(run)
         assert all(u is applied[s.t] for s, u in zip(run, run.u_fields))
         # the last state starts no step; its U is evaluated once after the run
-        last = run[-1].rho
-        fresh = velocity_control(last, compute_feedback(last, rho_d, kernel, gains))
-        assert np.array_equal(run.u_fields[-1].values, fresh.values)
+        last = run[-1].rho.values
+        fresh = regulate(last, velocity_field(kernel.sample_on_grid(grid), last), run[-1].t)
+        assert np.array_equal(run.u_fields[-1], fresh)
         assert len(applied) - 1 == run.steps == len(steps)
         assert (run.dt_min, run.dt_max) == (min(steps), max(steps))
         assert 0.0 < run.dt_min < run.dt_max <= 0.02

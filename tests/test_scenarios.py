@@ -12,16 +12,15 @@ import pytest
 from ringswarm import (
     ContinuumState,
     ControllerGains,
+    GridFunction,
     IntegratorSpec,
     MonomodalTarget,
     MorseKernel,
     RingGrid,
     SwarmState,
     WrappedGaussianEstimator,
-    circular_convolve,
     compute_feedback,
     even_lattice,
-    integrate,
     run_continuum,
     step_swarm,
     target_at,
@@ -30,7 +29,8 @@ from ringswarm import (
     von_mises_density,
 )
 import ringswarm
-from ringswarm import kernels, scenarios
+from ringswarm import dynamics, scenarios
+from ringswarm.control import starvation_floor
 from ringswarm.cli import main as cli_main
 from ringswarm.records import AGENTS_HEADER, DENSITY_HEADER, METRICS_HEADER, SWEEP_HEADER
 from ringswarm.scenarios import (
@@ -205,11 +205,15 @@ class TestRunRecords:
         target = von_mises_density(cfg.mu, cfg.concentration, float(cfg.n_agents), grid)
         estimator = WrappedGaussianEstimator(cfg.bandwidth, grid)
         gains = ControllerGains(cfg.kp)
+        samples = kernel.sample_on_grid(grid)
+        v_target = velocity_field(samples, target.values)
 
         def control(state):
-            rho = estimator.estimate(state.positions)
-            q = compute_feedback(rho, target, kernel, gains)
-            return velocity_control(rho, q, on_starved="zero")
+            rho = estimator.estimate(state.positions).values
+            q = compute_feedback(rho, velocity_field(samples, rho), target.values, v_target,
+                                 gains, grid.spacing)
+            starved = rho < starvation_floor(rho, grid.spacing)
+            return GridFunction(grid, velocity_control(rho, q, grid.spacing, starved))
 
         state = SwarmState(even_lattice(cfg.n_agents))
         spec = IntegratorSpec(dt=cfg.dt, scheme=cfg.scheme)
@@ -229,14 +233,18 @@ class TestRunRecords:
                              strength=1.0 / cfg.n_agents)
         program = MonomodalTarget(cfg.mu, cfg.concentration, mass)
         gains = ControllerGains(cfg.kp)
+        samples = kernel.sample_on_grid(grid)
         q_integral_worst = 0.0
 
-        def control(state):
+        def control(rho, v, t):
             nonlocal q_integral_worst
-            rho_d, _ = target_at(program, state.t, grid)
-            q = compute_feedback(state.rho, rho_d, kernel, gains)
-            q_integral_worst = max(q_integral_worst, abs(integrate(q)))
-            return velocity_control(state.rho, q)
+            rho_d = target_at(program, t, grid)[0].values
+            q = compute_feedback(rho, v, rho_d, velocity_field(samples, rho_d), gains,
+                                 grid.spacing)
+            q_integral_worst = max(q_integral_worst, abs(float(grid.spacing * q.sum())))
+            starved = rho < starvation_floor(rho, grid.spacing)
+            assert not starved.any()
+            return velocity_control(rho, q, grid.spacing, starved)
 
         start = ContinuumState(von_mises_density(0.0, 0.0, mass, grid))
         states = run_continuum(start, kernel, control, cfg.t_end, cfl=cfg.cfl,
@@ -249,7 +257,6 @@ class TestRunRecords:
         # the kernel samples and their spectrum are cached across runs; a
         # run from cold caches and one from warm caches must agree
         MorseKernel.sample_on_grid.cache_clear()
-        velocity_field.cache_clear()
         cfg = continuum_config(t_end=0.2)
         cold = run_continuum_scenario(cfg)
         assert MorseKernel.sample_on_grid.cache_info().currsize > 0
@@ -260,20 +267,21 @@ class TestRunRecords:
                                      monomodal_config(n_agents=10, t_end=0.1)],
                              ids=["continuum", "regulate-mono"])
     def test_static_target_is_convolved_once_per_run(self, cfg, monkeypatch):
-        # the target's velocity field is computed at the first controller
-        # evaluation and taken from the cache at every later one
+        # the target's velocity field is a constant of the run: convolved
+        # when the controller is built, then handed to every feedback
         targets, convolved = [], []
 
-        def feedback(rho, rho_d, *args):
+        def feedback(rho, v, rho_d, *args):
             targets.append(rho_d)
-            return compute_feedback(rho, rho_d, *args)
+            return compute_feedback(rho, v, rho_d, *args)
 
         def convolve(samples, density):
             convolved.append(density)
-            return circular_convolve(samples, density)
+            return velocity_field(samples, density)
 
         monkeypatch.setattr(scenarios, "compute_feedback", feedback)
-        monkeypatch.setattr(kernels, "circular_convolve", convolve)
+        for module in (scenarios, dynamics):
+            monkeypatch.setattr(module, "velocity_field", convolve)
         (run_continuum_scenario if cfg.scenario == "continuum" else run_microscopic)(cfg)
         assert len(targets) > 1 and all(t is targets[0] for t in targets)
         assert sum(d is targets[0] for d in convolved) == 1
@@ -290,9 +298,10 @@ class TestRunRecords:
 
         def convolve(*args):
             calls.append(args)
-            return circular_convolve(*args)
+            return velocity_field(*args)
 
-        monkeypatch.setattr(kernels, "circular_convolve", convolve)
+        for module in (scenarios, dynamics):
+            monkeypatch.setattr(module, "velocity_field", convolve)
         if cfg.scenario == "continuum":
             rec = run_continuum_scenario(cfg)
             assert len(calls) == rec.metadata["continuum_steps"] + 2
@@ -330,10 +339,10 @@ class TestRunRecords:
         # rho below 1e-6 of its mean there
         zeroed = []
 
-        def spy(rho, q, **kwargs):
-            floor = 1e-6 * rho.values.mean()
-            zeroed.append(bool((rho.values < floor).any()))
-            return velocity_control(rho, q, **kwargs)
+        def spy(rho, q, spacing, starved):
+            floor = 1e-6 * rho.mean()
+            zeroed.append(bool((rho < floor).any()))
+            return velocity_control(rho, q, spacing, starved)
 
         monkeypatch.setattr(scenarios, "velocity_control", spy)
         rec = run_microscopic(monomodal_config(n_agents=5, t_end=0.3, record_agents=False,
@@ -351,14 +360,15 @@ class TestRunRecords:
         rec = run_continuum_scenario(cfg)
         controller = scenarios._Controller(cfg, on_starved="raise")
         start = ContinuumState(von_mises_density(0.0, 0.0, 50.0, controller.grid))
-        run = run_continuum(start, controller.kernel, lambda s: controller(s.rho, s.t),
-                            cfg.t_end, cfl=cfg.cfl, dt_max=cfg.dt,
-                            sample_every=cfg.sample_every)
-        fresh = [scenarios._Controller(cfg, on_starved="raise")(s.rho, s.t) for s in run]
+        run = run_continuum(start, controller.kernel, controller, cfg.t_end, cfl=cfg.cfl,
+                            dt_max=cfg.dt, sample_every=cfg.sample_every)
+        fresh = [scenarios._Controller(cfg, on_starved="raise")(
+                     s.rho.values, velocity_field(controller.samples, s.rho.values), s.t)
+                 for s in run]
         assert len(run) == len(rec.metrics) == 5
-        assert all(np.array_equal(applied.values, u.values)
+        assert all(np.array_equal(applied, u)
                    for applied, u in zip(run.u_fields, fresh, strict=True))
-        assert [row[3] for row in rec.metrics] == [float(np.abs(u.values).max()) for u in fresh]
+        assert [row[3] for row in rec.metrics] == [float(np.abs(u).max()) for u in fresh]
         meta = rec.metadata
         assert (meta["continuum_steps"], meta["continuum_dt_min"], meta["continuum_dt_max"]) \
             == (run.steps, run.dt_min, run.dt_max)
@@ -374,6 +384,114 @@ class TestRunRecords:
         monkeypatch.setattr(scenarios, "compute_feedback", counted)
         rec = run_continuum_scenario(continuum_config(t_end=0.2))
         assert len(calls) == rec.metadata["continuum_steps"] + 1
+
+    def test_each_step_calls_continuum_velocity_by_its_module_name(self, monkeypatch):
+        # perfbench counts the continuum's updates by wrapping
+        # dynamics.continuum_velocity; a rename or a local alias in the loop
+        # would read 0 updates there and fails here instead
+        calls = []
+        original = dynamics.continuum_velocity
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(dynamics, "continuum_velocity", counted)
+        rec = run_continuum_scenario(continuum_config(t_end=0.2))
+        assert len(calls) == rec.metadata["continuum_steps"] > 100
+
+    def test_grid_functions_are_built_per_sample_not_per_step(self, monkeypatch):
+        built = []
+        post_init = GridFunction.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(GridFunction, "__post_init__", counted)
+        cfg = continuum_config(t_end=0.2)
+        rec = run_continuum_scenario(cfg)
+        samples = len(rec.metrics)
+        assert rec.metadata["continuum_steps"] > 100
+        # per sample its state, and two for the record's error norm; a few
+        # more per run
+        assert len(built) <= 3 * samples + 5
+
+    def test_run_replays_the_direct_step_oracle(self):
+        # the plain per-step loop written out here, the Rusanov step as its
+        # np.roll formula, against run_continuum driven by the scenario's
+        # controller: sampled states, U fields, step count and step extremes
+        # are bitwise equal
+        cfg = continuum_config(t_end=0.2)
+        controller = scenarios._Controller(cfg, on_starved="raise")
+        grid, kernel = controller.grid, controller.kernel
+        spacing, mass = grid.spacing, float(cfg.n_agents)
+        start = ContinuumState(von_mises_density(0.0, 0.0, mass, grid))
+        run = run_continuum(start, kernel, controller, cfg.t_end, cfl=cfg.cfl, dt_max=cfg.dt,
+                            sample_every=cfg.sample_every)
+
+        samples = kernel.sample_on_grid(grid)
+        rho_d = von_mises_density(cfg.mu, cfg.concentration, mass, grid).values
+        v_d = velocity_field(samples, rho_d)
+        gains = ControllerGains(cfg.kp)
+
+        def control(rho):
+            v = velocity_field(samples, rho)
+            q = compute_feedback(rho, v, rho_d, v_d, gains, spacing)
+            starved = rho < starvation_floor(rho, spacing)
+            assert not starved.any()
+            return v, velocity_control(rho, q, spacing, starved)
+
+        rho, t, k = start.rho.values, 0.0, 1
+        states, u_fields, steps = [(t, rho)], [], []
+        while t < cfg.t_end - 1e-12:
+            target = min(k * cfg.sample_every, cfg.t_end)
+            v, u = control(rho)
+            if len(u_fields) < len(states):
+                u_fields.append(u)
+            w = v + u
+            dt = min(cfg.cfl * spacing / float(np.abs(w).max()), cfg.dt, target - t)
+            flux = rho * w
+            a = np.maximum(np.abs(w), np.abs(np.roll(w, -1)))
+            face = 0.5 * (flux + np.roll(flux, -1)) - 0.5 * a * (np.roll(rho, -1) - rho)
+            rho = np.maximum(rho - (dt / spacing) * (face - np.roll(face, 1)), 0.0)
+            t += dt
+            steps.append(dt)
+            if t >= target - 1e-12:
+                states.append((t, rho))
+                k += 1
+        u_fields.append(control(rho)[1])
+
+        assert [s.t for s in run] == [t for t, _ in states]
+        assert all(np.array_equal(s.rho.values, r) for s, (_, r) in zip(run, states, strict=True))
+        assert all(np.array_equal(a, b) for a, b in zip(run.u_fields, u_fields, strict=True))
+        assert (run.steps, run.dt_min, run.dt_max) == (len(steps), min(steps), max(steps))
+        rec = run_continuum_scenario(cfg)
+        assert (rec.metadata["continuum_steps"], rec.metadata["continuum_dt_min"],
+                rec.metadata["continuum_dt_max"]) == (len(steps), min(steps), max(steps))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("cfg", [continuum_config(t_end=0.1),
+                                     monomodal_config(n_agents=10, t_end=0.1)],
+                             ids=["continuum", "regulate-mono"])
+    def test_non_finite_feedback_stops_the_run(self, cfg, bad, monkeypatch):
+        # the loop runs on plain arrays, so nothing else checks q: a
+        # non-finite entry injected at the fifth update must stop the run
+        # with a message instead of returning a record
+        calls = []
+
+        def poisoned(*args):
+            q = compute_feedback(*args)
+            calls.append(q)
+            if len(calls) == 5:
+                q[17] = bad
+            return q
+
+        monkeypatch.setattr(scenarios, "compute_feedback", poisoned)
+        run = run_continuum_scenario if cfg.scenario == "continuum" else run_microscopic
+        with pytest.raises((RuntimeError, ValueError), match="non-finite feedback q"):
+            run(cfg)
+        assert len(calls) == 5
 
 
 class TestSweeps:
