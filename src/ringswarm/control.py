@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import velocity_field  # noqa: F401 (unused; a perfbench span hook's name)
-from .ring import GridFunction, central_difference, wrap_angle
+from .ring import TWO_PI, central_difference, integrate, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class ControllerGains:
 
 
 def compute_feedback(rho: np.ndarray, v: np.ndarray, rho_d: np.ndarray, v_d: np.ndarray,
-                     gains: ControllerGains, spacing: float) -> np.ndarray:
+                     gains: ControllerGains) -> np.ndarray:
     """The mass source q = kp*e - [e*Vd]_x - [rho_d*Ve]_x with e = rho_d - rho.
 
     Arrays on one grid: the density ``rho`` and its velocity field
@@ -45,19 +45,18 @@ def compute_feedback(rho: np.ndarray, v: np.ndarray, rho_d: np.ndarray, v_d: np.
     flux_e = v_d - v  # Ve, then rho_d * Ve
     flux_e *= rho_d
     q = gains.kp * e
-    q -= central_difference(e * v_d, spacing)
-    q -= central_difference(flux_e, spacing)
+    q -= central_difference(e * v_d)
+    q -= central_difference(flux_e)
     return q
 
 
-def starvation_floor(rho: np.ndarray, spacing: float) -> float:
+def starvation_floor(rho: np.ndarray) -> float:
     """Density below which a node is starved: 1e-6 of the uniform level
     mass / (2*pi)."""
-    return 1e-6 * float(spacing * rho.sum()) / (2.0 * np.pi)
+    return 1e-6 * integrate(rho) / (2.0 * np.pi)
 
 
-def velocity_control(rho: np.ndarray, q: np.ndarray, spacing: float,
-                     starved: np.ndarray) -> np.ndarray:
+def velocity_control(rho: np.ndarray, q: np.ndarray, starved: np.ndarray) -> np.ndarray:
     """Solve [rho * U]_x = -q: U = -(Q + C) / rho with Q a trapezoid
     running integral of q, all three arrays on one grid.
 
@@ -72,11 +71,12 @@ def velocity_control(rho: np.ndarray, q: np.ndarray, spacing: float,
     the density high wherever inputs are actually sampled, zeroes).
     """
     # The trapezoid running integral of q is spacing * (cumsum(q) - q/2) up
-    # to a constant, which C absorbs; the spacing rides on the weights.
+    # to a constant, which C absorbs; the spacing 2*pi/m rides on the weights,
+    # which are 0 on the starved nodes.
     cum = q.cumsum()
     cum -= 0.5 * q
     any_starved = starved.any()
-    weight = spacing / (np.where(starved, np.inf, rho) if any_starved else rho)  # 0 if starved
+    weight = (TWO_PI / rho.size) / (np.where(starved, np.inf, rho) if any_starved else rho)
     u = (cum * weight).sum() / weight.sum() - cum
     u *= weight
     if any_starved:
@@ -84,11 +84,11 @@ def velocity_control(rho: np.ndarray, q: np.ndarray, spacing: float,
     return u
 
 
-def sample_agent_inputs(u_field: GridFunction, positions) -> np.ndarray:
-    """Evaluate U at agent positions by periodic linear interpolation."""
-    grid = u_field.grid
+def sample_agent_inputs(u: np.ndarray, positions) -> np.ndarray:
+    """Evaluate the U samples ``u`` at agent positions by periodic linear
+    interpolation."""
     pos = wrap_angle(positions)
-    s = (pos + np.pi) / grid.spacing
+    s = (pos + np.pi) / (TWO_PI / u.size)
     # Positions sitting on a node must sample it exactly; rounding noise in
     # (pos + pi)/spacing would otherwise leak a neighbour's value in.
     nearest = np.round(s)
@@ -97,7 +97,6 @@ def sample_agent_inputs(u_field: GridFunction, positions) -> np.ndarray:
     frac = s - below
     # s lies in [0, m], so j + 1 is at most m + 1: both nodes are read from
     # the values extended by their first two, which also wraps them
-    v = u_field.values
-    extended = np.concatenate((v, v[:2]))
+    extended = np.concatenate((u, u[:2]))
     j = below.astype(int)
     return extended[j] * (1.0 - frac) + extended[j + 1] * frac

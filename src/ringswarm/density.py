@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ring import TWO_PI, GridFunction, RingGrid, integrate
+from .ring import TWO_PI, RingGrid, integrate
 
 KL_FLOOR = 1e-12
 # A Gaussian factor exp(-t^2 / 2) underflows to 0 beyond this |t|.
@@ -40,7 +40,8 @@ class WrappedGaussianEstimator:
 
     Each agent contributes one bump of width ``bandwidth``, summed over all
     its periodic images, so it integrates to 1 on the circle; the estimate
-    of N agents integrates to N and is nonnegative.
+    of N agents integrates to N and is nonnegative.  A non-finite position
+    raises.
 
     The estimate is a grid convolution that is exact to roundoff (about
     1e-14 of its peak).  Agent i sits at its nearest node j_i, off by
@@ -84,10 +85,12 @@ class WrappedGaussianEstimator:
         spectra.setflags(write=False)
         return spectra
 
-    def estimate(self, positions) -> GridFunction:
+    def estimate(self, positions) -> np.ndarray:
         positions = np.asarray(positions, dtype=float)
         if positions.size == 0:
             raise ValueError("density of an empty swarm is undefined")
+        if not np.isfinite(positions).all():
+            raise ValueError("agent positions must all be finite")
         spectra = self._moment_spectra
         n_terms, m = spectra.shape[0], self.grid.m
         # delta from the exact difference to the nearest node (past the last
@@ -104,31 +107,36 @@ class WrappedGaussianEstimator:
         spectrum = np.einsum("pk,pk->k", spectra, np.fft.rfft(moments, axis=1))
         values = np.fft.irfft(spectrum, n=m)
         np.clip(values, 0.0, None, out=values)  # roundoff negatives in the far tails
-        return GridFunction(self.grid, values)
+        return values
 
 
-def von_mises_density(mu: float, concentration: float, mass: float, grid: RingGrid) -> GridFunction:
-    """von Mises profile mass * exp(k cos(x - mu)) / (2*pi*I0(k)).
-
-    Strictly positive and integrates to ``mass``; k = 0 degenerates to the
-    uniform density mass / (2*pi).
-    """
+def _checked_profile(values: np.ndarray, concentration: float) -> np.ndarray:
+    """Profile samples, refused for a negative concentration or an overflow."""
     if concentration < 0:
         raise ValueError("concentration must be nonnegative")
+    if not np.isfinite(values).all():
+        raise ValueError(f"the target density overflows at concentration {concentration}")
+    return values
+
+
+def von_mises_density(mu: float, concentration: float, mass: float, grid: RingGrid) -> np.ndarray:
+    """von Mises profile mass * exp(k cos(x - mu)) / (2*pi*I0(k)) at the nodes.
+
+    Strictly positive and integrates to ``mass``; k = 0 degenerates to the
+    uniform density mass / (2*pi).  Overflow raises.
+    """
     values = mass * np.exp(concentration * np.cos(grid.nodes - mu))
     values /= 2.0 * np.pi * np.i0(concentration)
-    return GridFunction(grid, values)
+    return _checked_profile(values, concentration)
 
 
 def bimodal_density(mu1: float, mu2: float, concentration: float, mass: float,
-                    grid: RingGrid) -> GridFunction:
-    """Equal-weight combination of two von Mises profiles of total ``mass``."""
-    if concentration < 0:
-        raise ValueError("concentration must be nonnegative")
+                    grid: RingGrid) -> np.ndarray:
+    """Two equal-weight von Mises profiles of total ``mass``; overflow raises."""
     k = concentration
     values = np.exp(k * np.cos(grid.nodes - mu1)) + np.exp(k * np.cos(grid.nodes - mu2))
     values *= mass / (4.0 * np.pi * np.i0(k))
-    return GridFunction(grid, values)
+    return _checked_profile(values, k)
 
 
 @dataclass(frozen=True)
@@ -186,41 +194,40 @@ TargetProgram = MonomodalTarget | BimodalTarget | TrackingTarget
 
 
 def target_at(program: TargetProgram, t: float, grid: RingGrid):
-    """Desired density and its time derivative at time t.
+    """Desired density and its time derivative at time t, as node samples.
 
     Static programs return a zero time-derivative field.  For the tracking
     program the derivative is analytic: d/dt rho_d = mu_dot * k * sin(x - mu) * rho_d.
     """
     if isinstance(program, MonomodalTarget):
         rho_d = von_mises_density(program.mu, program.concentration, program.mass, grid)
-        return rho_d, GridFunction(grid, np.zeros(grid.m))
+        return rho_d, np.zeros(grid.m)
     if isinstance(program, BimodalTarget):
         rho_d = bimodal_density(program.mu1, program.mu2, program.concentration,
                                 program.mass, grid)
-        return rho_d, GridFunction(grid, np.zeros(grid.m))
+        return rho_d, np.zeros(grid.m)
     if isinstance(program, TrackingTarget):
         mu, mu_dot = program.schedule.mean_at(t)
         k = program.concentration
         rho_d = von_mises_density(mu, k, program.mass, grid)
-        dt_values = mu_dot * k * np.sin(grid.nodes - mu) * rho_d.values
-        return rho_d, GridFunction(grid, dt_values)
+        return rho_d, mu_dot * k * np.sin(grid.nodes - mu) * rho_d
     raise TypeError(f"unknown target program {type(program).__name__}")
 
 
-def l2_norm(f: GridFunction) -> float:
+def l2_norm(f: np.ndarray) -> float:
     """L2 norm over one period, sqrt(integral of f^2)."""
-    return float(np.sqrt(integrate(GridFunction(f.grid, f.values**2))))
+    return float(np.sqrt(integrate(f**2)))
 
 
-def kl_divergence(rho: GridFunction, rho_d: GridFunction) -> float:
+def kl_divergence(rho: np.ndarray, rho_d: np.ndarray) -> float:
     """KL divergence D(rho_hat || rho_d_hat) between grid-normalised densities.
 
     Both sample vectors are floored at 1e-12 and rescaled so their sums are
     1 before taking sum p * log(p/q); always nonnegative, zero iff the
     normalised fields coincide.
     """
-    p = np.maximum(rho.values, KL_FLOOR)
-    q = np.maximum(rho_d.values, KL_FLOOR)
+    p = np.maximum(rho, KL_FLOOR)
+    q = np.maximum(rho_d, KL_FLOOR)
     p = p / p.sum()
     q = q / q.sum()
     return float(np.sum(p * np.log(p / q)))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .control import sample_agent_inputs
 from .kernels import MorseKernel, velocity_field
-from .ring import GridFunction, wrap_angle
+from .ring import TWO_PI, GridFunction, wrap_angle
 
 SCHEMES = ("euler", "rk4")
 
@@ -33,10 +33,6 @@ class SwarmState:
         pos = wrap_angle(self.positions).copy()
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
-
-    @property
-    def n_agents(self):
-        return self.positions.size
 
 
 @dataclass(frozen=True)
@@ -68,9 +64,8 @@ def even_lattice(n: int) -> np.ndarray:
 # then the signs and shifts as columns, the classes behind first.  Below a
 # spread of pi only the own-image classes can hold agents, and they read
 # the unsearched table.
-_TWO_PI = 2.0 * np.pi
 _FOUR_CLASSES = (np.array([[2, 9, 3, 8], [4, 7, 5, 6]]), np.array([[1.0], [1.0], [-1.0], [-1.0]]),
-                 np.array([[0.0], [-_TWO_PI], [_TWO_PI], [0.0]]))
+                 np.array([[0.0], [-TWO_PI], [TWO_PI], [0.0]]))
 _OWN_IMAGE_CLASSES = (np.array([[2, 1], [0, 3]]), np.array([[1.0], [-1.0]]), np.zeros((2, 1)))
 # The cut pair _count_above searches: pi and its neighbour towards -inf.
 _PI_PAIR = np.array([[np.pi], [np.nextafter(np.pi, -np.inf)]])
@@ -117,7 +112,7 @@ def _count_table(y, search):
     np.maximum.accumulate(np.where(new, np.arange(n), 0), out=table[2])
     if search:
         table[3:5] = _count_above(y, _PI_PAIR)
-        table[5] = 0 if y[-1] - y[0] < _TWO_PI else _count_above(y, np.nextafter([[_TWO_PI]], 0))
+        table[5] = 0 if y[-1] - y[0] < TWO_PI else _count_above(y, np.nextafter([[TWO_PI]], 0))
     flat = (table[2:2 + known] + (n + 1) * np.arange(known)[:, None]).ravel()
     tally = np.bincount(flat, minlength=known * (n + 1))
     table[2 + known:] = tally.reshape(-1, n + 1).cumsum(axis=1)[:, :n]
@@ -218,32 +213,32 @@ def _interaction_sum(positions: np.ndarray, kernel: MorseKernel) -> np.ndarray:
 
 
 def microscopic_rhs(positions: np.ndarray, kernel: MorseKernel,
-                    u_field: GridFunction | None) -> np.ndarray:
-    """Agent velocities: the interaction sums plus, unless ``u_field`` is
-    None (the open loop), the control U sampled at the positions."""
+                    u: np.ndarray | None) -> np.ndarray:
+    """Agent velocities: the interaction sums plus, unless the U samples
+    ``u`` are None (the open loop), the control sampled at the positions."""
     du = _interaction_sum(positions, kernel)
-    if u_field is not None:
-        du += sample_agent_inputs(u_field, positions)
+    if u is not None:
+        du += sample_agent_inputs(u, positions)
     return du
 
 
-def step_swarm(state: SwarmState, kernel: MorseKernel, u_field: GridFunction | None,
+def step_swarm(state: SwarmState, kernel: MorseKernel, u: np.ndarray | None,
                integrator: IntegratorSpec) -> SwarmState:
     """Advance one dt.
 
-    ``u_field`` is the velocity control U evaluated at the pre-step state
-    (None for the open loop); it stays frozen across the step and is
-    re-sampled at the staged agent positions.
+    ``u`` holds the velocity control U at the grid nodes, evaluated at the
+    pre-step state (None for the open loop); it stays frozen across the
+    step and is re-sampled at the staged agent positions.
     """
     x = state.positions
     dt = integrator.dt
     if integrator.scheme == "euler":
-        x_new = x + dt * microscopic_rhs(x, kernel, u_field)
+        x_new = x + dt * microscopic_rhs(x, kernel, u)
     else:
-        k1 = microscopic_rhs(x, kernel, u_field)
-        k2 = microscopic_rhs(x + 0.5 * dt * k1, kernel, u_field)
-        k3 = microscopic_rhs(x + 0.5 * dt * k2, kernel, u_field)
-        k4 = microscopic_rhs(x + dt * k3, kernel, u_field)
+        k1 = microscopic_rhs(x, kernel, u)
+        k2 = microscopic_rhs(x + 0.5 * dt * k1, kernel, u)
+        k3 = microscopic_rhs(x + 0.5 * dt * k2, kernel, u)
+        k4 = microscopic_rhs(x + dt * k3, kernel, u)
         x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(x_new)):
         raise RuntimeError(f"non-finite agent position at t={state.t + dt:.6f}; run aborted")
@@ -252,9 +247,9 @@ def step_swarm(state: SwarmState, kernel: MorseKernel, u_field: GridFunction | N
 
 @dataclass(frozen=True)
 class ContinuumState:
-    """Grid-sampled density (the N = infinity description) and the clock."""
+    """Density at the grid nodes (the N = infinity description) and the clock."""
 
-    rho: GridFunction
+    rho: np.ndarray
     t: float = 0.0
 
 
@@ -270,7 +265,7 @@ def continuum_velocity(rho: np.ndarray, t: float, kernel_samples: GridFunction, 
     return (v, None) if u is None else (v + u, u)
 
 
-def _rusanov_advance(r: np.ndarray, w: np.ndarray, dt: float, spacing: float) -> np.ndarray:
+def _rusanov_advance(r: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
     """Conservative update of the density samples r under the frozen speed
     field w; a negative or non-finite result raises."""
     m = r.size
@@ -289,7 +284,7 @@ def _rusanov_advance(r: np.ndarray, w: np.ndarray, dt: float, spacing: float) ->
     r_new = np.empty(m)  # the backward difference of the faces, then the update
     np.subtract(face[1:], face[:-1], out=r_new[1:])
     r_new[0] = face[0] - face[-1]
-    r_new *= dt / spacing
+    r_new *= dt / (TWO_PI / m)
     np.subtract(r, r_new, out=r_new)
     low = r_new.min()
     if not low >= -1e-12:
@@ -299,7 +294,7 @@ def _rusanov_advance(r: np.ndarray, w: np.ndarray, dt: float, spacing: float) ->
     return r_new
 
 
-def max_stable_dt(w: np.ndarray, spacing: float, cfl: float) -> float:
+def max_stable_dt(w: np.ndarray, cfl: float) -> float:
     """Largest admissible step cfl * spacing / max|w| for the speed field w;
     a non-finite speed raises, since it would give a zero step."""
     top = float(np.abs(w).max())
@@ -307,7 +302,7 @@ def max_stable_dt(w: np.ndarray, spacing: float, cfl: float) -> float:
         raise RuntimeError("non-finite advection speed; run aborted")
     if top == 0.0:
         return np.inf
-    return cfl * spacing / top
+    return cfl * (TWO_PI / w.size) / top
 
 
 @dataclass(frozen=True)
@@ -332,21 +327,20 @@ class ContinuumRun(Sequence):
         return self.states[index]
 
 
-def run_continuum(state: ContinuumState, kernel: MorseKernel, control, t_end: float, *,
+def run_continuum(state: ContinuumState, kernel_samples: GridFunction, control, t_end: float, *,
                   cfl: float = 0.4, dt_max: float = 1e-3,
                   sample_every: float = 0.05) -> ContinuumRun:
     """Advance to t_end with adaptive CFL-limited steps; returns the sampled
     states with the control of each (see ``ContinuumRun``).
 
-    ``control`` is None or, as in ``continuum_velocity``, maps the density
-    array, its V and the time to U.  Steps land exactly on the sampling
+    ``kernel_samples`` come from ``MorseKernel.sample_on_grid``.  ``control``
+    is None or, as in ``continuum_velocity``, maps the density array, its V
+    and the time to U.  Steps land exactly on the sampling
     instants, the multiples of ``sample_every`` after the start
     ``state.t``, so trajectories are reproducible regardless of the
     adaptive step history in between.
     """
-    grid = state.rho.grid
-    samples = kernel.sample_on_grid(grid)
-    rho, t = state.rho.values, state.t
+    rho, t = state.rho, state.t
     states, u_fields = [state], []
     steps, shortest, longest = 0, math.inf, 0.0
     k = int(t // sample_every) + 1
@@ -354,18 +348,19 @@ def run_continuum(state: ContinuumState, kernel: MorseKernel, control, t_end: fl
         k += 1
     while t < t_end - 1e-12:
         target = min(k * sample_every, t_end)
-        w, u = continuum_velocity(rho, t, samples, control)
+        w, u = continuum_velocity(rho, t, kernel_samples, control)
         if len(u_fields) < len(states):  # the step from a sampled state
             u_fields.append(u)
-        dt = min(max_stable_dt(w, grid.spacing, cfl), dt_max, target - t)
-        rho = _rusanov_advance(rho, w, dt, grid.spacing)
+        dt = min(max_stable_dt(w, cfl), dt_max, target - t)
+        rho = _rusanov_advance(rho, w, dt)
         t += dt
         steps += 1
         shortest, longest = min(shortest, dt), max(longest, dt)
         if t >= target - 1e-12:
-            states.append(ContinuumState(GridFunction(grid, rho), t))
+            states.append(ContinuumState(rho, t))
             k += 1
-    u_fields.append(None if control is None else control(rho, velocity_field(samples, rho), t))
+    u_fields.append(None if control is None
+                    else control(rho, velocity_field(kernel_samples, rho), t))
     if not steps:
         shortest = longest = math.nan
     return ContinuumRun(tuple(states), tuple(u_fields), steps, shortest, longest)

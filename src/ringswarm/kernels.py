@@ -8,7 +8,6 @@ grid.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -42,9 +41,9 @@ class MorseKernel:
         e_att = np.exp(-a / self.attraction_length)
         return self.strength * np.sign(z) * (np.exp(-a) - self.attraction_strength * e_att)
 
-    @lru_cache(maxsize=64)  # bounded, since each entry keeps its kernel alive
     def sample_on_grid(self, grid: RingGrid) -> GridFunction:
-        """Kernel sampled at the node angles (wrapped offsets), cached per grid.
+        """Kernel sampled at the node angles (wrapped offsets); a run builds
+        them once and keeps them.
 
         The kernel does not vanish at +-pi, so the circle sees a jump at the
         antipode where only the -pi side is representable.  That node takes

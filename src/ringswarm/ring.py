@@ -4,7 +4,9 @@ Everything downstream (interaction velocities, density estimation, the
 feedback law, both solvers) builds on the uniform grid and the periodic
 primitives defined here: angle wrapping, the kernel spectrum of a
 circular convolution, central differences and the trapezoid quadrature.
-The periodic stencils are plain-array functions sliced without np.roll.
+A field is the plain array of its m node samples, so its spacing 2*pi/m
+follows from its length; the stencils slice it without np.roll.  Only
+kernel samples are a ``GridFunction``, with their grid and cached spectrum.
 """
 
 from dataclasses import dataclass
@@ -53,21 +55,19 @@ class RingGrid:
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Real-valued samples on a RingGrid, value j taken at node x_j; equality
+    """A convolution kernel's finite, read-only samples on a RingGrid (value j
+    at node x_j read as a wrapped offset) with their cached spectrum; equality
     and hashing go by identity (a sample array has no single truth value)."""
 
     grid: RingGrid
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)  # a copy
         if values.shape != (self.grid.m,):
-            raise ValueError(
-                f"expected {self.grid.m} samples, got shape {values.shape}"
-            )
+            raise ValueError(f"expected {self.grid.m} samples, got shape {values.shape}")
         if not np.isfinite(values).all():
             raise ValueError("grid function samples must all be finite")
-        values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -84,16 +84,16 @@ class GridFunction:
         return spectrum
 
 
-def central_difference(v: np.ndarray, spacing: float) -> np.ndarray:
+def central_difference(v: np.ndarray) -> np.ndarray:
     """(v_{j+1} - v_{j-1}) / (2*spacing) of periodic samples, by slicing."""
     d = np.empty_like(v)
     np.subtract(v[2:], v[:-2], out=d[1:-1])
     d[0] = v[1] - v[-1]
     d[-1] = v[0] - v[-2]
-    d /= 2.0 * spacing
+    d /= 2.0 * (TWO_PI / v.size)
     return d
 
 
-def integrate(field: GridFunction) -> float:
+def integrate(values: np.ndarray) -> float:
     """Periodic trapezoid rule (equals the rectangle rule on a closed ring)."""
-    return float(field.grid.spacing * field.values.sum())
+    return float((TWO_PI / values.size) * values.sum())

@@ -48,7 +48,7 @@ from .dynamics import (
 )
 from .kernels import MorseKernel, velocity_field
 from .records import RunRecord
-from .ring import GridFunction, RingGrid, integrate, wrap_angle
+from .ring import RingGrid, integrate, wrap_angle
 
 DEFAULT_SWEEP_N = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, "inf")
 DEFAULT_NOISE_DBW = (0.0, 20.0, 40.0, 60.0, 80.0)
@@ -114,11 +114,6 @@ class ScenarioConfig:
             raise ValueError(f"grid_m must be even and at least 4, got {self.grid_m}")
         if not 0 < self.cfl <= 1:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.bandwidth >= math.pi:
-            raise ValueError(f"bandwidth must be below pi, got {self.bandwidth}")
-        if self.bandwidth < 2.0 * math.pi / self.grid_m:
-            raise ValueError(f"bandwidth={self.bandwidth} is below the grid spacing "
-                             f"2*pi/{self.grid_m}")
         for name, allowed in (("scheme", SCHEMES), ("initial", INITIAL_LAYOUTS)):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
@@ -136,6 +131,12 @@ class ScenarioConfig:
             if round(steps) < 1 or abs(steps - round(steps)) > 1e-6:
                 raise ValueError(f"{name}={getattr(self, name)} is not a whole multiple "
                                  f"of dt={self.dt}")
+        # Refused as in the run: a bandwidth outside [spacing, pi), and, without
+        # numpy's warnings, a target that overflows (none peaks above its t = 0).
+        grid = RingGrid(self.grid_m)
+        WrappedGaussianEstimator(self.bandwidth, grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            target_at(build_target(self), 0.0, grid)
 
     @property
     def dt_stability_bound(self) -> float:
@@ -216,20 +217,19 @@ def _base_metadata(config: ScenarioConfig) -> dict:
     return meta
 
 
-def _record_sample(record: RunRecord, config: ScenarioConfig, t: float, rho: GridFunction,
-                   rho_d: GridFunction, u: np.ndarray, positions=None):
+def _record_sample(record: RunRecord, config: ScenarioConfig, t: float, nodes: np.ndarray,
+                   rho: np.ndarray, rho_d: np.ndarray, u: np.ndarray, positions=None):
     """Append one sample: the metrics row, then the agent and density rows
-    the config asks for.  ``u`` is the control at the agents, or the U field
-    on the grid when there are no ``positions`` (the continuum)."""
-    grid = rho.grid
-    e = GridFunction(grid, rho_d.values - rho.values)
-    record.metrics.append((t, kl_divergence(rho, rho_d), l2_norm(e), float(np.abs(u).max())))
+    the config asks for, the fields taken at the node angles ``nodes``.  ``u``
+    is the control at the agents, or the U field without ``positions``."""
+    record.metrics.append((t, kl_divergence(rho, rho_d), l2_norm(rho_d - rho),
+                           float(np.abs(u).max())))
     if positions is not None and config.record_agents:
         record.agents.extend(zip([t] * positions.size, range(positions.size),
                                  positions.tolist(), u.tolist()))
     if config.record_density:
-        record.density.extend(zip([t] * grid.m, grid.nodes.tolist(), rho.values.tolist(),
-                                  rho_d.values.tolist()))
+        record.density.extend(zip([t] * nodes.size, nodes.tolist(), rho.tolist(),
+                                  rho_d.tolist()))
 
 
 class _Controller:
@@ -253,13 +253,13 @@ class _Controller:
         self.target = (None if isinstance(self.program, TrackingTarget)
                        else target_at(self.program, 0.0, self.grid)[0])
         self.target_v = (None if self.target is None
-                         else velocity_field(self.samples, self.target.values))
+                         else velocity_field(self.samples, self.target))
         self.gains = ControllerGains(config.kp)
         self.rng = None if config.noise_power_dbw is None else np.random.default_rng(config.seed)
         self.q_integral_worst = 0.0
         self.starved_updates = 0
 
-    def desired(self, t: float) -> GridFunction:
+    def desired(self, t: float) -> np.ndarray:
         """The target density rho_d at time ``t``."""
         return self.target if self.target is not None else target_at(self.program, t, self.grid)[0]
 
@@ -268,16 +268,16 @@ class _Controller:
         velocity field ``v`` at time ``t``, or None in the open loop."""
         if self.config.scenario == "open-loop":
             return None
-        spacing, rho_d = self.grid.spacing, self.desired(t).values
+        rho_d = self.desired(t)
         v_d = self.target_v if self.target is not None else velocity_field(self.samples, rho_d)
-        q = compute_feedback(rho, v, rho_d, v_d, self.gains, spacing)
+        q = compute_feedback(rho, v, rho_d, v_d, self.gains)
         if self.rng is not None:
             q += self.rng.normal(0.0, _noise_std(self.config.noise_power_dbw), self.grid.m)
-        q_integral = abs(float(spacing * q.sum()))
+        q_integral = abs(integrate(q))
         if not math.isfinite(q_integral):
             raise RuntimeError(f"non-finite feedback q at t={t:.6f}; run aborted")
         self.q_integral_worst = max(self.q_integral_worst, q_integral)
-        floor = starvation_floor(rho, spacing)
+        floor = starvation_floor(rho)
         starved = rho < floor
         if starved.any():
             if self.on_starved == "raise":
@@ -286,7 +286,7 @@ class _Controller:
                     f"density {rho[j]:.3e} below floor {floor:.3e} at node {j} "
                     f"(x={self.grid.nodes[j]:+.4f}); the control would act as a source/sink")
             self.starved_updates += 1
-        return velocity_control(rho, q, spacing, starved)
+        return velocity_control(rho, q, starved)
 
 
 def run_microscopic(config: ScenarioConfig) -> RunRecord:
@@ -302,14 +302,12 @@ def run_microscopic(config: ScenarioConfig) -> RunRecord:
     stride = int(round(config.sample_every / config.dt))
     for i in range(n_steps + 1):
         rho_hat = estimator.estimate(state.positions)
-        u_values = controller(rho_hat.values,
-                              velocity_field(controller.samples, rho_hat.values), state.t)
-        u_field = None if u_values is None else GridFunction(controller.grid, u_values)
+        u_field = controller(rho_hat, velocity_field(controller.samples, rho_hat), state.t)
         if i % stride == 0 or i == n_steps:
-            u = (np.zeros(state.n_agents) if u_field is None
+            u = (np.zeros(state.positions.size) if u_field is None
                  else sample_agent_inputs(u_field, state.positions))
-            _record_sample(record, config, state.t, rho_hat, controller.desired(state.t), u,
-                           state.positions)
+            _record_sample(record, config, state.t, controller.grid.nodes, rho_hat,
+                           controller.desired(state.t), u, state.positions)
         if i < n_steps:
             state = step_swarm(state, controller.kernel, u_field, integrator)
     record.metadata["q_integral_worst"] = controller.q_integral_worst
@@ -323,13 +321,14 @@ def run_continuum_scenario(config: ScenarioConfig) -> RunRecord:
     controller = _Controller(config, on_starved="raise")
     mass = float(config.n_agents)
     rho0 = von_mises_density(0.0, 0.0, mass, controller.grid)  # uniform start, mass N
-    run = run_continuum(ContinuumState(rho0, 0.0), controller.kernel, controller, config.t_end,
+    run = run_continuum(ContinuumState(rho0, 0.0), controller.samples, controller, config.t_end,
                         cfl=config.cfl, dt_max=config.dt, sample_every=config.sample_every)
     record = RunRecord(config=asdict(config), metadata=_base_metadata(config))
     record.metadata["q_integral_worst"] = controller.q_integral_worst
     for s, u in zip(run, run.u_fields):
-        u = np.zeros(s.rho.grid.m) if u is None else u
-        _record_sample(record, config, s.t, s.rho, controller.desired(s.t), u)
+        u = np.zeros(s.rho.size) if u is None else u
+        _record_sample(record, config, s.t, controller.grid.nodes, s.rho,
+                       controller.desired(s.t), u)
     record.metadata["final_kl"] = record.final_kl()
     record.metadata["mass_drift"] = abs(integrate(run[-1].rho) - mass)
     record.metadata["continuum_steps"] = run.steps

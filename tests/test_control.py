@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from ringswarm import (
     ControllerGains,
-    GridFunction,
     MorseKernel,
     RingGrid,
     compute_feedback,
@@ -21,7 +20,9 @@ from ringswarm import (
 from ringswarm import scenarios
 from ringswarm.ring import central_difference
 
-from loop_parts import feedback, solve, starved_nodes
+from ringswarm.control import starvation_floor
+
+from loop_parts import feedback, solve
 
 
 @pytest.fixture
@@ -45,8 +46,7 @@ def positive_random_field(grid, rng, mass=50.0, modes=5):
         values += 0.5 / k * (rng.normal() * np.cos(k * grid.nodes)
                              + rng.normal() * np.sin(k * grid.nodes))
     values = np.abs(values) + 0.05
-    field = GridFunction(grid, values)
-    return GridFunction(grid, values * (mass / integrate(field)))
+    return values * (mass / integrate(values))
 
 
 @st.composite
@@ -65,12 +65,11 @@ def feedback_cases(draw):
 def two_convolution_feedback(rho, rho_d, kernel, gains):
     """The feedback with Ve convolved from e = rho_d - rho itself, as it was
     assembled before Ve = Vd - V(rho): the oracle for compute_feedback."""
-    grid = rho.grid
-    samples = kernel.sample_on_grid(grid)
-    e = rho_d.values - rho.values
-    v_desired, v_error = velocity_field(samples, rho_d.values), velocity_field(samples, e)
-    flux_d = central_difference(e * v_desired, grid.spacing)
-    flux_e = central_difference(rho_d.values * v_error, grid.spacing)
+    samples = kernel.sample_on_grid(RingGrid(rho.size))
+    e = rho_d - rho
+    v_desired, v_error = velocity_field(samples, rho_d), velocity_field(samples, e)
+    flux_d = central_difference(e * v_desired)
+    flux_e = central_difference(rho_d * v_error)
     return gains.kp * e - flux_d - flux_e
 
 
@@ -79,10 +78,10 @@ class TestComputeFeedback:
     @given(feedback_cases())
     def test_q_integral_vanishes_property(self, case):
         rho, rho_d, kernel, gains = case
-        error_size = integrate(GridFunction(rho.grid, np.abs(rho_d.values - rho.values)))
+        error_size = integrate(np.abs(rho_d - rho))
         q = feedback(rho, rho_d, kernel, gains)
         assert abs(integrate(q)) <= 1e-12 * (gains.kp * error_size + 1.0)
-        u = solve(rho, q).values
+        u = solve(rho, q)
         assert abs(u.sum()) <= 1e-12 * np.abs(u).sum()
 
     @settings(derandomize=True, deadline=None, max_examples=200)
@@ -90,12 +89,12 @@ class TestComputeFeedback:
     def test_matches_the_two_convolution_oracle(self, case):
         rho, rho_d, kernel, gains = case
         expected = two_convolution_feedback(rho, rho_d, kernel, gains)
-        q = feedback(rho, rho_d, kernel, gains).values
+        q = feedback(rho, rho_d, kernel, gains)
         assert np.abs(q - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_matched_densities_give_zero_feedback(self, grid, kernel, gains):
         rho_d = von_mises_density(0.0, 4.0, 50.0, grid)
-        assert np.all(feedback(rho_d, rho_d, kernel, gains).values == 0.0)
+        assert np.all(feedback(rho_d, rho_d, kernel, gains) == 0.0)
 
     def test_q_has_zero_integral_for_matched_mass(self, grid, kernel, gains):
         rho = von_mises_density(0.0, 0.0, 50.0, grid)  # uniform, mass 50
@@ -122,10 +121,10 @@ class TestComputeFeedback:
 
         e1 = zero_mass_error(0.6)
         e2 = zero_mass_error(0.9)
-        q1 = feedback(GridFunction(grid, rho_d.values - e1), rho_d, kernel, gains)
-        q2 = feedback(GridFunction(grid, rho_d.values - e2), rho_d, kernel, gains)
-        q12 = feedback(GridFunction(grid, rho_d.values - e1 - e2), rho_d, kernel, gains)
-        assert np.abs(q12.values - q1.values - q2.values).max() < 1e-10
+        q1 = feedback(rho_d - e1, rho_d, kernel, gains)
+        q2 = feedback(rho_d - e2, rho_d, kernel, gains)
+        q12 = feedback(rho_d - e1 - e2, rho_d, kernel, gains)
+        assert np.abs(q12 - q1 - q2).max() < 1e-10
 
     def test_error_equation_algebra(self, grid, kernel, gains):
         # Substituting q into the controlled law must reproduce the error
@@ -136,21 +135,20 @@ class TestComputeFeedback:
             rho = positive_random_field(grid, rng)
             rho_d = positive_random_field(grid, rng)
             q = feedback(rho, rho_d, kernel, gains)
-            e = rho_d.values - rho.values
+            e = rho_d - rho
             samples = kernel.sample_on_grid(grid)
-            v, v_desired, v_error = (velocity_field(samples, f) for f in (rho.values,
-                                                                           rho_d.values, e))
-            flux_dd = central_difference(rho_d.values * v_desired, grid.spacing)
-            flux = central_difference(rho.values * v, grid.spacing)
-            flux_ee = central_difference(e * v_error, grid.spacing)
-            residual = flux_dd - flux + q.values - gains.kp * e + flux_ee
-            assert l2_norm(GridFunction(grid, residual)) < 1e-8
+            v, v_desired, v_error = (velocity_field(samples, f) for f in (rho, rho_d, e))
+            flux_dd = central_difference(rho_d * v_desired)
+            flux = central_difference(rho * v)
+            flux_ee = central_difference(e * v_error)
+            residual = flux_dd - flux + q - gains.kp * e + flux_ee
+            assert l2_norm(residual) < 1e-8
 
     def test_grid_mismatch_rejected(self, gains):
-        rho = von_mises_density(0.0, 0.0, 50.0, RingGrid(128)).values
-        rho_d = von_mises_density(0.0, 4.0, 50.0, RingGrid(256)).values
+        rho = von_mises_density(0.0, 0.0, 50.0, RingGrid(128))
+        rho_d = von_mises_density(0.0, 4.0, 50.0, RingGrid(256))
         with pytest.raises(ValueError):
-            compute_feedback(rho, np.zeros(128), rho_d, np.zeros(256), gains, 2 * np.pi / 128)
+            compute_feedback(rho, np.zeros(128), rho_d, np.zeros(256), gains)
 
     def test_gain_validation(self):
         with pytest.raises(ValueError):
@@ -160,18 +158,18 @@ class TestComputeFeedback:
 class TestVelocityControl:
     def test_zero_q_gives_zero_field(self, grid):
         rho = von_mises_density(0.0, 0.0, 50.0, grid)
-        u = solve(rho, GridFunction(grid, np.zeros(grid.m)))
-        assert np.all(u.values == 0.0)
+        u = solve(rho, np.zeros(grid.m))
+        assert np.all(u == 0.0)
 
     def test_uniform_density_sine_source_antiderivative(self, grid):
         # [rho U]_x = -sin  =>  rho U = cos x + C; the zero-sum member of
         # that family on the uniform density N / (2*pi) is U = (2*pi/N) cos x.
         n = 50.0
         rho = von_mises_density(0.0, 0.0, n, grid)
-        q = GridFunction(grid, np.sin(grid.nodes))
+        q = np.sin(grid.nodes)
         u = solve(rho, q)
         expected = (2 * np.pi / n) * np.cos(grid.nodes)
-        assert np.abs(u.values - expected).max() < 1e-3
+        assert np.abs(u - expected).max() < 1e-3
 
     def test_flux_steps_are_trapezoid_steps(self, grid):
         # rho * U = -(Q + C), so between neighbouring nodes the flux falls by
@@ -179,21 +177,21 @@ class TestVelocityControl:
         # step closes the loop, by the integral of q
         rng = np.random.default_rng(58)
         rho = positive_random_field(grid, rng)
-        q = GridFunction(grid, rng.normal(size=grid.m))
-        flux = rho.values * solve(rho, q).values
-        steps = grid.spacing * 0.5 * (q.values[1:] + q.values[:-1])
+        q = rng.normal(size=grid.m)
+        flux = rho * solve(rho, q)
+        steps = grid.spacing * 0.5 * (q[1:] + q[:-1])
         assert np.abs(np.diff(flux) + steps).max() <= 1e-12 * np.abs(flux).max()
-        seam = flux[0] - flux[-1] + grid.spacing * 0.5 * (q.values[-1] + q.values[0])
+        seam = flux[0] - flux[-1] + grid.spacing * 0.5 * (q[-1] + q[0])
         assert seam == pytest.approx(integrate(q), abs=1e-12 * np.abs(flux).max())
 
     @pytest.mark.parametrize("m", [64, 128, 256])
     def test_discrete_consistency_order(self, m):
         grid = RingGrid(m)
         rho = von_mises_density(0.0, 2.0, 50.0, grid)
-        q = GridFunction(grid, np.sin(grid.nodes) + 0.4 * np.cos(2 * grid.nodes))
+        q = np.sin(grid.nodes) + 0.4 * np.cos(2 * grid.nodes)
         u = solve(rho, q)
-        residual = central_difference(rho.values * u.values, grid.spacing)
-        err = l2_norm(GridFunction(grid, residual + q.values))
+        residual = central_difference(rho * u)
+        err = l2_norm(residual + q)
         # second-order scheme: error tracks dx^2
         assert err < 2.0 * grid.spacing**2 * l2_norm(q)
 
@@ -208,15 +206,14 @@ class TestVelocityControl:
     def test_starved_node_zeroed_on_request(self, grid):
         values = np.full(grid.m, 50.0 / (2 * np.pi))
         values[37] = 1e-12
-        rho = GridFunction(grid, values)
-        q = GridFunction(grid, np.sin(grid.nodes))
-        assert np.flatnonzero(starved_nodes(rho)).tolist() == [37]
-        u = solve(rho, q)
-        assert u.values[37] == 0.0
-        assert np.all(np.isfinite(u.values))
-        assert np.abs(u.values).max() > 0.0
+        q = np.sin(grid.nodes)
+        assert np.flatnonzero(values < starvation_floor(values)).tolist() == [37]
+        u = solve(values, q)
+        assert u[37] == 0.0
+        assert np.all(np.isfinite(u))
+        assert np.abs(u).max() > 0.0
         # the starved node is left out of the constant: U sums to 0 elsewhere
-        assert abs(u.values.sum()) <= 1e-12 * np.abs(u.values).sum()
+        assert abs(u.sum()) <= 1e-12 * np.abs(u).sum()
 
     def test_bad_modes_rejected(self):
         with pytest.raises(ValueError, match="on_starved"):
@@ -225,37 +222,37 @@ class TestVelocityControl:
 
 class TestSampleAgentInputs:
     def test_zero_field(self, grid):
-        u = GridFunction(grid, np.zeros(grid.m))
+        u = np.zeros(grid.m)
         assert np.all(sample_agent_inputs(u, np.array([0.0, 1.0, -2.0])) == 0.0)
 
     def test_exact_on_nodes(self, grid):
         rng = np.random.default_rng(53)
-        u = GridFunction(grid, rng.normal(size=grid.m))
+        u = rng.normal(size=grid.m)
         idx = np.array([0, 5, 100, 255])
         sampled = sample_agent_inputs(u, grid.nodes[idx])
-        assert np.array_equal(sampled, u.values[idx])
+        assert np.array_equal(sampled, u[idx])
 
     def test_midpoint_is_mean_of_neighbours(self, grid):
         rng = np.random.default_rng(54)
-        u = GridFunction(grid, rng.normal(size=grid.m))
+        u = rng.normal(size=grid.m)
         j = 12
         mid = grid.nodes[j] + 0.5 * grid.spacing
-        expected = 0.5 * (u.values[j] + u.values[j + 1])
+        expected = 0.5 * (u[j] + u[j + 1])
         assert sample_agent_inputs(u, np.array([mid]))[0] == pytest.approx(expected, rel=1e-12)
 
     def test_periodic_across_the_seam(self, grid):
         rng = np.random.default_rng(55)
-        u = GridFunction(grid, rng.normal(size=grid.m))
+        u = rng.normal(size=grid.m)
         near_pi = grid.nodes[-1] + 0.5 * grid.spacing  # halfway between x_{m-1} and -pi
-        expected = 0.5 * (u.values[-1] + u.values[0])
+        expected = 0.5 * (u[-1] + u[0])
         assert sample_agent_inputs(u, np.array([near_pi]))[0] == pytest.approx(expected, rel=1e-12)
 
     def test_commutes_with_grid_aligned_rotation(self, grid):
         rng = np.random.default_rng(56)
-        u = GridFunction(grid, rng.normal(size=grid.m))
+        u = rng.normal(size=grid.m)
         positions = rng.uniform(-np.pi, np.pi, 40)
         shift = 31
-        u_rot = GridFunction(grid, np.roll(u.values, shift))
+        u_rot = np.roll(u, shift)
         rotated = sample_agent_inputs(u_rot, wrap_angle(positions + shift * grid.spacing))
         assert np.allclose(rotated, sample_agent_inputs(u, positions), atol=1e-12)
 
@@ -265,7 +262,7 @@ class TestSampleAgentInputs:
         # bit for bit, off and on nodes and at the seam
         grid = RingGrid(m)
         rng = np.random.default_rng(57 + m)
-        u = GridFunction(grid, rng.normal(size=m))
+        u = rng.normal(size=m)
         positions = np.concatenate((
             rng.uniform(-np.pi - 0.05, np.pi + 0.05, 5000), grid.nodes,
             [-np.pi, np.pi, np.nextafter(np.pi, 0.0), np.nextafter(-np.pi, 0.0)]))
@@ -274,5 +271,5 @@ class TestSampleAgentInputs:
         s = np.where(np.abs(s - np.round(s)) < 1e-9, np.round(s), s)
         j = np.floor(s).astype(int) % m
         frac = s - np.floor(s)
-        expected = u.values[j] * (1.0 - frac) + u.values[(j + 1) % m] * frac
+        expected = u[j] * (1.0 - frac) + u[(j + 1) % m] * frac
         assert np.array_equal(sample_agent_inputs(u, positions), expected)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringswarm import (
-    GridFunction,
     RingGrid,
     WrappedGaussianEstimator,
     bimodal_density,
@@ -123,18 +122,18 @@ class TestWrappedGaussianEstimator:
         est = WrappedGaussianEstimator(0.2, grid)
         field = est.estimate(np.array([0.0]))
         assert integrate(field) == pytest.approx(1.0, abs=1e-12)
-        assert grid.nodes[np.argmax(field.values)] == 0.0
+        assert grid.nodes[np.argmax(field)] == 0.0
         j = np.arange(1, grid.m)
-        assert np.abs(field.values[j] - field.values[grid.m - j]).max() < 1e-12
+        assert np.abs(field[j] - field[grid.m - j]).max() < 1e-12
         # the far tails are roundoff around exp(-(pi/h)^2 / 2) ~ 1e-54, clipped at 0
-        assert field.values.min() >= 0.0
-        assert field.values[np.abs(grid.nodes) <= 6 * 0.2].min() > 0.0
+        assert field.min() >= 0.0
+        assert field[np.abs(grid.nodes) <= 6 * 0.2].min() > 0.0
 
     def test_equispaced_agents_give_flat_field(self, grid):
         n = 50
         positions = -np.pi + (np.arange(n) + 0.5) * 2 * np.pi / n
         field = WrappedGaussianEstimator(0.2, grid).estimate(positions)
-        ripple = (field.values.max() - field.values.min()) / field.values.mean()
+        ripple = (field.max() - field.min()) / field.mean()
         assert ripple < 1e-6
 
     @pytest.mark.parametrize("n", [1, 10, 1000])
@@ -152,7 +151,7 @@ class TestWrappedGaussianEstimator:
         base = est.estimate(positions)
         shift = 17
         rotated = est.estimate(wrap_angle(positions + shift * grid.spacing))
-        assert np.allclose(rotated.values, np.roll(base.values, shift), atol=1e-12)
+        assert np.allclose(rotated, np.roll(base, shift), atol=1e-12)
 
     @pytest.mark.parametrize("bandwidth", [0.05, 0.2, 0.36, 0.37, 0.5, 1.0])
     def test_matches_three_image_oracle(self, grid, bandwidth):
@@ -162,7 +161,7 @@ class TestWrappedGaussianEstimator:
         est = WrappedGaussianEstimator(bandwidth, grid)
         for positions in swarms:
             ref = three_image_estimate(positions, bandwidth, grid)
-            got = est.estimate(positions).values
+            got = est.estimate(positions)
             assert_matches_oracle(got, ref, positions, bandwidth, grid)
 
     @settings(derandomize=True, deadline=None, max_examples=200)
@@ -172,12 +171,18 @@ class TestWrappedGaussianEstimator:
         # images beyond these sit at least 9h from every node: below e^-40
         images = max(1, math.ceil((9.0 * bandwidth / np.pi - 1.0) / 2.0))
         ref = direct_estimate(positions, bandwidth, grid, images)
-        got = WrappedGaussianEstimator(bandwidth, grid).estimate(positions).values
+        got = WrappedGaussianEstimator(bandwidth, grid).estimate(positions)
         assert_matches_oracle(got, ref, positions, bandwidth, grid)
 
     def test_empty_swarm_rejected(self, grid):
         with pytest.raises(ValueError):
             WrappedGaussianEstimator(0.2, grid).estimate(np.array([]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_position_rejected(self, grid, bad):
+        positions = np.array([0.1, bad, -2.0])
+        with pytest.raises(ValueError, match="finite"):
+            WrappedGaussianEstimator(0.2, grid).estimate(positions)
 
     def test_bandwidth_validation(self, grid):
         with pytest.raises(ValueError):
@@ -192,12 +197,12 @@ class TestWrappedGaussianEstimator:
 class TestVonMises:
     def test_zero_concentration_is_uniform(self, grid):
         field = von_mises_density(0.7, 0.0, 50.0, grid)
-        assert np.allclose(field.values, 50.0 / (2 * np.pi), rtol=1e-14)
+        assert np.allclose(field, 50.0 / (2 * np.pi), rtol=1e-14)
 
     def test_peak_value_against_bessel_series(self, grid):
         field = von_mises_density(0.0, 4.0, 50.0, grid)
         expected_peak = 50.0 * math.exp(4.0) / (2 * np.pi * bessel_i0_series(4.0))
-        assert field.values[grid.m // 2] == pytest.approx(expected_peak, rel=1e-12)
+        assert field[grid.m // 2] == pytest.approx(expected_peak, rel=1e-12)
         assert bessel_i0_series(4.0) == pytest.approx(11.3019, abs=1e-4)
 
     def test_mass(self, grid):
@@ -207,32 +212,52 @@ class TestVonMises:
         rng = np.random.default_rng(42)
         for mu in rng.uniform(-np.pi, np.pi, 20):
             field = von_mises_density(mu, 6.0, 10.0, grid)
-            peak = grid.nodes[np.argmax(field.values)]
+            peak = grid.nodes[np.argmax(field)]
             assert abs(wrap_angle(peak - mu)) <= grid.spacing / 2 + 1e-12
 
     def test_parity_about_the_mean(self, grid):
         field = von_mises_density(0.0, 4.0, 50.0, grid)
         j = np.arange(1, grid.m)
-        assert np.abs(field.values[j] - field.values[grid.m - j]).max() < 1e-12
+        assert np.abs(field[j] - field[grid.m - j]).max() < 1e-12
 
     def test_strictly_positive(self, grid):
-        assert von_mises_density(0.0, 8.0, 50.0, grid).values.min() > 0.0
+        assert von_mises_density(0.0, 8.0, 50.0, grid).min() > 0.0
+
+    @pytest.mark.parametrize("mass, last_finite", [(1.0, 709.75), (50.0, 705.75),
+                                                   (1000.0, 702.75)])
+    def test_overflow_rejected(self, grid, mass, last_finite):
+        # mass * exp(k) passes the largest double from k ~ 709.78 - log(mass)
+        assert np.isfinite(von_mises_density(0.0, last_finite, mass, grid)).all()
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError,
+                                                                        match="overflows"):
+            von_mises_density(0.0, last_finite + 0.25, mass, grid)
+
+    def test_negative_concentration_rejected(self, grid):
+        with pytest.raises(ValueError, match="nonnegative"):
+            von_mises_density(0.0, -1.0, 50.0, grid)
 
 
 class TestBimodal:
     def test_coincident_means_reduce_to_monomodal(self, grid):
         lhs = bimodal_density(0.4, 0.4, 8.0, 50.0, grid)
         rhs = von_mises_density(0.4, 8.0, 50.0, grid)
-        assert np.allclose(lhs.values, rhs.values, rtol=1e-13)
+        assert np.allclose(lhs, rhs, rtol=1e-13)
 
     def test_mirror_symmetry(self, grid):
         field = bimodal_density(np.pi / 2, -np.pi / 2, 8.0, 50.0, grid)
         j = np.arange(1, grid.m)
-        assert np.abs(field.values[j] - field.values[grid.m - j]).max() < 1e-12
+        assert np.abs(field[j] - field[grid.m - j]).max() < 1e-12
 
     def test_mass(self, grid):
         field = bimodal_density(np.pi / 2, -np.pi / 2, 8.0, 50.0, grid)
         assert integrate(field) == pytest.approx(50.0, abs=1e-8)
+
+    def test_overflow_rejected(self, grid):
+        # the sum of the two exponentials overflows before mass scales it
+        assert np.isfinite(bimodal_density(np.pi / 2, -np.pi / 2, 709.75, 50.0, grid)).all()
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError,
+                                                                        match="overflows"):
+            bimodal_density(np.pi / 2, -np.pi / 2, 710.0, 50.0, grid)
 
 
 class TestTargetPrograms:
@@ -240,23 +265,23 @@ class TestTargetPrograms:
         program = MonomodalTarget(0.0, 4.0, 50.0)
         rho0, dt0 = target_at(program, 0.0, grid)
         rho1, dt1 = target_at(program, 2.7, grid)
-        assert np.array_equal(rho0.values, rho1.values)
-        assert np.all(dt0.values == 0.0) and np.all(dt1.values == 0.0)
+        assert np.array_equal(rho0, rho1)
+        assert np.all(dt0 == 0.0) and np.all(dt1 == 0.0)
 
     def test_bimodal_target(self, grid):
         rho, _ = target_at(BimodalTarget(), 1.0, grid)
-        assert np.allclose(rho.values,
-                           bimodal_density(np.pi / 2, -np.pi / 2, 8.0, 50.0, grid).values)
+        assert np.allclose(rho,
+                           bimodal_density(np.pi / 2, -np.pi / 2, 8.0, 50.0, grid))
 
     def test_tracking_holds_then_reaches_waypoints(self, grid):
         program = TrackingTarget(concentration=4.0, mass=50.0)
         rho, rho_t = target_at(program, 0.25, grid)
-        assert np.allclose(rho.values, von_mises_density(0.0, 4.0, 50.0, grid).values)
-        assert np.all(rho_t.values == 0.0)
+        assert np.allclose(rho, von_mises_density(0.0, 4.0, 50.0, grid))
+        assert np.all(rho_t == 0.0)
         leg = (np.pi / 3) / 1.47
         rho, _ = target_at(program, 0.5 + leg, grid)
-        assert np.allclose(rho.values,
-                           von_mises_density(np.pi / 3, 4.0, 50.0, grid).values, atol=1e-9)
+        assert np.allclose(rho,
+                           von_mises_density(np.pi / 3, 4.0, 50.0, grid), atol=1e-9)
 
     def test_schedule_waypoints_and_rates(self):
         sched = TrackingSchedule()
@@ -275,7 +300,7 @@ class TestTargetPrograms:
         for t in np.linspace(0.0, 4.0, 81):
             a, _ = target_at(program, t, grid)
             b, _ = target_at(program, t + 1e-6, grid)
-            assert np.abs(a.values - b.values).max() < 1e-4
+            assert np.abs(a - b).max() < 1e-4
 
     def test_tracking_derivative_matches_finite_difference(self, grid):
         program = TrackingTarget(concentration=4.0, mass=50.0)
@@ -284,8 +309,8 @@ class TestTargetPrograms:
         rho_p, _ = target_at(program, t + h, grid)
         rho_m, _ = target_at(program, t - h, grid)
         _, rho_t = target_at(program, t, grid)
-        fd = (rho_p.values - rho_m.values) / (2 * h)
-        assert np.abs(fd - rho_t.values).max() < 1e-4 * np.abs(rho_t.values).max() + 1e-6
+        fd = (rho_p - rho_m) / (2 * h)
+        assert np.abs(fd - rho_t).max() < 1e-4 * np.abs(rho_t).max() + 1e-6
 
 
 class TestMetrics:
@@ -312,20 +337,20 @@ class TestMetrics:
     def test_kl_nonnegative(self, grid):
         rng = np.random.default_rng(43)
         for _ in range(50):
-            a = GridFunction(grid, rng.uniform(0.1, 2.0, grid.m))
-            b = GridFunction(grid, rng.uniform(0.1, 2.0, grid.m))
+            a = rng.uniform(0.1, 2.0, grid.m)
+            b = rng.uniform(0.1, 2.0, grid.m)
             assert kl_divergence(a, b) >= 0.0
 
     def test_kl_total_mass_invariance(self, grid):
         a = von_mises_density(0.3, 3.0, 50.0, grid)
         b = von_mises_density(-0.2, 5.0, 50.0, grid)
-        a2 = GridFunction(grid, 7.0 * a.values)
+        a2 = 7.0 * a
         assert kl_divergence(a2, b) == pytest.approx(kl_divergence(a, b), rel=1e-14)
 
     def test_l2_norm(self, grid):
-        assert l2_norm(GridFunction(grid, np.zeros(grid.m))) == 0.0
+        assert l2_norm(np.zeros(grid.m)) == 0.0
         c = -2.2
-        assert l2_norm(GridFunction(grid, np.full(grid.m, c))) == pytest.approx(
+        assert l2_norm(np.full(grid.m, c)) == pytest.approx(
             abs(c) * math.sqrt(2 * np.pi), rel=1e-14)
-        assert l2_norm(GridFunction(grid, np.sin(grid.nodes))) == pytest.approx(
+        assert l2_norm(np.sin(grid.nodes)) == pytest.approx(
             math.sqrt(np.pi), rel=1e-12)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ringswarm import (
     ContinuumState,
     ControllerGains,
-    GridFunction,
     IntegratorSpec,
     MorseKernel,
     RingGrid,
@@ -140,9 +139,8 @@ class TestMicroscopicRhs:
         sums = microscopic_rhs(pos, kernel, None)
         values = np.zeros(grid.m)
         values[nodes] = -sums
-        u_field = GridFunction(grid, values)
-        assert np.array_equal(sample_agent_inputs(u_field, pos), -sums)
-        assert np.abs(microscopic_rhs(pos, kernel, u_field)).max() == 0.0
+        assert np.array_equal(sample_agent_inputs(values, pos), -sums)
+        assert np.abs(microscopic_rhs(pos, kernel, values)).max() == 0.0
 
     def test_interaction_sum_is_momentum_free(self):
         rng = np.random.default_rng(61)
@@ -245,15 +243,14 @@ class TestStepSwarm:
         shifted = wrap_angle(x + shift * grid.spacing)
         estimator = WrappedGaussianEstimator(0.2, grid)
         rho, rho_shifted = estimator.estimate(x), estimator.estimate(shifted)
-        peak = rho.values.max()
-        assert np.abs(np.roll(rho.values, shift) - rho_shifted.values).max() <= 1e-12 * peak
+        peak = rho.max()
+        assert np.abs(np.roll(rho, shift) - rho_shifted).max() <= 1e-12 * peak
         kernel = MorseKernel(0.5, 0.5, strength=1.0 / n)
         target = von_mises_density(0.3, 4.0, float(n), grid)
         gains = ControllerGains(10.0)
         q = feedback(rho, target, kernel, gains)
-        q_shifted = feedback(rho_shifted, GridFunction(grid, np.roll(target.values, shift)),
-                             kernel, gains)
-        assert np.abs(np.roll(q.values, shift) - q_shifted.values).max() <= 1e-12 * gains.kp * peak
+        q_shifted = feedback(rho_shifted, np.roll(target, shift), kernel, gains)
+        assert np.abs(np.roll(q, shift) - q_shifted).max() <= 1e-12 * gains.kp * peak
         u_field = solve(rho, q)
         spec = IntegratorSpec(dt=1e-3)
         stepped = step_swarm(SwarmState(x), kernel, u_field, spec).positions
@@ -315,7 +312,7 @@ class TestStepSwarm:
     def test_nonfinite_positions_abort(self):
         grid = RingGrid(64)
         kernel = MorseKernel(0.5, 0.5)
-        huge = GridFunction(grid, np.full(grid.m, 1e308))
+        huge = np.full(grid.m, 1e308)
         state = SwarmState(np.array([0.0, 1.0]), 0.0)
         with np.errstate(over="ignore"), pytest.raises(RuntimeError, match="non-finite"):
             step_swarm(state, kernel, huge, IntegratorSpec(dt=1e-3))
@@ -356,7 +353,7 @@ def continuum_cases(draw):
         values = 1.0 + ((0.5 / k) * (rng.normal(size=(5, 1)) * np.cos(k * grid.nodes)
                                      + rng.normal(size=(5, 1)) * np.sin(k * grid.nodes))).sum(0)
         values = np.abs(values) + 0.05
-        return GridFunction(grid, values * (mass / (grid.spacing * values.sum())))
+        return values * (mass / (grid.spacing * values.sum()))
 
     rho0 = smooth_positive()
     kernel = MorseKernel(draw(st.floats(0.05, 3.0)), draw(st.floats(0.05, 3.0)), 1.0 / mass)
@@ -370,7 +367,8 @@ def continuum_cases(draw):
 def one_step(state, kernel, dt):
     """One open-loop Rusanov step of run_continuum from t = 0, at a dt below
     the CFL bound."""
-    samples = run_continuum(state, kernel, None, dt, dt_max=dt, sample_every=dt)
+    samples = run_continuum(state, kernel.sample_on_grid(RingGrid(state.rho.size)), None, dt,
+                            dt_max=dt, sample_every=dt)
     assert len(samples) == 2 and samples[-1].t == dt
     return samples[-1]
 
@@ -380,7 +378,7 @@ class TestContinuum:
         grid = RingGrid(256)
         state = ContinuumState(von_mises_density(0.0, 0.0, 50.0, grid), 0.0)
         out = one_step(state, MorseKernel(0.5, 0.5, strength=0.02), 1e-3)
-        assert np.allclose(out.rho.values, state.rho.values, atol=1e-14)
+        assert np.allclose(out.rho, state.rho, atol=1e-14)
         assert out.t == pytest.approx(1e-3)
 
     def test_mass_conserved_over_many_steps(self):
@@ -388,12 +386,13 @@ class TestContinuum:
         rng = np.random.default_rng(64)
         values = 50.0 / (2 * np.pi) * (1.0 + 0.5 * np.sin(grid.nodes)
                                        + 0.2 * rng.normal() * np.cos(2 * grid.nodes))
-        state = ContinuumState(GridFunction(grid, values), 0.0)
+        state = ContinuumState(values, 0.0)
         kernel = MorseKernel(0.5, 0.5, strength=0.02)
         mass0 = integrate(state.rho)
-        state = run_continuum(state, kernel, None, 1.0, dt_max=1e-3, sample_every=1.0)[-1]
+        state = run_continuum(state, kernel.sample_on_grid(grid), None, 1.0, dt_max=1e-3,
+                              sample_every=1.0)[-1]
         assert abs(integrate(state.rho) - mass0) < 1e-9
-        assert state.rho.values.min() >= 0.0
+        assert state.rho.min() >= 0.0
 
     def test_every_step_within_the_cfl_bound(self, monkeypatch):
         # a concentrated density under the unscaled kernel moves fast enough
@@ -402,14 +401,14 @@ class TestContinuum:
         state = ContinuumState(von_mises_density(0.0, 4.0, 50.0, grid), 0.0)
         steps = []
 
-        def advance(rho, w, dt, spacing):
+        def advance(rho, w, dt):
             steps.append((dt, float(np.abs(w).max())))
-            return rusanov_advance(rho, w, dt, spacing)
+            return rusanov_advance(rho, w, dt)
 
         rusanov_advance = dynamics._rusanov_advance
         monkeypatch.setattr(dynamics, "_rusanov_advance", advance)
-        run_continuum(state, MorseKernel(0.5, 0.5), None, 0.05, cfl=0.4, dt_max=1.0,
-                      sample_every=0.05)
+        run_continuum(state, MorseKernel(0.5, 0.5).sample_on_grid(grid), None, 0.05, cfl=0.4,
+                      dt_max=1.0, sample_every=0.05)
         assert len(steps) > 1
         assert all(dt * top <= 0.4 * grid.spacing * (1 + 1e-12) for dt, top in steps)
         assert sum(dt for dt, _ in steps) == pytest.approx(0.05)
@@ -420,7 +419,7 @@ class TestContinuum:
         w = np.linspace(-1.0, 1.0, 16)
         w[5] = bad
         with pytest.raises(RuntimeError, match="non-finite advection speed"):
-            dynamics.max_stable_dt(w, 2.0 * np.pi / 16, 0.4)
+            dynamics.max_stable_dt(w, 0.4)
 
     @pytest.mark.parametrize("t0,t_end,every,times", [
         (0.5, 0.6, 0.05, [0.5, 0.55, 0.6]),
@@ -432,14 +431,14 @@ class TestContinuum:
         state = ContinuumState(von_mises_density(0.0, 1.0, 10.0, grid), t0)
         steps = []
 
-        def advance(rho, w, dt, spacing):
+        def advance(rho, w, dt):
             steps.append(dt)
-            return rusanov_advance(rho, w, dt, spacing)
+            return rusanov_advance(rho, w, dt)
 
         rusanov_advance = dynamics._rusanov_advance
         monkeypatch.setattr(dynamics, "_rusanov_advance", advance)
-        samples = run_continuum(state, MorseKernel(0.5, 0.5, strength=0.1), None, t_end,
-                                dt_max=every, sample_every=every)
+        samples = run_continuum(state, MorseKernel(0.5, 0.5, strength=0.1).sample_on_grid(grid),
+                                None, t_end, dt_max=every, sample_every=every)
         assert [s.t for s in samples] == pytest.approx(times, abs=1e-12)
         assert min(steps) > 0.0
         assert sum(steps) == pytest.approx(t_end - t0)
@@ -458,12 +457,11 @@ class TestContinuum:
         control = continuum_control(rho_d, kernel, gains)
 
         rho0 = von_mises_density(0.0, 0.0, n, grid)
-        e0 = l2_norm(GridFunction(grid, rho_d.values - rho0.values))
-        states = run_continuum(ContinuumState(rho0, 0.0), kernel, control, 0.1,
-                               cfl=0.4, dt_max=1e-3, sample_every=0.005)
+        e0 = l2_norm(rho_d - rho0)
+        states = run_continuum(ContinuumState(rho0, 0.0), kernel.sample_on_grid(grid), control,
+                               0.1, cfl=0.4, dt_max=1e-3, sample_every=0.005)
         ts = np.array([s.t for s in states])
-        els = np.array([l2_norm(GridFunction(grid, rho_d.values - s.rho.values))
-                        for s in states])
+        els = np.array([l2_norm(rho_d - s.rho) for s in states])
         slope = np.polyfit(ts, np.log(els**2), 1)[0]
         guaranteed = 2.0 * kp - derivative_l2_norm(MorseKernel(0.5, 0.5), grid) * e0
         assert els[-1] < els[0]
@@ -474,7 +472,7 @@ class TestContinuum:
         n = 50.0
         kernel = MorseKernel(0.5, 0.5, strength=1.0 / n)
         state = ContinuumState(von_mises_density(0.2, 2.0, n, grid), 0.0)
-        states = run_continuum(state, kernel, None, 1.0, sample_every=0.25)
+        states = run_continuum(state, kernel.sample_on_grid(grid), None, 1.0, sample_every=0.25)
         assert [s.t for s in states] == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
         assert abs(integrate(states[-1].rho) - n) < 1e-9
 
@@ -483,12 +481,13 @@ class TestContinuum:
     def test_mass_conserved_and_density_nonnegative_property(self, case):
         rho0, kernel, control = case
         mass = integrate(rho0)
-        run = run_continuum(ContinuumState(rho0, 0.0), kernel, control, 0.05,
+        samples = kernel.sample_on_grid(RingGrid(rho0.size))
+        run = run_continuum(ContinuumState(rho0, 0.0), samples, control, 0.05,
                             dt_max=1e-3, sample_every=0.05)
         assert run.steps >= 50
         for s in run:
             assert abs(integrate(s.rho) - mass) <= 1e-9 * mass
-            assert s.rho.values.min() >= 0.0
+            assert s.rho.min() >= 0.0
 
     def test_run_hands_back_applied_controls_and_steps(self, monkeypatch):
         grid = RingGrid(64)
@@ -504,20 +503,21 @@ class TestContinuum:
             applied[t] = regulate(rho, v, t)
             return applied[t]
 
-        def advance(rho, w, dt, spacing):
+        def advance(rho, w, dt):
             steps.append(dt)
-            return rusanov_advance(rho, w, dt, spacing)
+            return rusanov_advance(rho, w, dt)
 
         rusanov_advance = dynamics._rusanov_advance
         monkeypatch.setattr(dynamics, "_rusanov_advance", advance)
-        run = run_continuum(ContinuumState(von_mises_density(0.0, 0.0, n, grid)), kernel,
+        samples = kernel.sample_on_grid(grid)
+        run = run_continuum(ContinuumState(von_mises_density(0.0, 0.0, n, grid)), samples,
                             control, 0.1, dt_max=0.02, sample_every=0.03)
         assert [s.t for s in run] == pytest.approx([0.0, 0.03, 0.06, 0.09, 0.1])
         assert len(run.u_fields) == len(run)
         assert all(u is applied[s.t] for s, u in zip(run, run.u_fields))
         # the last state starts no step; its U is evaluated once after the run
-        last = run[-1].rho.values
-        fresh = regulate(last, velocity_field(kernel.sample_on_grid(grid), last), run[-1].t)
+        last = run[-1].rho
+        fresh = regulate(last, velocity_field(samples, last), run[-1].t)
         assert np.array_equal(run.u_fields[-1], fresh)
         assert len(applied) - 1 == run.steps == len(steps)
         assert (run.dt_min, run.dt_max) == (min(steps), max(steps))
@@ -527,10 +527,10 @@ class TestContinuum:
         grid = RingGrid(64)
         kernel = MorseKernel(0.5, 0.5, strength=0.1)
         state = ContinuumState(von_mises_density(0.0, 1.0, 10.0, grid), 0.2)
-        run = run_continuum(state, kernel, None, 0.2)
+        run = run_continuum(state, kernel.sample_on_grid(grid), None, 0.2)
         assert list(run) == [state] and run.u_fields == (None,) and run.steps == 0
         assert math.isnan(run.dt_min) and math.isnan(run.dt_max)
-        run = run_continuum(state, kernel, None, 0.3, sample_every=0.05)
+        run = run_continuum(state, kernel.sample_on_grid(grid), None, 0.3, sample_every=0.05)
         assert len(run) == 3 and run.u_fields == (None,) * 3 and run.steps >= 100
 
     def test_negative_density_guard(self):
@@ -538,7 +538,7 @@ class TestContinuum:
         state = ContinuumState(von_mises_density(0.0, 1.0, 10.0, grid), 0.0)
         kernel = MorseKernel(0.5, 0.5, strength=0.1)
         out = one_step(state, kernel, 1e-3)
-        assert out.rho.values.min() >= 0.0
+        assert out.rho.min() >= 0.0
 
 
 @pytest.mark.slow
@@ -553,7 +553,7 @@ class TestScaleConsistency:
         rho0 = von_mises_density(0.0, 2.0, float(n), grid)
 
         # deterministic particle sampling of rho0 by inverse-CDF quantiles
-        cdf = np.concatenate(([0.0], np.cumsum(rho0.values))) * grid.spacing / n
+        cdf = np.concatenate(([0.0], np.cumsum(rho0))) * grid.spacing / n
         edges = np.concatenate((grid.nodes, [np.pi]))
         quantiles = (np.arange(n) + 0.5) / n
         pos0 = np.interp(quantiles, cdf, edges)
@@ -564,6 +564,6 @@ class TestScaleConsistency:
             state = step_swarm(state, kernel, None, spec)
         kde = WrappedGaussianEstimator(0.2, grid).estimate(state.positions)
 
-        cont = run_continuum(ContinuumState(rho0, 0.0), kernel, None, 3.0,
+        cont = run_continuum(ContinuumState(rho0, 0.0), kernel.sample_on_grid(grid), None, 3.0,
                              sample_every=3.0)[-1]
         assert kl_divergence(kde, cont.rho) < 0.05

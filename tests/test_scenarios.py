@@ -73,6 +73,7 @@ INVALID_CONFIGS = {
     "t-end-inf": {"t_end": math.inf},
     "sample-every-inf": {"sample_every": math.inf},
     "concentration-negative": {"concentration": -1.0},
+    "concentration-overflow": {"concentration": 800.0},
     "attraction-strength-zero": {"attraction_strength": 0.0},
     "attraction-length-negative": {"attraction_length": -0.5},
     "seed-negative": {"seed": -1},
@@ -206,14 +207,13 @@ class TestRunRecords:
         estimator = WrappedGaussianEstimator(cfg.bandwidth, grid)
         gains = ControllerGains(cfg.kp)
         samples = kernel.sample_on_grid(grid)
-        v_target = velocity_field(samples, target.values)
+        v_target = velocity_field(samples, target)
 
         def control(state):
-            rho = estimator.estimate(state.positions).values
-            q = compute_feedback(rho, velocity_field(samples, rho), target.values, v_target,
-                                 gains, grid.spacing)
-            starved = rho < starvation_floor(rho, grid.spacing)
-            return GridFunction(grid, velocity_control(rho, q, grid.spacing, starved))
+            rho = estimator.estimate(state.positions)
+            q = compute_feedback(rho, velocity_field(samples, rho), target, v_target, gains)
+            starved = rho < starvation_floor(rho)
+            return velocity_control(rho, q, starved)
 
         state = SwarmState(even_lattice(cfg.n_agents))
         spec = IntegratorSpec(dt=cfg.dt, scheme=cfg.scheme)
@@ -238,30 +238,27 @@ class TestRunRecords:
 
         def control(rho, v, t):
             nonlocal q_integral_worst
-            rho_d = target_at(program, t, grid)[0].values
-            q = compute_feedback(rho, v, rho_d, velocity_field(samples, rho_d), gains,
-                                 grid.spacing)
+            rho_d = target_at(program, t, grid)[0]
+            q = compute_feedback(rho, v, rho_d, velocity_field(samples, rho_d), gains)
             q_integral_worst = max(q_integral_worst, abs(float(grid.spacing * q.sum())))
-            starved = rho < starvation_floor(rho, grid.spacing)
+            starved = rho < starvation_floor(rho)
             assert not starved.any()
-            return velocity_control(rho, q, grid.spacing, starved)
+            return velocity_control(rho, q, starved)
 
         start = ContinuumState(von_mises_density(0.0, 0.0, mass, grid))
-        states = run_continuum(start, kernel, control, cfg.t_end, cfl=cfg.cfl,
+        states = run_continuum(start, samples, control, cfg.t_end, cfl=cfg.cfl,
                                dt_max=cfg.dt, sample_every=cfg.sample_every)
         rho_rows = np.array([row[2] for row in rec.density])
-        assert np.array_equal(rho_rows, np.concatenate([s.rho.values for s in states]))
+        assert np.array_equal(rho_rows, np.concatenate([s.rho for s in states]))
         assert rec.metadata["q_integral_worst"] == q_integral_worst
 
     def test_continuum_replays_with_warm_caches(self):
-        # the kernel samples and their spectrum are cached across runs; a
-        # run from cold caches and one from warm caches must agree
-        MorseKernel.sample_on_grid.cache_clear()
+        # two runs of one config in one process agree: nothing a run builds
+        # (the kernel samples, their spectrum, the target) outlives it
         cfg = continuum_config(t_end=0.2)
-        cold = run_continuum_scenario(cfg)
-        assert MorseKernel.sample_on_grid.cache_info().currsize > 0
-        warm = run_continuum_scenario(cfg)
-        assert cold == warm
+        first = run_continuum_scenario(cfg)
+        second = run_continuum_scenario(cfg)
+        assert first == second
 
     @pytest.mark.parametrize("cfg", [continuum_config(t_end=0.1),
                                      monomodal_config(n_agents=10, t_end=0.1)],
@@ -339,10 +336,10 @@ class TestRunRecords:
         # rho below 1e-6 of its mean there
         zeroed = []
 
-        def spy(rho, q, spacing, starved):
+        def spy(rho, q, starved):
             floor = 1e-6 * rho.mean()
             zeroed.append(bool((rho < floor).any()))
-            return velocity_control(rho, q, spacing, starved)
+            return velocity_control(rho, q, starved)
 
         monkeypatch.setattr(scenarios, "velocity_control", spy)
         rec = run_microscopic(monomodal_config(n_agents=5, t_end=0.3, record_agents=False,
@@ -360,10 +357,10 @@ class TestRunRecords:
         rec = run_continuum_scenario(cfg)
         controller = scenarios._Controller(cfg, on_starved="raise")
         start = ContinuumState(von_mises_density(0.0, 0.0, 50.0, controller.grid))
-        run = run_continuum(start, controller.kernel, controller, cfg.t_end, cfl=cfg.cfl,
+        run = run_continuum(start, controller.samples, controller, cfg.t_end, cfl=cfg.cfl,
                             dt_max=cfg.dt, sample_every=cfg.sample_every)
         fresh = [scenarios._Controller(cfg, on_starved="raise")(
-                     s.rho.values, velocity_field(controller.samples, s.rho.values), s.t)
+                     s.rho, velocity_field(controller.samples, s.rho), s.t)
                  for s in run]
         assert len(run) == len(rec.metrics) == 5
         assert all(np.array_equal(applied, u)
@@ -409,13 +406,14 @@ class TestRunRecords:
             post_init(self)
 
         monkeypatch.setattr(GridFunction, "__post_init__", counted)
-        cfg = continuum_config(t_end=0.2)
-        rec = run_continuum_scenario(cfg)
-        samples = len(rec.metrics)
+        # every field is a plain array: a run builds the kernel samples only
+        rec = run_continuum_scenario(continuum_config(t_end=0.2))
         assert rec.metadata["continuum_steps"] > 100
-        # per sample its state, and two for the record's error norm; a few
-        # more per run
-        assert len(built) <= 3 * samples + 5
+        assert len(built) == 1
+        built.clear()
+        rec = run_microscopic(monomodal_config(n_agents=10, t_end=0.1))
+        assert len(rec.metrics) > 1
+        assert len(built) == 1
 
     def test_run_replays_the_direct_step_oracle(self):
         # the plain per-step loop written out here, the Rusanov step as its
@@ -427,22 +425,22 @@ class TestRunRecords:
         grid, kernel = controller.grid, controller.kernel
         spacing, mass = grid.spacing, float(cfg.n_agents)
         start = ContinuumState(von_mises_density(0.0, 0.0, mass, grid))
-        run = run_continuum(start, kernel, controller, cfg.t_end, cfl=cfg.cfl, dt_max=cfg.dt,
-                            sample_every=cfg.sample_every)
+        run = run_continuum(start, controller.samples, controller, cfg.t_end, cfl=cfg.cfl,
+                            dt_max=cfg.dt, sample_every=cfg.sample_every)
 
         samples = kernel.sample_on_grid(grid)
-        rho_d = von_mises_density(cfg.mu, cfg.concentration, mass, grid).values
+        rho_d = von_mises_density(cfg.mu, cfg.concentration, mass, grid)
         v_d = velocity_field(samples, rho_d)
         gains = ControllerGains(cfg.kp)
 
         def control(rho):
             v = velocity_field(samples, rho)
-            q = compute_feedback(rho, v, rho_d, v_d, gains, spacing)
-            starved = rho < starvation_floor(rho, spacing)
+            q = compute_feedback(rho, v, rho_d, v_d, gains)
+            starved = rho < starvation_floor(rho)
             assert not starved.any()
-            return v, velocity_control(rho, q, spacing, starved)
+            return v, velocity_control(rho, q, starved)
 
-        rho, t, k = start.rho.values, 0.0, 1
+        rho, t, k = start.rho, 0.0, 1
         states, u_fields, steps = [(t, rho)], [], []
         while t < cfg.t_end - 1e-12:
             target = min(k * cfg.sample_every, cfg.t_end)
@@ -463,7 +461,7 @@ class TestRunRecords:
         u_fields.append(control(rho)[1])
 
         assert [s.t for s in run] == [t for t, _ in states]
-        assert all(np.array_equal(s.rho.values, r) for s, (_, r) in zip(run, states, strict=True))
+        assert all(np.array_equal(s.rho, r) for s, (_, r) in zip(run, states, strict=True))
         assert all(np.array_equal(a, b) for a, b in zip(run.u_fields, u_fields, strict=True))
         assert (run.steps, run.dt_min, run.dt_max) == (len(steps), min(steps), max(steps))
         rec = run_continuum_scenario(cfg)
@@ -626,10 +624,9 @@ class TestFullScenarios:
         t_final = record.metrics[-1][0]
         rows = [r for r in record.density if r[0] == t_final]
         rho = np.array([r[2] for r in rows])
-        from ringswarm import GridFunction, RingGrid, kl_divergence
-        grid = RingGrid(rho.size)
+        from ringswarm import kl_divergence
         mirrored = np.roll(rho[::-1], 1)
-        assert kl_divergence(GridFunction(grid, rho), GridFunction(grid, mirrored)) < 0.05
+        assert kl_divergence(rho, mirrored) < 0.05
         assert record.final_kl() < 0.2
 
     def test_tracking_divergence_bounded(self, full_tracking):
