@@ -31,15 +31,11 @@ from .density import (
     l2_norm,
 )
 from .control import (
-    ControllerGains,
     compute_feedback,
     velocity_control,
     sample_agent_inputs,
 )
 from .dynamics import (
-    SwarmState,
-    IntegratorSpec,
-    ContinuumState,
     even_lattice,
     microscopic_rhs,
     step_swarm,
@@ -66,9 +62,8 @@ __all__ = [
     "WrappedGaussianEstimator", "von_mises_density", "bimodal_density",
     "MonomodalTarget", "BimodalTarget", "TrackingTarget", "TrackingSchedule",
     "target_at", "kl_divergence", "l2_norm",
-    "ControllerGains", "compute_feedback", "velocity_control", "sample_agent_inputs",
-    "SwarmState", "IntegratorSpec", "ContinuumState", "even_lattice",
-    "microscopic_rhs", "step_swarm", "run_continuum",
+    "compute_feedback", "velocity_control", "sample_agent_inputs",
+    "even_lattice", "microscopic_rhs", "step_swarm", "run_continuum",
     "ScenarioConfig", "monomodal_config", "bimodal_config", "tracking_config",
     "open_loop_config", "continuum_config",
     "run_microscopic", "run_continuum_scenario",

@@ -9,28 +9,16 @@ the flux of least kinetic energy, which does not depend on where the
 domain's seam lies.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .kernels import velocity_field  # noqa: F401 (unused; a perfbench span hook's name)
 from .ring import TWO_PI, central_difference, integrate, wrap_angle
 
 
-@dataclass(frozen=True)
-class ControllerGains:
-    """Proportional gain on the density error (1/seconds)."""
-
-    kp: float
-
-    def __post_init__(self):
-        if self.kp <= 0:
-            raise ValueError("kp must be positive")
-
-
 def compute_feedback(rho: np.ndarray, v: np.ndarray, rho_d: np.ndarray, v_d: np.ndarray,
-                     gains: ControllerGains) -> np.ndarray:
-    """The mass source q = kp*e - [e*Vd]_x - [rho_d*Ve]_x with e = rho_d - rho.
+                     kp: float) -> np.ndarray:
+    """The mass source q = kp*e - [e*Vd]_x - [rho_d*Ve]_x with e = rho_d - rho
+    and the proportional gain ``kp`` (1/seconds).
 
     Arrays on one grid: the density ``rho`` and its velocity field
     ``v`` = f * rho (``velocity_field``), the target ``rho_d`` and
@@ -44,7 +32,7 @@ def compute_feedback(rho: np.ndarray, v: np.ndarray, rho_d: np.ndarray, v_d: np.
     e = rho_d - rho
     flux_e = v_d - v  # Ve, then rho_d * Ve
     flux_e *= rho_d
-    q = gains.kp * e
+    q = kp * e
     q -= central_difference(e * v_d)
     q -= central_difference(flux_e)
     return q

@@ -10,7 +10,6 @@ mass is exact and the density stays nonnegative under the CFL bound.
 """
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,31 +19,6 @@ from .kernels import MorseKernel, velocity_field
 from .ring import TWO_PI, GridFunction, wrap_angle
 
 SCHEMES = ("euler", "rk4")
-
-
-@dataclass(frozen=True)
-class SwarmState:
-    """Agent angles (wrapped into [-pi, pi)) and the simulation clock."""
-
-    positions: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        pos = wrap_angle(self.positions).copy()
-        pos.setflags(write=False)
-        object.__setattr__(self, "positions", pos)
-
-
-@dataclass(frozen=True)
-class IntegratorSpec:
-    dt: float = 1e-3
-    scheme: str = "rk4"
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
 
 
 def even_lattice(n: int) -> np.ndarray:
@@ -222,35 +196,29 @@ def microscopic_rhs(positions: np.ndarray, kernel: MorseKernel,
     return du
 
 
-def step_swarm(state: SwarmState, kernel: MorseKernel, u: np.ndarray | None,
-               integrator: IntegratorSpec) -> SwarmState:
-    """Advance one dt.
+def step_swarm(positions: np.ndarray, kernel: MorseKernel, u: np.ndarray | None, dt: float,
+               scheme: str) -> np.ndarray:
+    """The agent positions one step of ``dt`` later, wrapped into [-pi, pi),
+    by the ``scheme`` of SCHEMES.
 
     ``u`` holds the velocity control U at the grid nodes, evaluated at the
-    pre-step state (None for the open loop); it stays frozen across the
+    pre-step positions (None for the open loop); it stays frozen across the
     step and is re-sampled at the staged agent positions.
     """
-    x = state.positions
-    dt = integrator.dt
-    if integrator.scheme == "euler":
+    x = positions
+    if scheme == "euler":
         x_new = x + dt * microscopic_rhs(x, kernel, u)
-    else:
+    elif scheme == "rk4":
         k1 = microscopic_rhs(x, kernel, u)
         k2 = microscopic_rhs(x + 0.5 * dt * k1, kernel, u)
         k3 = microscopic_rhs(x + 0.5 * dt * k2, kernel, u)
         k4 = microscopic_rhs(x + dt * k3, kernel, u)
         x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    else:
+        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if not np.all(np.isfinite(x_new)):
-        raise RuntimeError(f"non-finite agent position at t={state.t + dt:.6f}; run aborted")
-    return SwarmState(positions=x_new, t=state.t + dt)
-
-
-@dataclass(frozen=True)
-class ContinuumState:
-    """Density at the grid nodes (the N = infinity description) and the clock."""
-
-    rho: np.ndarray
-    t: float = 0.0
+        raise RuntimeError("non-finite agent position; run aborted")
+    return wrap_angle(x_new)
 
 
 def continuum_velocity(rho: np.ndarray, t: float, kernel_samples: GridFunction, control):
@@ -306,42 +274,36 @@ def max_stable_dt(w: np.ndarray, cfl: float) -> float:
 
 
 @dataclass(frozen=True)
-class ContinuumRun(Sequence):
-    """What ``run_continuum`` evaluated.  As a sequence it is the sampled
-    states.  ``u_fields[k]`` is the control U of ``states[k]`` as an array:
-    the one its step applied, or for the last state, from which no step
-    starts, its evaluation after the run; None in the open loop.
-    ``steps`` counts the Rusanov steps, and ``dt_min``/``dt_max`` are their
-    extremes (nan when there was none)."""
+class ContinuumRun:
+    """What ``run_continuum`` evaluated: the sampled ``times`` and their
+    ``densities``, and ``u_fields[k]``, the control U of ``densities[k]``
+    as an array: the one its step applied, or for the last sample, from
+    which no step starts, its evaluation after the run; None in the open
+    loop.  ``steps`` counts the Rusanov steps, and ``dt_min``/``dt_max``
+    are their extremes (nan when there was none)."""
 
-    states: tuple
+    times: tuple
+    densities: tuple
     u_fields: tuple
     steps: int
     dt_min: float
     dt_max: float
 
-    def __len__(self):
-        return len(self.states)
 
-    def __getitem__(self, index):
-        return self.states[index]
-
-
-def run_continuum(state: ContinuumState, kernel_samples: GridFunction, control, t_end: float, *,
-                  cfl: float = 0.4, dt_max: float = 1e-3,
+def run_continuum(rho: np.ndarray, t: float, kernel_samples: GridFunction, control, t_end: float,
+                  *, cfl: float = 0.4, dt_max: float = 1e-3,
                   sample_every: float = 0.05) -> ContinuumRun:
-    """Advance to t_end with adaptive CFL-limited steps; returns the sampled
-    states with the control of each (see ``ContinuumRun``).
+    """Advance the density samples ``rho`` from time ``t`` to t_end with
+    adaptive CFL-limited steps; returns the sampled densities with the
+    control of each (see ``ContinuumRun``).
 
     ``kernel_samples`` come from ``MorseKernel.sample_on_grid``.  ``control``
     is None or, as in ``continuum_velocity``, maps the density array, its V
-    and the time to U.  Steps land exactly on the sampling
-    instants, the multiples of ``sample_every`` after the start
-    ``state.t``, so trajectories are reproducible regardless of the
-    adaptive step history in between.
+    and the time to U.  Steps land exactly on the sampling instants, the
+    multiples of ``sample_every`` after the start ``t``, so trajectories are
+    reproducible regardless of the adaptive step history in between.
     """
-    rho, t = state.rho, state.t
-    states, u_fields = [state], []
+    times, densities, u_fields = [t], [rho], []
     steps, shortest, longest = 0, math.inf, 0.0
     k = int(t // sample_every) + 1
     if k * sample_every <= t + 1e-12:  # the start sits on an instant
@@ -349,7 +311,7 @@ def run_continuum(state: ContinuumState, kernel_samples: GridFunction, control, 
     while t < t_end - 1e-12:
         target = min(k * sample_every, t_end)
         w, u = continuum_velocity(rho, t, kernel_samples, control)
-        if len(u_fields) < len(states):  # the step from a sampled state
+        if len(u_fields) < len(times):  # the step from a sample
             u_fields.append(u)
         dt = min(max_stable_dt(w, cfl), dt_max, target - t)
         rho = _rusanov_advance(rho, w, dt)
@@ -357,10 +319,11 @@ def run_continuum(state: ContinuumState, kernel_samples: GridFunction, control, 
         steps += 1
         shortest, longest = min(shortest, dt), max(longest, dt)
         if t >= target - 1e-12:
-            states.append(ContinuumState(rho, t))
+            times.append(t)
+            densities.append(rho)
             k += 1
     u_fields.append(None if control is None
                     else control(rho, velocity_field(kernel_samples, rho), t))
     if not steps:
         shortest = longest = math.nan
-    return ContinuumRun(tuple(states), tuple(u_fields), steps, shortest, longest)
+    return ContinuumRun(tuple(times), tuple(densities), tuple(u_fields), steps, shortest, longest)

@@ -4,12 +4,6 @@ Each scenario is a ScenarioConfig with baseline defaults (N = 50 agents,
 Morse kernel G = L = 0.5, gain kp = 10, t_end = 3); runs are deterministic
 functions of the config and seed and produce RunRecords ready for CSV
 serialization.
-
-Interaction scaling: by default the kernel strength is 1/N
-(``mean_field_scaling``), which keeps the crowd's effective dynamics
-size-independent and the loop stable at the default gain.  The literal
-unscaled sum is available but drives itself to blow-up against
-concentrated targets.
 """
 
 import math
@@ -21,7 +15,6 @@ import numpy as np
 
 from . import __version__
 from .control import (
-    ControllerGains,
     compute_feedback,
     sample_agent_inputs,
     starvation_floor,
@@ -39,9 +32,6 @@ from .density import (
 )
 from .dynamics import (
     SCHEMES,
-    ContinuumState,
-    IntegratorSpec,
-    SwarmState,
     even_lattice,
     run_continuum,
     step_swarm,
@@ -88,7 +78,6 @@ class ScenarioConfig:
     noise_power_dbw: float | None = None
     seed: int = 0
     sample_every: float = 0.05
-    mean_field_scaling: bool = True
     cfl: float = 0.4
     initial: str = "even"
     clump_halfwidth: float = 0.3
@@ -121,8 +110,14 @@ class ScenarioConfig:
         if self.dt > self.dt_stability_bound * (1.0 + 1e-9):
             raise ValueError(f"dt={self.dt} exceeds the {self.scheme} stability bound "
                              f"{self.dt_stability_bound!r} for kp={self.kp}")
-        if self.noise_power_dbw is not None and self.scenario in ("continuum", "open-loop"):
-            raise ValueError(f"the {self.scenario} scenario takes no feedback noise")
+        if self.noise_power_dbw is not None:
+            if self.scenario in ("continuum", "open-loop"):
+                raise ValueError(f"the {self.scenario} scenario takes no feedback noise")
+            try:
+                _noise_std(self.noise_power_dbw)
+            except OverflowError:
+                raise ValueError(f"noise_power_dbw={self.noise_power_dbw} overflows its "
+                                 f"variance 10^(P/10)") from None
         # The agent loop takes round(t_end / dt) steps and samples every
         # round(sample_every / dt) of them, while the continuum lands on the
         # exact instants; off the dt grid the two would disagree silently.
@@ -173,8 +168,8 @@ def continuum_config(**overrides) -> ScenarioConfig:
 
 
 def build_kernel(config: ScenarioConfig) -> MorseKernel:
-    strength = 1.0 / config.n_agents if config.mean_field_scaling else 1.0
-    return MorseKernel(config.attraction_strength, config.attraction_length, strength)
+    return MorseKernel(config.attraction_strength, config.attraction_length,
+                       1.0 / config.n_agents)
 
 
 def build_target(config: ScenarioConfig):
@@ -205,7 +200,7 @@ def _base_metadata(config: ScenarioConfig) -> dict:
     meta = {
         "package_version": __version__,
         "numpy_version": np.__version__,
-        "interaction_strength": 1.0 / config.n_agents if config.mean_field_scaling else 1.0,
+        "interaction_strength": 1.0 / config.n_agents,
         "dt_stability_bound": config.dt_stability_bound,
     }
     if config.noise_power_dbw is not None:
@@ -254,7 +249,6 @@ class _Controller:
                        else target_at(self.program, 0.0, self.grid)[0])
         self.target_v = (None if self.target is None
                          else velocity_field(self.samples, self.target))
-        self.gains = ControllerGains(config.kp)
         self.rng = None if config.noise_power_dbw is None else np.random.default_rng(config.seed)
         self.q_integral_worst = 0.0
         self.starved_updates = 0
@@ -270,7 +264,7 @@ class _Controller:
             return None
         rho_d = self.desired(t)
         v_d = self.target_v if self.target is not None else velocity_field(self.samples, rho_d)
-        q = compute_feedback(rho, v, rho_d, v_d, self.gains)
+        q = compute_feedback(rho, v, rho_d, v_d, self.config.kp)
         if self.rng is not None:
             q += self.rng.normal(0.0, _noise_std(self.config.noise_power_dbw), self.grid.m)
         q_integral = abs(integrate(q))
@@ -295,21 +289,20 @@ def run_microscopic(config: ScenarioConfig) -> RunRecord:
     # swarms; those nodes are never sampled, so the control is zero there.
     controller = _Controller(config, on_starved="zero")
     estimator = WrappedGaussianEstimator(config.bandwidth, controller.grid)
-    integrator = IntegratorSpec(dt=config.dt, scheme=config.scheme)
-    state = SwarmState(initial_positions(config), 0.0)
+    x, t = initial_positions(config), 0.0
     record = RunRecord(config=asdict(config), metadata=_base_metadata(config))
     n_steps = int(round(config.t_end / config.dt))
     stride = int(round(config.sample_every / config.dt))
     for i in range(n_steps + 1):
-        rho_hat = estimator.estimate(state.positions)
-        u_field = controller(rho_hat, velocity_field(controller.samples, rho_hat), state.t)
+        rho_hat = estimator.estimate(x)
+        u_field = controller(rho_hat, velocity_field(controller.samples, rho_hat), t)
         if i % stride == 0 or i == n_steps:
-            u = (np.zeros(state.positions.size) if u_field is None
-                 else sample_agent_inputs(u_field, state.positions))
-            _record_sample(record, config, state.t, controller.grid.nodes, rho_hat,
-                           controller.desired(state.t), u, state.positions)
+            u = np.zeros(x.size) if u_field is None else sample_agent_inputs(u_field, x)
+            _record_sample(record, config, t, controller.grid.nodes, rho_hat,
+                           controller.desired(t), u, x)
         if i < n_steps:
-            state = step_swarm(state, controller.kernel, u_field, integrator)
+            x = step_swarm(x, controller.kernel, u_field, config.dt, config.scheme)
+            t += config.dt
     record.metadata["q_integral_worst"] = controller.q_integral_worst
     record.metadata["final_kl"] = record.final_kl()
     record.metadata["starved_updates"] = controller.starved_updates
@@ -321,16 +314,15 @@ def run_continuum_scenario(config: ScenarioConfig) -> RunRecord:
     controller = _Controller(config, on_starved="raise")
     mass = float(config.n_agents)
     rho0 = von_mises_density(0.0, 0.0, mass, controller.grid)  # uniform start, mass N
-    run = run_continuum(ContinuumState(rho0, 0.0), controller.samples, controller, config.t_end,
+    run = run_continuum(rho0, 0.0, controller.samples, controller, config.t_end,
                         cfl=config.cfl, dt_max=config.dt, sample_every=config.sample_every)
     record = RunRecord(config=asdict(config), metadata=_base_metadata(config))
     record.metadata["q_integral_worst"] = controller.q_integral_worst
-    for s, u in zip(run, run.u_fields):
-        u = np.zeros(s.rho.size) if u is None else u
-        _record_sample(record, config, s.t, controller.grid.nodes, s.rho,
-                       controller.desired(s.t), u)
+    for t, rho, u in zip(run.times, run.densities, run.u_fields):
+        u = np.zeros(rho.size) if u is None else u
+        _record_sample(record, config, t, controller.grid.nodes, rho, controller.desired(t), u)
     record.metadata["final_kl"] = record.final_kl()
-    record.metadata["mass_drift"] = abs(integrate(run[-1].rho) - mass)
+    record.metadata["mass_drift"] = abs(integrate(run.densities[-1]) - mass)
     record.metadata["continuum_steps"] = run.steps
     record.metadata["continuum_dt_min"] = run.dt_min
     record.metadata["continuum_dt_max"] = run.dt_max

@@ -12,13 +12,9 @@ import numpy as np
 import pytest
 
 from ringswarm import (
-    ContinuumState,
-    ControllerGains,
     GridFunction,
-    IntegratorSpec,
     MorseKernel,
     RingGrid,
-    SwarmState,
     integrate,
     l2_norm,
     microscopic_rhs,
@@ -108,17 +104,16 @@ def test_criterion_3_error_decay_bound():
     grid = RingGrid(256)
     n, kp = 50.0, 10.0
     kernel = MorseKernel(0.5, 0.5, strength=1.0 / n)
-    gains = ControllerGains(kp)
     rho_d = von_mises_density(0.0, 0.0, n, grid)
-    control = continuum_control(rho_d, kernel, gains)
+    control = continuum_control(rho_d, kernel, kp)
 
     rho0 = rho_d + 0.05 * np.sin(grid.nodes)
     assert abs(integrate(rho0) - n) < 1e-12  # mass-preserving perturbation
     e0 = l2_norm(rho_d - rho0)
-    states = run_continuum(ContinuumState(rho0, 0.0), kernel.sample_on_grid(grid), control, 0.1,
-                           cfl=0.4, dt_max=1e-3, sample_every=0.005)
-    ts = np.array([s.t for s in states])
-    els = np.array([l2_norm(rho_d - s.rho) for s in states])
+    run = run_continuum(rho0, 0.0, kernel.sample_on_grid(grid), control, 0.1,
+                        cfl=0.4, dt_max=1e-3, sample_every=0.005)
+    ts = np.array(run.times)
+    els = np.array([l2_norm(rho_d - rho) for rho in run.densities])
     slope = float(np.polyfit(ts, np.log(els**2), 1)[0])
     bound = -2.0 * kp + derivative_l2_norm(kernel, grid) * e0
     allowed = bound + 0.1 * abs(bound)
@@ -136,8 +131,7 @@ def test_criterion_4_conservation_suite(mono_run, continuum_mono_run):
     kernel = MorseKernel(0.5, 0.5)
     worst_momentum = 0.0
     for _ in range(100):
-        state = SwarmState(rng.uniform(-np.pi, np.pi, 50), 0.0)
-        rates = microscopic_rhs(state.positions, kernel, None)
+        rates = microscopic_rhs(rng.uniform(-np.pi, np.pi, 50), kernel, None)
         worst_momentum = max(worst_momentum, abs(float(rates.sum())))
     ok = drift < 1e-9 and q_micro < 1e-9 and q_cont < 1e-9 and worst_momentum < 1e-10
     check(4, "conservation suite", ok,
@@ -166,11 +160,10 @@ def test_criterion_5_oracle_equivalence():
     pos0 = np.array([-1.0, 1.0])
 
     def integrate_positions(dt):
-        state = SwarmState(pos0, 0.0)
-        spec = IntegratorSpec(dt=dt, scheme="rk4")
+        x = pos0
         for _ in range(int(round(0.35 / dt))):
-            state = step_swarm(state, kernel, None, spec)
-        return state.positions
+            x = step_swarm(x, kernel, None, dt, "rk4")
+        return x
 
     ref = integrate_positions(0.35 / 2800)
     dts = [1.4e-2, 7e-3, 3.5e-3]

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringswarm import (
-    ControllerGains,
     MorseKernel,
     RingGrid,
     compute_feedback,
@@ -36,8 +35,8 @@ def kernel():
 
 
 @pytest.fixture
-def gains():
-    return ControllerGains(kp=10.0)
+def kp():
+    return 10.0
 
 
 def positive_random_field(grid, rng, mass=50.0, modes=5):
@@ -59,10 +58,10 @@ def feedback_cases(draw):
     rho, rho_d = positive_random_field(grid, rng, mass), positive_random_field(grid, rng, mass)
     strength = draw(st.sampled_from((1.0 / mass, 1.0)))
     kernel = MorseKernel(draw(st.floats(0.05, 3.0)), draw(st.floats(0.05, 3.0)), strength)
-    return rho, rho_d, kernel, ControllerGains(draw(st.floats(0.1, 100.0)))
+    return rho, rho_d, kernel, draw(st.floats(0.1, 100.0))
 
 
-def two_convolution_feedback(rho, rho_d, kernel, gains):
+def two_convolution_feedback(rho, rho_d, kernel, kp):
     """The feedback with Ve convolved from e = rho_d - rho itself, as it was
     assembled before Ve = Vd - V(rho): the oracle for compute_feedback."""
     samples = kernel.sample_on_grid(RingGrid(rho.size))
@@ -70,46 +69,46 @@ def two_convolution_feedback(rho, rho_d, kernel, gains):
     v_desired, v_error = velocity_field(samples, rho_d), velocity_field(samples, e)
     flux_d = central_difference(e * v_desired)
     flux_e = central_difference(rho_d * v_error)
-    return gains.kp * e - flux_d - flux_e
+    return kp * e - flux_d - flux_e
 
 
 class TestComputeFeedback:
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(feedback_cases())
     def test_q_integral_vanishes_property(self, case):
-        rho, rho_d, kernel, gains = case
+        rho, rho_d, kernel, kp = case
         error_size = integrate(np.abs(rho_d - rho))
-        q = feedback(rho, rho_d, kernel, gains)
-        assert abs(integrate(q)) <= 1e-12 * (gains.kp * error_size + 1.0)
+        q = feedback(rho, rho_d, kernel, kp)
+        assert abs(integrate(q)) <= 1e-12 * (kp * error_size + 1.0)
         u = solve(rho, q)
         assert abs(u.sum()) <= 1e-12 * np.abs(u).sum()
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(feedback_cases())
     def test_matches_the_two_convolution_oracle(self, case):
-        rho, rho_d, kernel, gains = case
-        expected = two_convolution_feedback(rho, rho_d, kernel, gains)
-        q = feedback(rho, rho_d, kernel, gains)
+        rho, rho_d, kernel, kp = case
+        expected = two_convolution_feedback(rho, rho_d, kernel, kp)
+        q = feedback(rho, rho_d, kernel, kp)
         assert np.abs(q - expected).max() <= 1e-12 * np.abs(expected).max()
 
-    def test_matched_densities_give_zero_feedback(self, grid, kernel, gains):
+    def test_matched_densities_give_zero_feedback(self, grid, kernel, kp):
         rho_d = von_mises_density(0.0, 4.0, 50.0, grid)
-        assert np.all(feedback(rho_d, rho_d, kernel, gains) == 0.0)
+        assert np.all(feedback(rho_d, rho_d, kernel, kp) == 0.0)
 
-    def test_q_has_zero_integral_for_matched_mass(self, grid, kernel, gains):
+    def test_q_has_zero_integral_for_matched_mass(self, grid, kernel, kp):
         rho = von_mises_density(0.0, 0.0, 50.0, grid)  # uniform, mass 50
         rho_d = von_mises_density(0.0, 4.0, 50.0, grid)
-        assert abs(integrate(feedback(rho, rho_d, kernel, gains))) < 1e-9
+        assert abs(integrate(feedback(rho, rho_d, kernel, kp))) < 1e-9
 
-    def test_q_integral_vanishes_on_random_pairs(self, grid, kernel, gains):
+    def test_q_integral_vanishes_on_random_pairs(self, grid, kernel, kp):
         rng = np.random.default_rng(50)
         for _ in range(100):
             rho = positive_random_field(grid, rng)
             rho_d = positive_random_field(grid, rng)
-            q = feedback(rho, rho_d, kernel, gains)
+            q = feedback(rho, rho_d, kernel, kp)
             assert abs(integrate(q)) < 1e-9 * (l2_norm(q) + 1.0)
 
-    def test_q_linear_in_error_at_fixed_target(self, grid, kernel, gains):
+    def test_q_linear_in_error_at_fixed_target(self, grid, kernel, kp):
         rng = np.random.default_rng(51)
         rho_d = von_mises_density(0.0, 4.0, 50.0, grid)
 
@@ -121,12 +120,12 @@ class TestComputeFeedback:
 
         e1 = zero_mass_error(0.6)
         e2 = zero_mass_error(0.9)
-        q1 = feedback(rho_d - e1, rho_d, kernel, gains)
-        q2 = feedback(rho_d - e2, rho_d, kernel, gains)
-        q12 = feedback(rho_d - e1 - e2, rho_d, kernel, gains)
+        q1 = feedback(rho_d - e1, rho_d, kernel, kp)
+        q2 = feedback(rho_d - e2, rho_d, kernel, kp)
+        q12 = feedback(rho_d - e1 - e2, rho_d, kernel, kp)
         assert np.abs(q12 - q1 - q2).max() < 1e-10
 
-    def test_error_equation_algebra(self, grid, kernel, gains):
+    def test_error_equation_algebra(self, grid, kernel, kp):
         # Substituting q into the controlled law must reproduce the error
         # dynamics: [rho_d Vd]_x - [rho V]_x + q - kp*e + [e Ve]_x = 0 up to
         # roundoff (all terms share stencils), far below the O(dx^2) budget.
@@ -134,26 +133,21 @@ class TestComputeFeedback:
         for _ in range(10):
             rho = positive_random_field(grid, rng)
             rho_d = positive_random_field(grid, rng)
-            q = feedback(rho, rho_d, kernel, gains)
+            q = feedback(rho, rho_d, kernel, kp)
             e = rho_d - rho
             samples = kernel.sample_on_grid(grid)
             v, v_desired, v_error = (velocity_field(samples, f) for f in (rho, rho_d, e))
             flux_dd = central_difference(rho_d * v_desired)
             flux = central_difference(rho * v)
             flux_ee = central_difference(e * v_error)
-            residual = flux_dd - flux + q - gains.kp * e + flux_ee
+            residual = flux_dd - flux + q - kp * e + flux_ee
             assert l2_norm(residual) < 1e-8
 
-    def test_grid_mismatch_rejected(self, gains):
+    def test_grid_mismatch_rejected(self, kp):
         rho = von_mises_density(0.0, 0.0, 50.0, RingGrid(128))
         rho_d = von_mises_density(0.0, 4.0, 50.0, RingGrid(256))
         with pytest.raises(ValueError):
-            compute_feedback(rho, np.zeros(128), rho_d, np.zeros(256), gains)
-
-    def test_gain_validation(self):
-        with pytest.raises(ValueError):
-            ControllerGains(kp=0.0)
-
+            compute_feedback(rho, np.zeros(128), rho_d, np.zeros(256), kp)
 
 class TestVelocityControl:
     def test_zero_q_gives_zero_field(self, grid):

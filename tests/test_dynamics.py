@@ -6,12 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringswarm import (
-    ContinuumState,
-    ControllerGains,
-    IntegratorSpec,
     MorseKernel,
     RingGrid,
-    SwarmState,
     even_lattice,
     integrate,
     kl_divergence,
@@ -98,21 +94,20 @@ def interaction_cases(draw):
 
 
 def rk4_positions(pos0, kernel, t_end, dt, scheme="rk4"):
-    state = SwarmState(pos0, 0.0)
-    spec = IntegratorSpec(dt=dt, scheme=scheme)
+    x = pos0
     for _ in range(int(round(t_end / dt))):
-        state = step_swarm(state, kernel, None, spec)
-    return state.positions
+        x = step_swarm(x, kernel, None, dt, scheme)
+    return x
 
 
-def open_loop_samples(state, kernel, spec, t_end, sample_every):
-    """Open-loop states at t = 0 and every ``sample_every`` up to t_end."""
-    samples = [state]
-    stride = int(round(sample_every / spec.dt))
-    for i in range(1, int(round(t_end / spec.dt)) + 1):
-        state = step_swarm(state, kernel, None, spec)
+def open_loop_samples(x, kernel, dt, t_end, sample_every):
+    """Open-loop RK4 positions at t = 0 and every ``sample_every`` up to t_end."""
+    samples = [x]
+    stride = int(round(sample_every / dt))
+    for i in range(1, int(round(t_end / dt)) + 1):
+        x = step_swarm(x, kernel, None, dt, "rk4")
         if i % stride == 0:
-            samples.append(state)
+            samples.append(x)
     return samples
 
 
@@ -209,18 +204,20 @@ class TestMicroscopicRhs:
 class TestStepSwarm:
     def test_single_agent_is_stationary(self):
         kernel = MorseKernel(0.5, 0.5)
-        state = SwarmState(np.array([0.4]), 0.0)
-        out = step_swarm(state, kernel, None, IntegratorSpec(dt=1e-2))
-        assert out.positions[0] == 0.4
-        assert out.t == pytest.approx(1e-2)
+        for scheme in dynamics.SCHEMES:
+            assert step_swarm(np.array([0.4]), kernel, None, 1e-2, scheme).tolist() == [0.4]
+
+    def test_unknown_scheme_is_refused(self):
+        # a misspelt scheme must not silently run one of the others
+        with pytest.raises(ValueError, match="scheme must be one of"):
+            step_swarm(np.array([0.0, 1.0]), MorseKernel(0.5, 0.5), None, 1e-3, "RK4")
 
     def test_positions_stay_wrapped(self):
         kernel = MorseKernel(0.5, 0.5, strength=5.0)
-        state = SwarmState(np.array([-3.1, 3.1]), 0.0)
-        spec = IntegratorSpec(dt=5e-3)
+        x = np.array([-3.1, 3.1])
         for _ in range(200):
-            state = step_swarm(state, kernel, None, spec)
-        assert np.all(state.positions >= -np.pi) and np.all(state.positions < np.pi)
+            x = step_swarm(x, kernel, None, 5e-3, "rk4")
+        assert np.all(x >= -np.pi) and np.all(x < np.pi)
 
     def test_rotational_equivariance(self):
         kernel = MorseKernel(0.5, 0.5)
@@ -247,15 +244,12 @@ class TestStepSwarm:
         assert np.abs(np.roll(rho, shift) - rho_shifted).max() <= 1e-12 * peak
         kernel = MorseKernel(0.5, 0.5, strength=1.0 / n)
         target = von_mises_density(0.3, 4.0, float(n), grid)
-        gains = ControllerGains(10.0)
-        q = feedback(rho, target, kernel, gains)
-        q_shifted = feedback(rho_shifted, np.roll(target, shift), kernel, gains)
-        assert np.abs(np.roll(q, shift) - q_shifted).max() <= 1e-12 * gains.kp * peak
-        u_field = solve(rho, q)
-        spec = IntegratorSpec(dt=1e-3)
-        stepped = step_swarm(SwarmState(x), kernel, u_field, spec).positions
-        u_shifted = solve(rho_shifted, q_shifted)
-        stepped_shifted = step_swarm(SwarmState(shifted), kernel, u_shifted, spec).positions
+        kp = 10.0
+        q = feedback(rho, target, kernel, kp)
+        q_shifted = feedback(rho_shifted, np.roll(target, shift), kernel, kp)
+        assert np.abs(np.roll(q, shift) - q_shifted).max() <= 1e-12 * kp * peak
+        stepped = step_swarm(x, kernel, solve(rho, q), 1e-3, "rk4")
+        stepped_shifted = step_swarm(shifted, kernel, solve(rho_shifted, q_shifted), 1e-3, "rk4")
         assert np.abs(wrap_angle(stepped_shifted - stepped - shift * grid.spacing)).max() <= 1e-9
 
     def test_euler_first_order(self):
@@ -281,19 +275,17 @@ class TestStepSwarm:
         grid = RingGrid(128)
         estimator = WrappedGaussianEstimator(0.2, grid)
         target = von_mises_density(0.0, 4.0, 20.0, grid)
-        gains = ControllerGains(10.0)
 
-        def control(state):
-            rho = estimator.estimate(state.positions)
-            return solve(rho, feedback(rho, target, kernel, gains))
+        def control(x):
+            rho = estimator.estimate(x)
+            return solve(rho, feedback(rho, target, kernel, 10.0))
 
         runs = []
         for _ in range(2):
-            state = SwarmState(even_lattice(20), 0.0)
-            spec = IntegratorSpec(dt=1e-3)
+            x = even_lattice(20)
             for _ in range(100):
-                state = step_swarm(state, kernel, control(state), spec)
-            runs.append(state.positions)
+                x = step_swarm(x, kernel, control(x), 1e-3, "rk4")
+            runs.append(x)
         assert np.array_equal(runs[0], runs[1])
 
     def test_euler_step_is_one_rhs_evaluation(self):
@@ -303,37 +295,34 @@ class TestStepSwarm:
         kernel = MorseKernel(0.5, 0.5, strength=1 / 20)
         x = np.random.default_rng(66).uniform(-2.0, 2.0, 20)
         rho = WrappedGaussianEstimator(0.2, grid).estimate(x)
-        q = feedback(rho, von_mises_density(0.0, 4.0, 20.0, grid), kernel, ControllerGains(10.0))
+        q = feedback(rho, von_mises_density(0.0, 4.0, 20.0, grid), kernel, 10.0)
         u_field = solve(rho, q)
         for field in (u_field, None):
-            out = step_swarm(SwarmState(x), kernel, field, IntegratorSpec(1e-3, "euler"))
-            assert np.array_equal(out.positions, x + 1e-3 * microscopic_rhs(x, kernel, field))
+            out = step_swarm(x, kernel, field, 1e-3, "euler")
+            assert np.array_equal(out, x + 1e-3 * microscopic_rhs(x, kernel, field))
 
     def test_nonfinite_positions_abort(self):
         grid = RingGrid(64)
         kernel = MorseKernel(0.5, 0.5)
         huge = np.full(grid.m, 1e308)
-        state = SwarmState(np.array([0.0, 1.0]), 0.0)
         with np.errstate(over="ignore"), pytest.raises(RuntimeError, match="non-finite"):
-            step_swarm(state, kernel, huge, IntegratorSpec(dt=1e-3))
+            step_swarm(np.array([0.0, 1.0]), kernel, huge, 1e-3, "rk4")
 
 
 class TestOpenLoop:
     def test_single_agent_trajectory(self):
         kernel = MorseKernel(0.5, 0.5)
-        states = open_loop_samples(SwarmState(np.array([1.1]), 0.0), kernel,
-                                   IntegratorSpec(dt=1e-2), t_end=0.5, sample_every=0.05)
-        assert all(s.positions[0] == 1.1 for s in states)
-        assert states[-1].t == pytest.approx(0.5)
+        samples = open_loop_samples(np.array([1.1]), kernel, 1e-2, t_end=0.5, sample_every=0.05)
+        assert len(samples) == 11
+        assert all(x[0] == 1.1 for x in samples)
 
     def test_attraction_dominant_kernel_clusters(self):
         # exploratory regime: attraction beats repulsion, one cluster forms
         rng = np.random.default_rng(63)
         kernel = MorseKernel(2.0, 2.0, strength=1 / 30)
-        state = SwarmState(rng.uniform(-np.pi, np.pi, 30), 0.0)
-        states = open_loop_samples(state, kernel, IntegratorSpec(dt=2e-3), t_end=30.0,
-                                   sample_every=3.0)
-        circ_var = [1.0 - np.abs(np.mean(np.exp(1j * s.positions))) for s in states]
+        samples = open_loop_samples(rng.uniform(-np.pi, np.pi, 30), kernel, 2e-3, t_end=30.0,
+                                    sample_every=3.0)
+        circ_var = [1.0 - np.abs(np.mean(np.exp(1j * x))) for x in samples]
         late = circ_var[len(circ_var) // 2:]
         assert late[-1] < 0.05
         assert all(b <= a + 1e-3 for a, b in zip(late, late[1:]))
@@ -359,46 +348,43 @@ def continuum_cases(draw):
     kernel = MorseKernel(draw(st.floats(0.05, 3.0)), draw(st.floats(0.05, 3.0)), 1.0 / mass)
     control = None
     if draw(st.booleans()):
-        rho_d, gains = smooth_positive(), ControllerGains(draw(st.floats(0.1, 100.0)))
-        control = continuum_control(rho_d, kernel, gains)
+        control = continuum_control(smooth_positive(), kernel, draw(st.floats(0.1, 100.0)))
     return rho0, kernel, control
 
 
-def one_step(state, kernel, dt):
-    """One open-loop Rusanov step of run_continuum from t = 0, at a dt below
-    the CFL bound."""
-    samples = run_continuum(state, kernel.sample_on_grid(RingGrid(state.rho.size)), None, dt,
-                            dt_max=dt, sample_every=dt)
-    assert len(samples) == 2 and samples[-1].t == dt
-    return samples[-1]
+def one_step(rho, kernel, dt):
+    """The density after one open-loop Rusanov step of run_continuum from
+    t = 0, at a dt below the CFL bound."""
+    run = run_continuum(rho, 0.0, kernel.sample_on_grid(RingGrid(rho.size)), None, dt,
+                        dt_max=dt, sample_every=dt)
+    assert run.times == (0.0, dt)
+    return run.densities[-1]
 
 
 class TestContinuum:
     def test_uniform_density_is_a_fixed_point(self):
         grid = RingGrid(256)
-        state = ContinuumState(von_mises_density(0.0, 0.0, 50.0, grid), 0.0)
-        out = one_step(state, MorseKernel(0.5, 0.5, strength=0.02), 1e-3)
-        assert np.allclose(out.rho, state.rho, atol=1e-14)
-        assert out.t == pytest.approx(1e-3)
+        rho = von_mises_density(0.0, 0.0, 50.0, grid)
+        out = one_step(rho, MorseKernel(0.5, 0.5, strength=0.02), 1e-3)
+        assert np.allclose(out, rho, atol=1e-14)
 
     def test_mass_conserved_over_many_steps(self):
         grid = RingGrid(256)
         rng = np.random.default_rng(64)
         values = 50.0 / (2 * np.pi) * (1.0 + 0.5 * np.sin(grid.nodes)
                                        + 0.2 * rng.normal() * np.cos(2 * grid.nodes))
-        state = ContinuumState(values, 0.0)
         kernel = MorseKernel(0.5, 0.5, strength=0.02)
-        mass0 = integrate(state.rho)
-        state = run_continuum(state, kernel.sample_on_grid(grid), None, 1.0, dt_max=1e-3,
-                              sample_every=1.0)[-1]
-        assert abs(integrate(state.rho) - mass0) < 1e-9
-        assert state.rho.min() >= 0.0
+        mass0 = integrate(values)
+        rho = run_continuum(values, 0.0, kernel.sample_on_grid(grid), None, 1.0, dt_max=1e-3,
+                            sample_every=1.0).densities[-1]
+        assert abs(integrate(rho) - mass0) < 1e-9
+        assert rho.min() >= 0.0
 
     def test_every_step_within_the_cfl_bound(self, monkeypatch):
         # a concentrated density under the unscaled kernel moves fast enough
         # that the CFL bound, not dt_max, sets the steps
         grid = RingGrid(256)
-        state = ContinuumState(von_mises_density(0.0, 4.0, 50.0, grid), 0.0)
+        rho = von_mises_density(0.0, 4.0, 50.0, grid)
         steps = []
 
         def advance(rho, w, dt):
@@ -407,7 +393,7 @@ class TestContinuum:
 
         rusanov_advance = dynamics._rusanov_advance
         monkeypatch.setattr(dynamics, "_rusanov_advance", advance)
-        run_continuum(state, MorseKernel(0.5, 0.5).sample_on_grid(grid), None, 0.05, cfl=0.4,
+        run_continuum(rho, 0.0, MorseKernel(0.5, 0.5).sample_on_grid(grid), None, 0.05, cfl=0.4,
                       dt_max=1.0, sample_every=0.05)
         assert len(steps) > 1
         assert all(dt * top <= 0.4 * grid.spacing * (1 + 1e-12) for dt, top in steps)
@@ -428,7 +414,7 @@ class TestContinuum:
     ])
     def test_sampling_starts_after_a_late_start(self, monkeypatch, t0, t_end, every, times):
         grid = RingGrid(64)
-        state = ContinuumState(von_mises_density(0.0, 1.0, 10.0, grid), t0)
+        rho = von_mises_density(0.0, 1.0, 10.0, grid)
         steps = []
 
         def advance(rho, w, dt):
@@ -437,9 +423,9 @@ class TestContinuum:
 
         rusanov_advance = dynamics._rusanov_advance
         monkeypatch.setattr(dynamics, "_rusanov_advance", advance)
-        samples = run_continuum(state, MorseKernel(0.5, 0.5, strength=0.1).sample_on_grid(grid),
-                                None, t_end, dt_max=every, sample_every=every)
-        assert [s.t for s in samples] == pytest.approx(times, abs=1e-12)
+        run = run_continuum(rho, t0, MorseKernel(0.5, 0.5, strength=0.1).sample_on_grid(grid),
+                            None, t_end, dt_max=every, sample_every=every)
+        assert list(run.times) == pytest.approx(times, abs=1e-12)
         assert min(steps) > 0.0
         assert sum(steps) == pytest.approx(t_end - t0)
 
@@ -452,16 +438,15 @@ class TestContinuum:
         n = 50.0
         kp = 10.0
         kernel = MorseKernel(0.5, 0.5, strength=1.0 / n)
-        gains = ControllerGains(kp)
         rho_d = von_mises_density(0.0, 4.0, n, grid)
-        control = continuum_control(rho_d, kernel, gains)
+        control = continuum_control(rho_d, kernel, kp)
 
         rho0 = von_mises_density(0.0, 0.0, n, grid)
         e0 = l2_norm(rho_d - rho0)
-        states = run_continuum(ContinuumState(rho0, 0.0), kernel.sample_on_grid(grid), control,
-                               0.1, cfl=0.4, dt_max=1e-3, sample_every=0.005)
-        ts = np.array([s.t for s in states])
-        els = np.array([l2_norm(rho_d - s.rho) for s in states])
+        run = run_continuum(rho0, 0.0, kernel.sample_on_grid(grid), control, 0.1, cfl=0.4,
+                            dt_max=1e-3, sample_every=0.005)
+        ts = np.array(run.times)
+        els = np.array([l2_norm(rho_d - rho) for rho in run.densities])
         slope = np.polyfit(ts, np.log(els**2), 1)[0]
         guaranteed = 2.0 * kp - derivative_l2_norm(MorseKernel(0.5, 0.5), grid) * e0
         assert els[-1] < els[0]
@@ -471,10 +456,10 @@ class TestContinuum:
         grid = RingGrid(256)
         n = 50.0
         kernel = MorseKernel(0.5, 0.5, strength=1.0 / n)
-        state = ContinuumState(von_mises_density(0.2, 2.0, n, grid), 0.0)
-        states = run_continuum(state, kernel.sample_on_grid(grid), None, 1.0, sample_every=0.25)
-        assert [s.t for s in states] == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
-        assert abs(integrate(states[-1].rho) - n) < 1e-9
+        run = run_continuum(von_mises_density(0.2, 2.0, n, grid), 0.0, kernel.sample_on_grid(grid),
+                            None, 1.0, sample_every=0.25)
+        assert list(run.times) == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
+        assert abs(integrate(run.densities[-1]) - n) < 1e-9
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(continuum_cases())
@@ -482,20 +467,18 @@ class TestContinuum:
         rho0, kernel, control = case
         mass = integrate(rho0)
         samples = kernel.sample_on_grid(RingGrid(rho0.size))
-        run = run_continuum(ContinuumState(rho0, 0.0), samples, control, 0.05,
-                            dt_max=1e-3, sample_every=0.05)
+        run = run_continuum(rho0, 0.0, samples, control, 0.05, dt_max=1e-3, sample_every=0.05)
         assert run.steps >= 50
-        for s in run:
-            assert abs(integrate(s.rho) - mass) <= 1e-9 * mass
-            assert s.rho.min() >= 0.0
+        for rho in run.densities:
+            assert abs(integrate(rho) - mass) <= 1e-9 * mass
+            assert rho.min() >= 0.0
 
     def test_run_hands_back_applied_controls_and_steps(self, monkeypatch):
         grid = RingGrid(64)
         n = 10.0
         kernel = MorseKernel(0.5, 0.5, strength=1.0 / n)
-        gains = ControllerGains(10.0)
         rho_d = von_mises_density(0.0, 4.0, n, grid)
-        regulate = continuum_control(rho_d, kernel, gains)
+        regulate = continuum_control(rho_d, kernel, 10.0)
         applied = {}
         steps = []
 
@@ -510,14 +493,14 @@ class TestContinuum:
         rusanov_advance = dynamics._rusanov_advance
         monkeypatch.setattr(dynamics, "_rusanov_advance", advance)
         samples = kernel.sample_on_grid(grid)
-        run = run_continuum(ContinuumState(von_mises_density(0.0, 0.0, n, grid)), samples,
-                            control, 0.1, dt_max=0.02, sample_every=0.03)
-        assert [s.t for s in run] == pytest.approx([0.0, 0.03, 0.06, 0.09, 0.1])
-        assert len(run.u_fields) == len(run)
-        assert all(u is applied[s.t] for s, u in zip(run, run.u_fields))
-        # the last state starts no step; its U is evaluated once after the run
-        last = run[-1].rho
-        fresh = regulate(last, velocity_field(samples, last), run[-1].t)
+        run = run_continuum(von_mises_density(0.0, 0.0, n, grid), 0.0, samples, control, 0.1,
+                            dt_max=0.02, sample_every=0.03)
+        assert list(run.times) == pytest.approx([0.0, 0.03, 0.06, 0.09, 0.1])
+        assert len(run.u_fields) == len(run.densities) == len(run.times)
+        assert all(u is applied[t] for t, u in zip(run.times, run.u_fields))
+        # the last sample starts no step; its U is evaluated once after the run
+        last = run.densities[-1]
+        fresh = regulate(last, velocity_field(samples, last), run.times[-1])
         assert np.array_equal(run.u_fields[-1], fresh)
         assert len(applied) - 1 == run.steps == len(steps)
         assert (run.dt_min, run.dt_max) == (min(steps), max(steps))
@@ -526,19 +509,20 @@ class TestContinuum:
     def test_open_loop_and_stepless_runs(self):
         grid = RingGrid(64)
         kernel = MorseKernel(0.5, 0.5, strength=0.1)
-        state = ContinuumState(von_mises_density(0.0, 1.0, 10.0, grid), 0.2)
-        run = run_continuum(state, kernel.sample_on_grid(grid), None, 0.2)
-        assert list(run) == [state] and run.u_fields == (None,) and run.steps == 0
+        rho = von_mises_density(0.0, 1.0, 10.0, grid)
+        run = run_continuum(rho, 0.2, kernel.sample_on_grid(grid), None, 0.2)
+        assert run.times == (0.2,) and run.densities[0] is rho
+        assert run.u_fields == (None,) and run.steps == 0
         assert math.isnan(run.dt_min) and math.isnan(run.dt_max)
-        run = run_continuum(state, kernel.sample_on_grid(grid), None, 0.3, sample_every=0.05)
-        assert len(run) == 3 and run.u_fields == (None,) * 3 and run.steps >= 100
+        run = run_continuum(rho, 0.2, kernel.sample_on_grid(grid), None, 0.3, sample_every=0.05)
+        assert len(run.times) == len(run.densities) == 3
+        assert run.u_fields == (None,) * 3 and run.steps >= 100
 
     def test_negative_density_guard(self):
         grid = RingGrid(64)
-        state = ContinuumState(von_mises_density(0.0, 1.0, 10.0, grid), 0.0)
         kernel = MorseKernel(0.5, 0.5, strength=0.1)
-        out = one_step(state, kernel, 1e-3)
-        assert out.rho.min() >= 0.0
+        out = one_step(von_mises_density(0.0, 1.0, 10.0, grid), kernel, 1e-3)
+        assert out.min() >= 0.0
 
 
 @pytest.mark.slow
@@ -558,12 +542,11 @@ class TestScaleConsistency:
         quantiles = (np.arange(n) + 0.5) / n
         pos0 = np.interp(quantiles, cdf, edges)
 
-        state = SwarmState(pos0, 0.0)
-        spec = IntegratorSpec(dt=1e-3, scheme="euler")
+        x = pos0
         for _ in range(3000):
-            state = step_swarm(state, kernel, None, spec)
-        kde = WrappedGaussianEstimator(0.2, grid).estimate(state.positions)
+            x = step_swarm(x, kernel, None, 1e-3, "euler")
+        kde = WrappedGaussianEstimator(0.2, grid).estimate(x)
 
-        cont = run_continuum(ContinuumState(rho0, 0.0), kernel.sample_on_grid(grid), None, 3.0,
-                             sample_every=3.0)[-1]
-        assert kl_divergence(kde, cont.rho) < 0.05
+        cont = run_continuum(rho0, 0.0, kernel.sample_on_grid(grid), None, 3.0,
+                             sample_every=3.0).densities[-1]
+        assert kl_divergence(kde, cont) < 0.05

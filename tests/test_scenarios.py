@@ -10,14 +10,10 @@ import numpy as np
 import pytest
 
 from ringswarm import (
-    ContinuumState,
-    ControllerGains,
     GridFunction,
-    IntegratorSpec,
     MonomodalTarget,
     MorseKernel,
     RingGrid,
-    SwarmState,
     WrappedGaussianEstimator,
     compute_feedback,
     even_lattice,
@@ -82,6 +78,9 @@ INVALID_CONFIGS = {
     "record-agents-string": {"record_agents": "no"},
     "mu-string": {"mu": "0"},
     "noise-power-string": {"noise_power_dbw": "20"},
+    "noise-power-overflow": {"scenario": "regulate-mono", "noise_power_dbw": 4000.0},
+    "kp-zero": {"kp": 0.0},
+    "dt-zero": {"dt": 0.0},
 }
 
 
@@ -205,21 +204,19 @@ class TestRunRecords:
                              strength=1.0 / cfg.n_agents)
         target = von_mises_density(cfg.mu, cfg.concentration, float(cfg.n_agents), grid)
         estimator = WrappedGaussianEstimator(cfg.bandwidth, grid)
-        gains = ControllerGains(cfg.kp)
         samples = kernel.sample_on_grid(grid)
         v_target = velocity_field(samples, target)
 
-        def control(state):
-            rho = estimator.estimate(state.positions)
-            q = compute_feedback(rho, velocity_field(samples, rho), target, v_target, gains)
+        def control(x):
+            rho = estimator.estimate(x)
+            q = compute_feedback(rho, velocity_field(samples, rho), target, v_target, cfg.kp)
             starved = rho < starvation_floor(rho)
             return velocity_control(rho, q, starved)
 
-        state = SwarmState(even_lattice(cfg.n_agents))
-        spec = IntegratorSpec(dt=cfg.dt, scheme=cfg.scheme)
+        x = even_lattice(cfg.n_agents)
         for _ in range(int(round(cfg.t_end / cfg.dt))):
-            state = step_swarm(state, kernel, control(state), spec)
-        assert np.array_equal(state.positions, final)
+            x = step_swarm(x, kernel, control(x), cfg.dt, cfg.scheme)
+        assert np.array_equal(x, final)
 
     def test_library_loop_is_the_continuum_harness_loop(self):
         # target -> feedback -> U composed by hand and handed to
@@ -232,24 +229,22 @@ class TestRunRecords:
         kernel = MorseKernel(cfg.attraction_strength, cfg.attraction_length,
                              strength=1.0 / cfg.n_agents)
         program = MonomodalTarget(cfg.mu, cfg.concentration, mass)
-        gains = ControllerGains(cfg.kp)
         samples = kernel.sample_on_grid(grid)
         q_integral_worst = 0.0
 
         def control(rho, v, t):
             nonlocal q_integral_worst
             rho_d = target_at(program, t, grid)[0]
-            q = compute_feedback(rho, v, rho_d, velocity_field(samples, rho_d), gains)
+            q = compute_feedback(rho, v, rho_d, velocity_field(samples, rho_d), cfg.kp)
             q_integral_worst = max(q_integral_worst, abs(float(grid.spacing * q.sum())))
             starved = rho < starvation_floor(rho)
             assert not starved.any()
             return velocity_control(rho, q, starved)
 
-        start = ContinuumState(von_mises_density(0.0, 0.0, mass, grid))
-        states = run_continuum(start, samples, control, cfg.t_end, cfl=cfg.cfl,
-                               dt_max=cfg.dt, sample_every=cfg.sample_every)
+        run = run_continuum(von_mises_density(0.0, 0.0, mass, grid), 0.0, samples, control,
+                            cfg.t_end, cfl=cfg.cfl, dt_max=cfg.dt, sample_every=cfg.sample_every)
         rho_rows = np.array([row[2] for row in rec.density])
-        assert np.array_equal(rho_rows, np.concatenate([s.rho for s in states]))
+        assert np.array_equal(rho_rows, np.concatenate(run.densities))
         assert rec.metadata["q_integral_worst"] == q_integral_worst
 
     def test_continuum_replays_with_warm_caches(self):
@@ -356,13 +351,13 @@ class TestRunRecords:
         cfg = continuum_config(t_end=0.2)
         rec = run_continuum_scenario(cfg)
         controller = scenarios._Controller(cfg, on_starved="raise")
-        start = ContinuumState(von_mises_density(0.0, 0.0, 50.0, controller.grid))
-        run = run_continuum(start, controller.samples, controller, cfg.t_end, cfl=cfg.cfl,
+        start = von_mises_density(0.0, 0.0, 50.0, controller.grid)
+        run = run_continuum(start, 0.0, controller.samples, controller, cfg.t_end, cfl=cfg.cfl,
                             dt_max=cfg.dt, sample_every=cfg.sample_every)
         fresh = [scenarios._Controller(cfg, on_starved="raise")(
-                     s.rho, velocity_field(controller.samples, s.rho), s.t)
-                 for s in run]
-        assert len(run) == len(rec.metrics) == 5
+                     rho, velocity_field(controller.samples, rho), t)
+                 for t, rho in zip(run.times, run.densities)]
+        assert len(run.times) == len(rec.metrics) == 5
         assert all(np.array_equal(applied, u)
                    for applied, u in zip(run.u_fields, fresh, strict=True))
         assert [row[3] for row in rec.metrics] == [float(np.abs(u).max()) for u in fresh]
@@ -424,23 +419,22 @@ class TestRunRecords:
         controller = scenarios._Controller(cfg, on_starved="raise")
         grid, kernel = controller.grid, controller.kernel
         spacing, mass = grid.spacing, float(cfg.n_agents)
-        start = ContinuumState(von_mises_density(0.0, 0.0, mass, grid))
-        run = run_continuum(start, controller.samples, controller, cfg.t_end, cfl=cfg.cfl,
+        start = von_mises_density(0.0, 0.0, mass, grid)
+        run = run_continuum(start, 0.0, controller.samples, controller, cfg.t_end, cfl=cfg.cfl,
                             dt_max=cfg.dt, sample_every=cfg.sample_every)
 
         samples = kernel.sample_on_grid(grid)
         rho_d = von_mises_density(cfg.mu, cfg.concentration, mass, grid)
         v_d = velocity_field(samples, rho_d)
-        gains = ControllerGains(cfg.kp)
 
         def control(rho):
             v = velocity_field(samples, rho)
-            q = compute_feedback(rho, v, rho_d, v_d, gains)
+            q = compute_feedback(rho, v, rho_d, v_d, cfg.kp)
             starved = rho < starvation_floor(rho)
             assert not starved.any()
             return v, velocity_control(rho, q, starved)
 
-        rho, t, k = start.rho, 0.0, 1
+        rho, t, k = start, 0.0, 1
         states, u_fields, steps = [(t, rho)], [], []
         while t < cfg.t_end - 1e-12:
             target = min(k * cfg.sample_every, cfg.t_end)
@@ -460,8 +454,9 @@ class TestRunRecords:
                 k += 1
         u_fields.append(control(rho)[1])
 
-        assert [s.t for s in run] == [t for t, _ in states]
-        assert all(np.array_equal(s.rho, r) for s, (_, r) in zip(run, states, strict=True))
+        assert list(run.times) == [t for t, _ in states]
+        assert all(np.array_equal(a, b)
+                   for a, (_, b) in zip(run.densities, states, strict=True))
         assert all(np.array_equal(a, b) for a, b in zip(run.u_fields, u_fields, strict=True))
         assert (run.steps, run.dt_min, run.dt_max) == (len(steps), min(steps), max(steps))
         rec = run_continuum_scenario(cfg)
@@ -761,7 +756,8 @@ class TestCli:
 
     def test_bad_config_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
-        for overrides in ({"bogus": 1}, {"integration_constant": "zero"}):
+        for overrides in ({"bogus": 1}, {"integration_constant": "zero"},
+                          {"mean_field_scaling": True}):
             cfg_file.write_text(json.dumps(overrides))
             assert cli_main(["regulate-mono", "--config", str(cfg_file)]) == 2
 
