@@ -12,8 +12,8 @@ harness with a CLI.
 __version__ = "0.1.0"
 
 from .ring import (
-    RingGrid,
     GridFunction,
+    grid_nodes,
     wrap_angle,
     integrate,
 )
@@ -22,11 +22,6 @@ from .density import (
     WrappedGaussianEstimator,
     von_mises_density,
     bimodal_density,
-    MonomodalTarget,
-    BimodalTarget,
-    TrackingTarget,
-    TrackingSchedule,
-    target_at,
     kl_divergence,
     l2_norm,
 )
@@ -48,6 +43,7 @@ from .scenarios import (
     tracking_config,
     open_loop_config,
     continuum_config,
+    target_at,
     run_microscopic,
     run_continuum_scenario,
     run_scalability_sweep,
@@ -57,15 +53,14 @@ from .records import RunRecord
 
 __all__ = [
     "__version__",
-    "RingGrid", "GridFunction", "wrap_angle", "integrate",
+    "GridFunction", "grid_nodes", "wrap_angle", "integrate",
     "MorseKernel", "velocity_field",
     "WrappedGaussianEstimator", "von_mises_density", "bimodal_density",
-    "MonomodalTarget", "BimodalTarget", "TrackingTarget", "TrackingSchedule",
-    "target_at", "kl_divergence", "l2_norm",
+    "kl_divergence", "l2_norm",
     "compute_feedback", "velocity_control", "sample_agent_inputs",
     "even_lattice", "microscopic_rhs", "step_swarm", "run_continuum",
     "ScenarioConfig", "monomodal_config", "bimodal_config", "tracking_config",
-    "open_loop_config", "continuum_config",
+    "open_loop_config", "continuum_config", "target_at",
     "run_microscopic", "run_continuum_scenario",
     "run_scalability_sweep", "run_noise_sweep",
     "RunRecord",

@@ -1,20 +1,20 @@
-"""Density estimation on the circle, reference density programs, metrics.
+"""Density estimation on the circle, reference density profiles, metrics.
 
 The swarm's density is estimated from agent positions with a wrapped
 Gaussian kernel estimator, evaluated on the grid by a moment-expanded FFT
 convolution that matches the direct sum to roundoff.  Reference densities
-are von Mises profiles (monomodal, bimodal, or a monomodal profile whose
-mean follows a piecewise-linear schedule).  Scalar metrics: L2 norm and KL
-divergence between grid-normalised densities.
+are von Mises profiles at given angles: monomodal, bimodal, or monomodal
+with the tracking mean, a piecewise-linear function of time.  Scalar
+metrics: L2 norm and KL divergence between grid-normalised densities.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .ring import TWO_PI, RingGrid, integrate
+from .ring import TWO_PI, integrate
 
 KL_FLOOR = 1e-12
 # A Gaussian factor exp(-t^2 / 2) underflows to 0 beyond this |t|.
@@ -56,14 +56,16 @@ class WrappedGaussianEstimator:
     """
 
     bandwidth: float
-    grid: RingGrid
+    m: int
 
     def __post_init__(self):
+        if self.m < 4:
+            raise ValueError(f"the grid needs at least 4 nodes, got m={self.m}")
         if not 0.0 < self.bandwidth < np.pi:
             raise ValueError(f"bandwidth must lie in (0, pi), got {self.bandwidth}")
-        if self.bandwidth < self.grid.spacing:
+        if self.bandwidth < TWO_PI / self.m:
             raise ValueError(f"bandwidth {self.bandwidth} is below the grid spacing "
-                             f"{self.grid.spacing} (2*pi/{self.grid.m})")
+                             f"{TWO_PI / self.m} (2*pi/{self.m})")
 
     @cached_property
     def _moment_spectra(self) -> np.ndarray:
@@ -71,10 +73,11 @@ class WrappedGaussianEstimator:
         each summed over the images whose Gaussian factor does not underflow.
         The offsets n * Delta, n in [-m/2, m/2), are formed from integers:
         wrapping them instead would round each to an ulp of pi."""
-        h, m = self.bandwidth, self.grid.m
-        n_terms = _term_count(0.5 * self.grid.spacing / h)
+        h, m = self.bandwidth, self.m
+        spacing = TWO_PI / m
+        n_terms = _term_count(0.5 * spacing / h)
         n_images = math.ceil((_GAUSS_UNDERFLOW * h + np.pi) / (2.0 * np.pi))
-        offsets = self.grid.spacing * (np.arange(m) - m * (np.arange(m) >= m // 2))
+        offsets = spacing * (np.arange(m) - m * (np.arange(m) >= m // 2))
         t = (offsets + 2.0 * np.pi * np.arange(-n_images, n_images + 1)[:, None]) / h
         term = np.exp(-0.5 * t * t) / (h * math.sqrt(2.0 * math.pi))
         kernels = np.empty((n_terms, m))
@@ -92,12 +95,13 @@ class WrappedGaussianEstimator:
         if not np.isfinite(positions).all():
             raise ValueError("agent positions must all be finite")
         spectra = self._moment_spectra
-        n_terms, m = spectra.shape[0], self.grid.m
+        n_terms, m = spectra.shape[0], self.m
+        spacing = TWO_PI / m
         # delta from the exact difference to the nearest node (past the last
         # node that is x - 2*pi to node 0), not from the rounded (x + pi) / Delta.
-        nearest = np.rint((positions + np.pi) / self.grid.spacing).astype(int)
+        nearest = np.rint((positions + np.pi) / spacing).astype(int)
         node = nearest % m
-        offset = (positions - TWO_PI * (nearest // m)) - self.grid.nodes[node]
+        offset = (positions - TWO_PI * (nearest // m)) - (-np.pi + spacing * node)
         delta = offset / self.bandwidth
         moments = np.empty((n_terms, m))
         weights = np.exp(-0.5 * delta * delta)
@@ -119,99 +123,51 @@ def _checked_profile(values: np.ndarray, concentration: float) -> np.ndarray:
     return values
 
 
-def von_mises_density(mu: float, concentration: float, mass: float, grid: RingGrid) -> np.ndarray:
-    """von Mises profile mass * exp(k cos(x - mu)) / (2*pi*I0(k)) at the nodes.
+def von_mises_density(mu: float, concentration: float, mass: float, x: np.ndarray) -> np.ndarray:
+    """von Mises profile mass * exp(k cos(x - mu)) / (2*pi*I0(k)) at the angles x.
 
     Strictly positive and integrates to ``mass``; k = 0 degenerates to the
     uniform density mass / (2*pi).  Overflow raises.
     """
-    values = mass * np.exp(concentration * np.cos(grid.nodes - mu))
+    values = mass * np.exp(concentration * np.cos(x - mu))
     values /= 2.0 * np.pi * np.i0(concentration)
     return _checked_profile(values, concentration)
 
 
 def bimodal_density(mu1: float, mu2: float, concentration: float, mass: float,
-                    grid: RingGrid) -> np.ndarray:
-    """Two equal-weight von Mises profiles of total ``mass``; overflow raises."""
+                    x: np.ndarray) -> np.ndarray:
+    """Two equal-weight von Mises profiles of total ``mass`` at the angles x;
+    overflow raises."""
     k = concentration
-    values = np.exp(k * np.cos(grid.nodes - mu1)) + np.exp(k * np.cos(grid.nodes - mu2))
+    values = np.exp(k * np.cos(x - mu1)) + np.exp(k * np.cos(x - mu2))
     values *= mass / (4.0 * np.pi * np.i0(k))
     return _checked_profile(values, k)
 
 
-@dataclass(frozen=True)
-class TrackingSchedule:
-    """Piecewise-linear mean schedule: hold at 0, slew 0 -> amp -> -amp -> 0, hold.
+# The tracking mean's schedule: still for the first 0.5 s, then
+# constant-rate moves at 1.47 rad/s between the +-pi/3 waypoints, holding at
+# 0 afterwards.
+TRACK_HOLD_UNTIL = 0.5
+TRACK_SLEW_RATE = 1.47
+TRACK_AMPLITUDE = math.pi / 3.0
 
-    Defaults: still for the first 0.5 s, then constant-rate moves at
-    1.47 rad/s between the +-pi/3 waypoints, holding at 0 afterwards.
-    """
 
-    hold_until: float = 0.5
-    slew_rate: float = 1.47
-    amplitude: float = math.pi / 3.0
-
-    def mean_at(self, t: float):
-        """Return (mu, dmu/dt) at time t."""
-        leg = self.amplitude / self.slew_rate
-        s = t - self.hold_until
-        if s <= 0.0:
-            return 0.0, 0.0
-        if s <= leg:
-            return self.slew_rate * s, self.slew_rate
-        s -= leg
-        if s <= 2.0 * leg:
-            return self.amplitude - self.slew_rate * s, -self.slew_rate
-        s -= 2.0 * leg
-        if s <= leg:
-            return -self.amplitude + self.slew_rate * s, self.slew_rate
+def tracking_mean(t: float):
+    """(mu, dmu/dt) of the piecewise-linear tracking mean at time t: hold at
+    0, slew 0 -> amplitude -> -amplitude -> 0, hold."""
+    leg = TRACK_AMPLITUDE / TRACK_SLEW_RATE
+    s = t - TRACK_HOLD_UNTIL
+    if s <= 0.0:
         return 0.0, 0.0
-
-
-@dataclass(frozen=True)
-class MonomodalTarget:
-    mu: float = 0.0
-    concentration: float = 4.0
-    mass: float = 50.0
-
-
-@dataclass(frozen=True)
-class BimodalTarget:
-    mu1: float = math.pi / 2.0
-    mu2: float = -math.pi / 2.0
-    concentration: float = 8.0
-    mass: float = 50.0
-
-
-@dataclass(frozen=True)
-class TrackingTarget:
-    concentration: float = 4.0
-    mass: float = 50.0
-    schedule: TrackingSchedule = field(default_factory=TrackingSchedule)
-
-
-TargetProgram = MonomodalTarget | BimodalTarget | TrackingTarget
-
-
-def target_at(program: TargetProgram, t: float, grid: RingGrid):
-    """Desired density and its time derivative at time t, as node samples.
-
-    Static programs return a zero time-derivative field.  For the tracking
-    program the derivative is analytic: d/dt rho_d = mu_dot * k * sin(x - mu) * rho_d.
-    """
-    if isinstance(program, MonomodalTarget):
-        rho_d = von_mises_density(program.mu, program.concentration, program.mass, grid)
-        return rho_d, np.zeros(grid.m)
-    if isinstance(program, BimodalTarget):
-        rho_d = bimodal_density(program.mu1, program.mu2, program.concentration,
-                                program.mass, grid)
-        return rho_d, np.zeros(grid.m)
-    if isinstance(program, TrackingTarget):
-        mu, mu_dot = program.schedule.mean_at(t)
-        k = program.concentration
-        rho_d = von_mises_density(mu, k, program.mass, grid)
-        return rho_d, mu_dot * k * np.sin(grid.nodes - mu) * rho_d
-    raise TypeError(f"unknown target program {type(program).__name__}")
+    if s <= leg:
+        return TRACK_SLEW_RATE * s, TRACK_SLEW_RATE
+    s -= leg
+    if s <= 2.0 * leg:
+        return TRACK_AMPLITUDE - TRACK_SLEW_RATE * s, -TRACK_SLEW_RATE
+    s -= 2.0 * leg
+    if s <= leg:
+        return -TRACK_AMPLITUDE + TRACK_SLEW_RATE * s, TRACK_SLEW_RATE
+    return 0.0, 0.0
 
 
 def l2_norm(f: np.ndarray) -> float:

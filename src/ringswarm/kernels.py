@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ring import GridFunction, RingGrid
+from .ring import TWO_PI, GridFunction, grid_nodes
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,8 @@ class MorseKernel:
         e_att = np.exp(-a / self.attraction_length)
         return self.strength * np.sign(z) * (np.exp(-a) - self.attraction_strength * e_att)
 
-    def sample_on_grid(self, grid: RingGrid) -> GridFunction:
-        """Kernel sampled at the node angles (wrapped offsets); a run builds
+    def sample_on_grid(self, m: int) -> GridFunction:
+        """Kernel sampled at the m node angles (wrapped offsets); a run builds
         them once and keeps them.
 
         The kernel does not vanish at +-pi, so the circle sees a jump at the
@@ -51,9 +51,9 @@ class MorseKernel:
         of a jump; it keeps the sample set odd and makes the uniform density
         an exact equilibrium of the discrete convolution.
         """
-        values = self.evaluate(grid.nodes)
+        values = self.evaluate(grid_nodes(m))
         values[0] = 0.5 * (self.evaluate(np.pi) + self.evaluate(-np.pi))
-        return GridFunction(grid, values)
+        return GridFunction(values)
 
 
 def velocity_field(kernel_samples: GridFunction, density: np.ndarray) -> np.ndarray:
@@ -65,10 +65,10 @@ def velocity_field(kernel_samples: GridFunction, density: np.ndarray) -> np.ndar
     Real FFTs against the samples' cached offset spectrum; agrees with the
     direct O(m^2) sum to roundoff.  Needs an even node count.
     """
-    grid = kernel_samples.grid
-    if density.shape != (grid.m,):
-        raise ValueError(f"grid mismatch: {grid.m} kernel samples, density of shape "
+    m = kernel_samples.values.size
+    if density.shape != (m,):
+        raise ValueError(f"grid mismatch: {m} kernel samples, density of shape "
                          f"{density.shape}")
-    v = np.fft.irfft(kernel_samples.offset_spectrum * np.fft.rfft(density), n=grid.m)
-    v *= grid.spacing
+    v = np.fft.irfft(kernel_samples.offset_spectrum * np.fft.rfft(density), n=m)
+    v *= TWO_PI / m
     return v

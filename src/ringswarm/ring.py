@@ -1,12 +1,13 @@
 """Geometry and circular numerics on the periodic domain [-pi, pi).
 
 Everything downstream (interaction velocities, density estimation, the
-feedback law, both solvers) builds on the uniform grid and the periodic
-primitives defined here: angle wrapping, the kernel spectrum of a
-circular convolution, central differences and the trapezoid quadrature.
-A field is the plain array of its m node samples, so its spacing 2*pi/m
-follows from its length; the stencils slice it without np.roll.  Only
-kernel samples are a ``GridFunction``, with their grid and cached spectrum.
+feedback law, both solvers) builds on the uniform grid of m nodes and the
+periodic primitives defined here: angle wrapping, the node angles, the
+kernel spectrum of a circular convolution, central differences and the
+trapezoid quadrature.  A grid is its node count m.  A field is the plain
+array of its m node samples, so its spacing 2*pi/m follows from its
+length; the stencils slice it without np.roll.  Only kernel samples are a
+``GridFunction``, with their cached spectrum.
 """
 
 from dataclasses import dataclass
@@ -32,40 +33,24 @@ def wrap_angle(a):
     return a if a.ndim else a[()]
 
 
-@dataclass(frozen=True)
-class RingGrid:
-    """Uniform periodic grid of m nodes x_j = -pi + j * (2*pi/m)."""
-
-    m: int
-
-    def __post_init__(self):
-        if self.m < 4:
-            raise ValueError(f"grid needs at least 4 nodes, got m={self.m}")
-
-    @cached_property
-    def spacing(self):
-        return TWO_PI / self.m
-
-    @cached_property
-    def nodes(self):
-        x = -np.pi + self.spacing * np.arange(self.m)
-        x.setflags(write=False)
-        return x
+def grid_nodes(m: int) -> np.ndarray:
+    """The m node angles x_j = -pi + j * (2*pi/m) of the uniform grid."""
+    return -np.pi + (TWO_PI / m) * np.arange(m)
 
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """A convolution kernel's finite, read-only samples on a RingGrid (value j
-    at node x_j read as a wrapped offset) with their cached spectrum; equality
-    and hashing go by identity (a sample array has no single truth value)."""
+    """A convolution kernel's finite, read-only samples on the grid of their
+    length (value j at node x_j read as a wrapped offset) with their cached
+    spectrum; equality and hashing go by identity (a sample array has no
+    single truth value)."""
 
-    grid: RingGrid
     values: np.ndarray
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)  # a copy
-        if values.shape != (self.grid.m,):
-            raise ValueError(f"expected {self.grid.m} samples, got shape {values.shape}")
+        if values.ndim != 1 or values.size < 4:
+            raise ValueError(f"expected at least 4 samples, got shape {values.shape}")
         if not np.isfinite(values).all():
             raise ValueError("grid function samples must all be finite")
         values.setflags(write=False)
@@ -77,9 +62,10 @@ class GridFunction:
         sits at node (n + m/2) % m): the kernel side of a circular
         convolution, computed once per sample set.  Needs an even node
         count, so that node-to-node offsets land exactly on grid angles."""
-        if self.grid.m % 2:
+        m = self.values.size
+        if m % 2:
             raise ValueError("circular convolution needs an even node count")
-        spectrum = np.fft.rfft(np.roll(self.values, -(self.grid.m // 2)))
+        spectrum = np.fft.rfft(np.roll(self.values, -(m // 2)))
         spectrum.setflags(write=False)
         return spectrum
 

@@ -21,13 +21,11 @@ from .control import (
     velocity_control,
 )
 from .density import (
-    BimodalTarget,
-    MonomodalTarget,
-    TrackingTarget,
     WrappedGaussianEstimator,
+    bimodal_density,
     kl_divergence,
     l2_norm,
-    target_at,
+    tracking_mean,
     von_mises_density,
 )
 from .dynamics import (
@@ -38,8 +36,9 @@ from .dynamics import (
 )
 from .kernels import MorseKernel, velocity_field
 from .records import RunRecord
-from .ring import RingGrid, integrate, wrap_angle
+from .ring import grid_nodes, integrate, wrap_angle
 
+SCENARIOS = ("regulate-mono", "regulate-bimodal", "track", "open-loop", "continuum")
 DEFAULT_SWEEP_N = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, "inf")
 DEFAULT_NOISE_DBW = (0.0, 20.0, 40.0, 60.0, 80.0)
 INITIAL_LAYOUTS = ("even", "clumped")
@@ -103,7 +102,8 @@ class ScenarioConfig:
             raise ValueError(f"grid_m must be even and at least 4, got {self.grid_m}")
         if not 0 < self.cfl <= 1:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        for name, allowed in (("scheme", SCHEMES), ("initial", INITIAL_LAYOUTS)):
+        for name, allowed in (("scenario", SCENARIOS), ("scheme", SCHEMES),
+                              ("initial", INITIAL_LAYOUTS)):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         # Slack for the bound's own decimal value: 2.78/10 is 0.27799999999999997.
@@ -128,10 +128,9 @@ class ScenarioConfig:
                                  f"of dt={self.dt}")
         # Refused as in the run: a bandwidth outside [spacing, pi), and, without
         # numpy's warnings, a target that overflows (none peaks above its t = 0).
-        grid = RingGrid(self.grid_m)
-        WrappedGaussianEstimator(self.bandwidth, grid)
+        WrappedGaussianEstimator(self.bandwidth, self.grid_m)
         with np.errstate(over="ignore", invalid="ignore"):
-            target_at(build_target(self), 0.0, grid)
+            target_at(self, 0.0, grid_nodes(self.grid_m))
 
     @property
     def dt_stability_bound(self) -> float:
@@ -172,17 +171,26 @@ def build_kernel(config: ScenarioConfig) -> MorseKernel:
                        1.0 / config.n_agents)
 
 
-def build_target(config: ScenarioConfig):
+def target_at(config: ScenarioConfig, t: float, x: np.ndarray):
+    """The scenario's desired density rho_d of mass N and its time derivative
+    at time t, sampled at the angles x.
+
+    Static targets have a zero derivative.  The tracking target's is
+    analytic: d/dt rho_d = mu_dot * k * sin(x - mu) * rho_d.
+    """
     mass = float(config.n_agents)
-    if config.scenario in ("regulate-mono", "continuum"):
-        return MonomodalTarget(config.mu, config.concentration, mass)
-    if config.scenario == "regulate-bimodal":
-        return BimodalTarget(config.mu1, config.mu2, config.concentration, mass)
     if config.scenario == "track":
-        return TrackingTarget(config.concentration, mass)
-    if config.scenario == "open-loop":
-        return MonomodalTarget(0.0, 0.0, mass)  # uniform reference for the KL metric
-    raise ValueError(f"unknown scenario {config.scenario!r}")
+        mu, mu_dot = tracking_mean(t)
+        k = config.concentration
+        rho_d = von_mises_density(mu, k, mass, x)
+        return rho_d, mu_dot * k * np.sin(x - mu) * rho_d
+    if config.scenario == "regulate-bimodal":
+        rho_d = bimodal_density(config.mu1, config.mu2, config.concentration, mass, x)
+    elif config.scenario == "open-loop":
+        rho_d = von_mises_density(0.0, 0.0, mass, x)  # uniform reference for the KL metric
+    else:  # regulate-mono and continuum
+        rho_d = von_mises_density(config.mu, config.concentration, mass, x)
+    return rho_d, np.zeros(x.size)
 
 
 def initial_positions(config: ScenarioConfig) -> np.ndarray:
@@ -231,22 +239,19 @@ class _Controller:
     """One controller evaluation on plain arrays, shared by both runners:
     target, feedback q plus the configured noise, the worst |integral of q|
     so far, then the U field (none in the open loop).  A node below the
-    starvation floor refuses the update when ``on_starved`` is "raise";
-    under "zero" U is 0 there and ``starved_updates`` counts the
+    starvation floor refuses the update in the continuum scenario; in the
+    agent scenarios U is 0 there and ``starved_updates`` counts the
     evaluations that had any.  A non-finite q refuses as well.
-    The grid, the kernel's samples, a static target with its velocity
-    field, and the noise generator are built once per run."""
+    The node angles, the kernel's samples, a static target with its
+    velocity field, and the noise generator are built once per run."""
 
-    def __init__(self, config: ScenarioConfig, on_starved: str):
-        if on_starved not in ("raise", "zero"):
-            raise ValueError(f"unknown on_starved {on_starved!r}")
-        self.config, self.on_starved = config, on_starved
-        self.grid = RingGrid(config.grid_m)
+    def __init__(self, config: ScenarioConfig):
+        self.config = config
+        self.nodes = grid_nodes(config.grid_m)
         self.kernel = build_kernel(config)
-        self.samples = self.kernel.sample_on_grid(self.grid)
-        self.program = build_target(config)
-        self.target = (None if isinstance(self.program, TrackingTarget)
-                       else target_at(self.program, 0.0, self.grid)[0])
+        self.samples = self.kernel.sample_on_grid(config.grid_m)
+        self.target = (None if config.scenario == "track"
+                       else target_at(config, 0.0, self.nodes)[0])
         self.target_v = (None if self.target is None
                          else velocity_field(self.samples, self.target))
         self.rng = None if config.noise_power_dbw is None else np.random.default_rng(config.seed)
@@ -255,7 +260,7 @@ class _Controller:
 
     def desired(self, t: float) -> np.ndarray:
         """The target density rho_d at time ``t``."""
-        return self.target if self.target is not None else target_at(self.program, t, self.grid)[0]
+        return self.target if self.target is not None else target_at(self.config, t, self.nodes)[0]
 
     def __call__(self, rho: np.ndarray, v: np.ndarray, t: float):
         """The U field (an array) for the density samples ``rho`` with
@@ -266,7 +271,7 @@ class _Controller:
         v_d = self.target_v if self.target is not None else velocity_field(self.samples, rho_d)
         q = compute_feedback(rho, v, rho_d, v_d, self.config.kp)
         if self.rng is not None:
-            q += self.rng.normal(0.0, _noise_std(self.config.noise_power_dbw), self.grid.m)
+            q += self.rng.normal(0.0, _noise_std(self.config.noise_power_dbw), q.size)
         q_integral = abs(integrate(q))
         if not math.isfinite(q_integral):
             raise RuntimeError(f"non-finite feedback q at t={t:.6f}; run aborted")
@@ -274,11 +279,11 @@ class _Controller:
         floor = starvation_floor(rho)
         starved = rho < floor
         if starved.any():
-            if self.on_starved == "raise":
+            if self.config.scenario == "continuum":
                 j = int(np.argmax(starved))
                 raise ValueError(
                     f"density {rho[j]:.3e} below floor {floor:.3e} at node {j} "
-                    f"(x={self.grid.nodes[j]:+.4f}); the control would act as a source/sink")
+                    f"(x={self.nodes[j]:+.4f}); the control would act as a source/sink")
             self.starved_updates += 1
         return velocity_control(rho, q, starved)
 
@@ -287,8 +292,8 @@ def run_microscopic(config: ScenarioConfig) -> RunRecord:
     """Closed-loop (or open-loop) agent simulation producing a full RunRecord."""
     # Far from every agent the estimate decays below the floor for small
     # swarms; those nodes are never sampled, so the control is zero there.
-    controller = _Controller(config, on_starved="zero")
-    estimator = WrappedGaussianEstimator(config.bandwidth, controller.grid)
+    controller = _Controller(config)
+    estimator = WrappedGaussianEstimator(config.bandwidth, config.grid_m)
     x, t = initial_positions(config), 0.0
     record = RunRecord(config=asdict(config), metadata=_base_metadata(config))
     n_steps = int(round(config.t_end / config.dt))
@@ -298,7 +303,7 @@ def run_microscopic(config: ScenarioConfig) -> RunRecord:
         u_field = controller(rho_hat, velocity_field(controller.samples, rho_hat), t)
         if i % stride == 0 or i == n_steps:
             u = np.zeros(x.size) if u_field is None else sample_agent_inputs(u_field, x)
-            _record_sample(record, config, t, controller.grid.nodes, rho_hat,
+            _record_sample(record, config, t, controller.nodes, rho_hat,
                            controller.desired(t), u, x)
         if i < n_steps:
             x = step_swarm(x, controller.kernel, u_field, config.dt, config.scheme)
@@ -311,16 +316,16 @@ def run_microscopic(config: ScenarioConfig) -> RunRecord:
 
 def run_continuum_scenario(config: ScenarioConfig) -> RunRecord:
     """Finite-difference run of the controlled conservation law (N = infinity)."""
-    controller = _Controller(config, on_starved="raise")
+    controller = _Controller(config)
     mass = float(config.n_agents)
-    rho0 = von_mises_density(0.0, 0.0, mass, controller.grid)  # uniform start, mass N
+    rho0 = von_mises_density(0.0, 0.0, mass, controller.nodes)  # uniform start, mass N
     run = run_continuum(rho0, 0.0, controller.samples, controller, config.t_end,
                         cfl=config.cfl, dt_max=config.dt, sample_every=config.sample_every)
     record = RunRecord(config=asdict(config), metadata=_base_metadata(config))
     record.metadata["q_integral_worst"] = controller.q_integral_worst
     for t, rho, u in zip(run.times, run.densities, run.u_fields):
         u = np.zeros(rho.size) if u is None else u
-        _record_sample(record, config, t, controller.grid.nodes, rho, controller.desired(t), u)
+        _record_sample(record, config, t, controller.nodes, rho, controller.desired(t), u)
     record.metadata["final_kl"] = record.final_kl()
     record.metadata["mass_drift"] = abs(integrate(run.densities[-1]) - mass)
     record.metadata["continuum_steps"] = run.steps

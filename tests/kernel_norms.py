@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ringswarm import GridFunction, MorseKernel, RingGrid, integrate, l2_norm, velocity_field
+from ringswarm import GridFunction, MorseKernel, grid_nodes, integrate, l2_norm, velocity_field
 
 
 def kernel_derivative(kernel: MorseKernel, z):
@@ -17,15 +17,14 @@ def kernel_derivative(kernel: MorseKernel, z):
     return kernel.strength * (g_over_l * np.exp(-a / kernel.attraction_length) - np.exp(-a))
 
 
-def derivative_l2_norm(kernel: MorseKernel, grid: RingGrid) -> float:
-    """||f_x||_2 over one period, by grid quadrature."""
-    return float(np.sqrt(integrate(kernel_derivative(kernel, grid.nodes)**2)))
+def derivative_l2_norm(kernel: MorseKernel, m: int) -> float:
+    """||f_x||_2 over one period, by quadrature on the grid of m nodes."""
+    return float(np.sqrt(integrate(kernel_derivative(kernel, grid_nodes(m))**2)))
 
 
 def young_bound_check(kernel: MorseKernel, error: np.ndarray):
     """Return (||f_x * e||_inf, ||f_x||_2 ||e||_2) for the error samples
     ``error``; Young's inequality says lhs <= rhs."""
-    grid = RingGrid(error.size)
-    fx = GridFunction(grid, kernel_derivative(kernel, grid.nodes))  # a kernel's samples
+    fx = GridFunction(kernel_derivative(kernel, grid_nodes(error.size)))  # a kernel's samples
     lhs = float(np.abs(velocity_field(fx, error)).max())
-    return lhs, derivative_l2_norm(kernel, grid) * l2_norm(error)
+    return lhs, derivative_l2_norm(kernel, error.size) * l2_norm(error)

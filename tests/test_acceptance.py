@@ -14,7 +14,7 @@ import pytest
 from ringswarm import (
     GridFunction,
     MorseKernel,
-    RingGrid,
+    grid_nodes,
     integrate,
     l2_norm,
     microscopic_rhs,
@@ -101,21 +101,21 @@ def test_criterion_3_error_decay_bound():
     # continuum with a small mass-preserving perturbation of a reference
     # density that satisfies its own transport law exactly (the uniform
     # profile: the odd kernel produces zero self-velocity)
-    grid = RingGrid(256)
+    x = grid_nodes(256)
     n, kp = 50.0, 10.0
     kernel = MorseKernel(0.5, 0.5, strength=1.0 / n)
-    rho_d = von_mises_density(0.0, 0.0, n, grid)
+    rho_d = von_mises_density(0.0, 0.0, n, x)
     control = continuum_control(rho_d, kernel, kp)
 
-    rho0 = rho_d + 0.05 * np.sin(grid.nodes)
+    rho0 = rho_d + 0.05 * np.sin(x)
     assert abs(integrate(rho0) - n) < 1e-12  # mass-preserving perturbation
     e0 = l2_norm(rho_d - rho0)
-    run = run_continuum(rho0, 0.0, kernel.sample_on_grid(grid), control, 0.1,
+    run = run_continuum(rho0, 0.0, kernel.sample_on_grid(x.size), control, 0.1,
                         cfl=0.4, dt_max=1e-3, sample_every=0.005)
     ts = np.array(run.times)
     els = np.array([l2_norm(rho_d - rho) for rho in run.densities])
     slope = float(np.polyfit(ts, np.log(els**2), 1)[0])
-    bound = -2.0 * kp + derivative_l2_norm(kernel, grid) * e0
+    bound = -2.0 * kp + derivative_l2_norm(kernel, x.size) * e0
     allowed = bound + 0.1 * abs(bound)
     check(3, "error-norm decay bound", slope <= allowed,
           f"d/dt log||e||^2 = {slope:.2f} <= {allowed:.2f} "
@@ -143,17 +143,16 @@ def test_criterion_5_oracle_equivalence():
     rng = np.random.default_rng(77)
     worst = 0.0
     for m in (16, 64, 256):
-        grid = RingGrid(m)
+        x = grid_nodes(m)
 
         def trig_kernel(z):
             return 0.9 * np.sin(z) - 0.4 * np.sin(2 * z) + 0.2 * np.cos(3 * z)
 
-        kernel = GridFunction(grid, trig_kernel(grid.nodes))
+        kernel = GridFunction(trig_kernel(x))
         density = rng.normal(size=m)
         fast = velocity_field(kernel, density)
-        x = grid.nodes
         d = (x[:, None] - x[None, :] + np.pi) % (2 * np.pi) - np.pi
-        direct = grid.spacing * (trig_kernel(d) @ density)
+        direct = (2.0 * np.pi / m) * (trig_kernel(d) @ density)
         worst = max(worst, float(np.abs(fast - direct).max() / np.abs(direct).max()))
 
     kernel = MorseKernel(2.0, 2.0, strength=2.0)

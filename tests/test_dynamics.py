@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from ringswarm import (
     MorseKernel,
-    RingGrid,
     even_lattice,
+    grid_nodes,
     integrate,
     kl_divergence,
     l2_norm,
@@ -128,11 +128,10 @@ class TestMicroscopicRhs:
         # minus the interaction sums at those nodes cancels them
         rng = np.random.default_rng(60)
         kernel = MorseKernel(0.5, 0.5)
-        grid = RingGrid(128)
-        nodes = rng.choice(grid.m, 30, replace=False)
-        pos = grid.nodes[nodes]
+        nodes = rng.choice(128, 30, replace=False)
+        pos = grid_nodes(128)[nodes]
         sums = microscopic_rhs(pos, kernel, None)
-        values = np.zeros(grid.m)
+        values = np.zeros(128)
         values[nodes] = -sums
         assert np.array_equal(sample_agent_inputs(values, pos), -sums)
         assert np.abs(microscopic_rhs(pos, kernel, values)).max() == 0.0
@@ -235,22 +234,22 @@ class TestStepSwarm:
         # estimate and the feedback q, and the RK4 step under the U solved
         # from them is the shifted step: the zero-sum gauge of U does not
         # depend on where the seam -pi lies.
-        grid = RingGrid(256)
+        spacing = 2.0 * np.pi / 256
         x = np.random.default_rng(seed).uniform(-np.pi, np.pi, n)
-        shifted = wrap_angle(x + shift * grid.spacing)
-        estimator = WrappedGaussianEstimator(0.2, grid)
+        shifted = wrap_angle(x + shift * spacing)
+        estimator = WrappedGaussianEstimator(0.2, 256)
         rho, rho_shifted = estimator.estimate(x), estimator.estimate(shifted)
         peak = rho.max()
         assert np.abs(np.roll(rho, shift) - rho_shifted).max() <= 1e-12 * peak
         kernel = MorseKernel(0.5, 0.5, strength=1.0 / n)
-        target = von_mises_density(0.3, 4.0, float(n), grid)
+        target = von_mises_density(0.3, 4.0, float(n), grid_nodes(256))
         kp = 10.0
         q = feedback(rho, target, kernel, kp)
         q_shifted = feedback(rho_shifted, np.roll(target, shift), kernel, kp)
         assert np.abs(np.roll(q, shift) - q_shifted).max() <= 1e-12 * kp * peak
         stepped = step_swarm(x, kernel, solve(rho, q), 1e-3, "rk4")
         stepped_shifted = step_swarm(shifted, kernel, solve(rho_shifted, q_shifted), 1e-3, "rk4")
-        assert np.abs(wrap_angle(stepped_shifted - stepped - shift * grid.spacing)).max() <= 1e-9
+        assert np.abs(wrap_angle(stepped_shifted - stepped - shift * spacing)).max() <= 1e-9
 
     def test_euler_first_order(self):
         kernel = MorseKernel(2.0, 2.0, strength=2.0)
@@ -272,9 +271,8 @@ class TestStepSwarm:
 
     def test_deterministic_replay(self):
         kernel = MorseKernel(0.5, 0.5, strength=1 / 20)
-        grid = RingGrid(128)
-        estimator = WrappedGaussianEstimator(0.2, grid)
-        target = von_mises_density(0.0, 4.0, 20.0, grid)
+        estimator = WrappedGaussianEstimator(0.2, 128)
+        target = von_mises_density(0.0, 4.0, 20.0, grid_nodes(128))
 
         def control(x):
             rho = estimator.estimate(x)
@@ -291,20 +289,18 @@ class TestStepSwarm:
     def test_euler_step_is_one_rhs_evaluation(self):
         # step_swarm has no velocity code of its own: an Euler step is
         # x + dt * microscopic_rhs(x, kernel, U) to the last bit
-        grid = RingGrid(128)
         kernel = MorseKernel(0.5, 0.5, strength=1 / 20)
         x = np.random.default_rng(66).uniform(-2.0, 2.0, 20)
-        rho = WrappedGaussianEstimator(0.2, grid).estimate(x)
-        q = feedback(rho, von_mises_density(0.0, 4.0, 20.0, grid), kernel, 10.0)
+        rho = WrappedGaussianEstimator(0.2, 128).estimate(x)
+        q = feedback(rho, von_mises_density(0.0, 4.0, 20.0, grid_nodes(128)), kernel, 10.0)
         u_field = solve(rho, q)
         for field in (u_field, None):
             out = step_swarm(x, kernel, field, 1e-3, "euler")
             assert np.array_equal(out, x + 1e-3 * microscopic_rhs(x, kernel, field))
 
     def test_nonfinite_positions_abort(self):
-        grid = RingGrid(64)
         kernel = MorseKernel(0.5, 0.5)
-        huge = np.full(grid.m, 1e308)
+        huge = np.full(64, 1e308)
         with np.errstate(over="ignore"), pytest.raises(RuntimeError, match="non-finite"):
             step_swarm(np.array([0.0, 1.0]), kernel, huge, 1e-3, "rk4")
 
@@ -333,16 +329,16 @@ def continuum_cases(draw):
     """A smooth positive density of mass 1-1000 on an even grid of 32-256
     nodes, a mean-field Morse kernel, and either no control (the open loop)
     or the feedback toward a smooth positive target of the same mass."""
-    grid = RingGrid(2 * draw(st.integers(16, 128)))
+    nodes = grid_nodes(2 * draw(st.integers(16, 128)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mass = draw(st.floats(1.0, 1000.0))
 
     def smooth_positive():
         k = np.arange(1, 6)[:, None]
-        values = 1.0 + ((0.5 / k) * (rng.normal(size=(5, 1)) * np.cos(k * grid.nodes)
-                                     + rng.normal(size=(5, 1)) * np.sin(k * grid.nodes))).sum(0)
+        values = 1.0 + ((0.5 / k) * (rng.normal(size=(5, 1)) * np.cos(k * nodes)
+                                     + rng.normal(size=(5, 1)) * np.sin(k * nodes))).sum(0)
         values = np.abs(values) + 0.05
-        return values * (mass / (grid.spacing * values.sum()))
+        return values * (mass / ((2.0 * np.pi / nodes.size) * values.sum()))
 
     rho0 = smooth_positive()
     kernel = MorseKernel(draw(st.floats(0.05, 3.0)), draw(st.floats(0.05, 3.0)), 1.0 / mass)
@@ -355,7 +351,7 @@ def continuum_cases(draw):
 def one_step(rho, kernel, dt):
     """The density after one open-loop Rusanov step of run_continuum from
     t = 0, at a dt below the CFL bound."""
-    run = run_continuum(rho, 0.0, kernel.sample_on_grid(RingGrid(rho.size)), None, dt,
+    run = run_continuum(rho, 0.0, kernel.sample_on_grid(rho.size), None, dt,
                         dt_max=dt, sample_every=dt)
     assert run.times == (0.0, dt)
     return run.densities[-1]
@@ -363,19 +359,18 @@ def one_step(rho, kernel, dt):
 
 class TestContinuum:
     def test_uniform_density_is_a_fixed_point(self):
-        grid = RingGrid(256)
-        rho = von_mises_density(0.0, 0.0, 50.0, grid)
+        rho = von_mises_density(0.0, 0.0, 50.0, grid_nodes(256))
         out = one_step(rho, MorseKernel(0.5, 0.5, strength=0.02), 1e-3)
         assert np.allclose(out, rho, atol=1e-14)
 
     def test_mass_conserved_over_many_steps(self):
-        grid = RingGrid(256)
+        nodes = grid_nodes(256)
         rng = np.random.default_rng(64)
-        values = 50.0 / (2 * np.pi) * (1.0 + 0.5 * np.sin(grid.nodes)
-                                       + 0.2 * rng.normal() * np.cos(2 * grid.nodes))
+        values = 50.0 / (2 * np.pi) * (1.0 + 0.5 * np.sin(nodes)
+                                       + 0.2 * rng.normal() * np.cos(2 * nodes))
         kernel = MorseKernel(0.5, 0.5, strength=0.02)
         mass0 = integrate(values)
-        rho = run_continuum(values, 0.0, kernel.sample_on_grid(grid), None, 1.0, dt_max=1e-3,
+        rho = run_continuum(values, 0.0, kernel.sample_on_grid(256), None, 1.0, dt_max=1e-3,
                             sample_every=1.0).densities[-1]
         assert abs(integrate(rho) - mass0) < 1e-9
         assert rho.min() >= 0.0
@@ -383,8 +378,7 @@ class TestContinuum:
     def test_every_step_within_the_cfl_bound(self, monkeypatch):
         # a concentrated density under the unscaled kernel moves fast enough
         # that the CFL bound, not dt_max, sets the steps
-        grid = RingGrid(256)
-        rho = von_mises_density(0.0, 4.0, 50.0, grid)
+        rho = von_mises_density(0.0, 4.0, 50.0, grid_nodes(256))
         steps = []
 
         def advance(rho, w, dt):
@@ -393,10 +387,10 @@ class TestContinuum:
 
         rusanov_advance = dynamics._rusanov_advance
         monkeypatch.setattr(dynamics, "_rusanov_advance", advance)
-        run_continuum(rho, 0.0, MorseKernel(0.5, 0.5).sample_on_grid(grid), None, 0.05, cfl=0.4,
+        run_continuum(rho, 0.0, MorseKernel(0.5, 0.5).sample_on_grid(256), None, 0.05, cfl=0.4,
                       dt_max=1.0, sample_every=0.05)
         assert len(steps) > 1
-        assert all(dt * top <= 0.4 * grid.spacing * (1 + 1e-12) for dt, top in steps)
+        assert all(dt * top <= 0.4 * (2.0 * np.pi / 256) * (1 + 1e-12) for dt, top in steps)
         assert sum(dt for dt, _ in steps) == pytest.approx(0.05)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -413,8 +407,7 @@ class TestContinuum:
         (0.52, 0.6, 0.05, [0.52, 0.55, 0.6]),
     ])
     def test_sampling_starts_after_a_late_start(self, monkeypatch, t0, t_end, every, times):
-        grid = RingGrid(64)
-        rho = von_mises_density(0.0, 1.0, 10.0, grid)
+        rho = von_mises_density(0.0, 1.0, 10.0, grid_nodes(64))
         steps = []
 
         def advance(rho, w, dt):
@@ -423,7 +416,7 @@ class TestContinuum:
 
         rusanov_advance = dynamics._rusanov_advance
         monkeypatch.setattr(dynamics, "_rusanov_advance", advance)
-        run = run_continuum(rho, t0, MorseKernel(0.5, 0.5, strength=0.1).sample_on_grid(grid),
+        run = run_continuum(rho, t0, MorseKernel(0.5, 0.5, strength=0.1).sample_on_grid(64),
                             None, t_end, dt_max=every, sample_every=every)
         assert list(run.times) == pytest.approx(times, abs=1e-12)
         assert min(steps) > 0.0
@@ -434,30 +427,29 @@ class TestContinuum:
         # the decay of ||e||^2 must beat the guaranteed rate computed with
         # the unscaled kernel norm (the static target satisfies the
         # reference dynamics only approximately, which costs decay margin)
-        grid = RingGrid(256)
+        nodes = grid_nodes(256)
         n = 50.0
         kp = 10.0
         kernel = MorseKernel(0.5, 0.5, strength=1.0 / n)
-        rho_d = von_mises_density(0.0, 4.0, n, grid)
+        rho_d = von_mises_density(0.0, 4.0, n, nodes)
         control = continuum_control(rho_d, kernel, kp)
 
-        rho0 = von_mises_density(0.0, 0.0, n, grid)
+        rho0 = von_mises_density(0.0, 0.0, n, nodes)
         e0 = l2_norm(rho_d - rho0)
-        run = run_continuum(rho0, 0.0, kernel.sample_on_grid(grid), control, 0.1, cfl=0.4,
+        run = run_continuum(rho0, 0.0, kernel.sample_on_grid(256), control, 0.1, cfl=0.4,
                             dt_max=1e-3, sample_every=0.005)
         ts = np.array(run.times)
         els = np.array([l2_norm(rho_d - rho) for rho in run.densities])
         slope = np.polyfit(ts, np.log(els**2), 1)[0]
-        guaranteed = 2.0 * kp - derivative_l2_norm(MorseKernel(0.5, 0.5), grid) * e0
+        guaranteed = 2.0 * kp - derivative_l2_norm(MorseKernel(0.5, 0.5), 256) * e0
         assert els[-1] < els[0]
         assert -slope >= guaranteed
 
     def test_run_continuum_sampling_and_conservation(self):
-        grid = RingGrid(256)
         n = 50.0
         kernel = MorseKernel(0.5, 0.5, strength=1.0 / n)
-        run = run_continuum(von_mises_density(0.2, 2.0, n, grid), 0.0, kernel.sample_on_grid(grid),
-                            None, 1.0, sample_every=0.25)
+        run = run_continuum(von_mises_density(0.2, 2.0, n, grid_nodes(256)), 0.0,
+                            kernel.sample_on_grid(256), None, 1.0, sample_every=0.25)
         assert list(run.times) == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
         assert abs(integrate(run.densities[-1]) - n) < 1e-9
 
@@ -466,7 +458,7 @@ class TestContinuum:
     def test_mass_conserved_and_density_nonnegative_property(self, case):
         rho0, kernel, control = case
         mass = integrate(rho0)
-        samples = kernel.sample_on_grid(RingGrid(rho0.size))
+        samples = kernel.sample_on_grid(rho0.size)
         run = run_continuum(rho0, 0.0, samples, control, 0.05, dt_max=1e-3, sample_every=0.05)
         assert run.steps >= 50
         for rho in run.densities:
@@ -474,10 +466,10 @@ class TestContinuum:
             assert rho.min() >= 0.0
 
     def test_run_hands_back_applied_controls_and_steps(self, monkeypatch):
-        grid = RingGrid(64)
+        nodes = grid_nodes(64)
         n = 10.0
         kernel = MorseKernel(0.5, 0.5, strength=1.0 / n)
-        rho_d = von_mises_density(0.0, 4.0, n, grid)
+        rho_d = von_mises_density(0.0, 4.0, n, nodes)
         regulate = continuum_control(rho_d, kernel, 10.0)
         applied = {}
         steps = []
@@ -492,8 +484,8 @@ class TestContinuum:
 
         rusanov_advance = dynamics._rusanov_advance
         monkeypatch.setattr(dynamics, "_rusanov_advance", advance)
-        samples = kernel.sample_on_grid(grid)
-        run = run_continuum(von_mises_density(0.0, 0.0, n, grid), 0.0, samples, control, 0.1,
+        samples = kernel.sample_on_grid(64)
+        run = run_continuum(von_mises_density(0.0, 0.0, n, nodes), 0.0, samples, control, 0.1,
                             dt_max=0.02, sample_every=0.03)
         assert list(run.times) == pytest.approx([0.0, 0.03, 0.06, 0.09, 0.1])
         assert len(run.u_fields) == len(run.densities) == len(run.times)
@@ -507,21 +499,19 @@ class TestContinuum:
         assert 0.0 < run.dt_min < run.dt_max <= 0.02
 
     def test_open_loop_and_stepless_runs(self):
-        grid = RingGrid(64)
         kernel = MorseKernel(0.5, 0.5, strength=0.1)
-        rho = von_mises_density(0.0, 1.0, 10.0, grid)
-        run = run_continuum(rho, 0.2, kernel.sample_on_grid(grid), None, 0.2)
+        rho = von_mises_density(0.0, 1.0, 10.0, grid_nodes(64))
+        run = run_continuum(rho, 0.2, kernel.sample_on_grid(64), None, 0.2)
         assert run.times == (0.2,) and run.densities[0] is rho
         assert run.u_fields == (None,) and run.steps == 0
         assert math.isnan(run.dt_min) and math.isnan(run.dt_max)
-        run = run_continuum(rho, 0.2, kernel.sample_on_grid(grid), None, 0.3, sample_every=0.05)
+        run = run_continuum(rho, 0.2, kernel.sample_on_grid(64), None, 0.3, sample_every=0.05)
         assert len(run.times) == len(run.densities) == 3
         assert run.u_fields == (None,) * 3 and run.steps >= 100
 
     def test_negative_density_guard(self):
-        grid = RingGrid(64)
         kernel = MorseKernel(0.5, 0.5, strength=0.1)
-        out = one_step(von_mises_density(0.0, 1.0, 10.0, grid), kernel, 1e-3)
+        out = one_step(von_mises_density(0.0, 1.0, 10.0, grid_nodes(64)), kernel, 1e-3)
         assert out.min() >= 0.0
 
 
@@ -531,22 +521,22 @@ class TestScaleConsistency:
         # both scales started from the same smooth clumped profile; the
         # particle run is Euler-stepped (the consistency statement is about
         # the model, not the integrator)
-        grid = RingGrid(256)
+        nodes = grid_nodes(256)
         n = 1000
         kernel = MorseKernel(0.5, 0.5, strength=1.0 / n)
-        rho0 = von_mises_density(0.0, 2.0, float(n), grid)
+        rho0 = von_mises_density(0.0, 2.0, float(n), nodes)
 
         # deterministic particle sampling of rho0 by inverse-CDF quantiles
-        cdf = np.concatenate(([0.0], np.cumsum(rho0))) * grid.spacing / n
-        edges = np.concatenate((grid.nodes, [np.pi]))
+        cdf = np.concatenate(([0.0], np.cumsum(rho0))) * (2.0 * np.pi / 256) / n
+        edges = np.concatenate((nodes, [np.pi]))
         quantiles = (np.arange(n) + 0.5) / n
         pos0 = np.interp(quantiles, cdf, edges)
 
         x = pos0
         for _ in range(3000):
             x = step_swarm(x, kernel, None, 1e-3, "euler")
-        kde = WrappedGaussianEstimator(0.2, grid).estimate(x)
+        kde = WrappedGaussianEstimator(0.2, 256).estimate(x)
 
-        cont = run_continuum(rho0, 0.0, kernel.sample_on_grid(grid), None, 3.0,
+        cont = run_continuum(rho0, 0.0, kernel.sample_on_grid(256), None, 3.0,
                              sample_every=3.0).densities[-1]
         assert kl_divergence(kde, cont) < 0.05

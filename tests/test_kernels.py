@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from ringswarm import RingGrid, MorseKernel, velocity_field
+from ringswarm import MorseKernel, grid_nodes, velocity_field
 from ringswarm.density import von_mises_density
 
 from kernel_norms import kernel_derivative, young_bound_check
 
 
-def random_smooth_field(grid, rng, modes=6, zero_mean=True):
-    values = np.zeros(grid.m)
+def random_smooth_field(x, rng, modes=6, zero_mean=True):
+    values = np.zeros(x.size)
     for k in range(1, modes + 1):
-        values += rng.normal() * np.cos(k * grid.nodes) + rng.normal() * np.sin(k * grid.nodes)
+        values += rng.normal() * np.cos(k * x) + rng.normal() * np.sin(k * x)
     if not zero_mean:
         values += rng.normal()
     return values
@@ -100,34 +100,29 @@ class TestKernelDerivative:
 
 class TestGridSampling:
     def test_zero_at_the_origin_node(self):
-        grid = RingGrid(256)
-        samples = MorseKernel(0.5, 0.5).sample_on_grid(grid)
-        assert samples.values[grid.m // 2] == 0.0  # node at x = 0
+        samples = MorseKernel(0.5, 0.5).sample_on_grid(256)
+        assert samples.values[256 // 2] == 0.0  # node at x = 0
 
     def test_antipodal_node_takes_jump_mean(self):
-        grid = RingGrid(256)
-        samples = MorseKernel(0.5, 0.5).sample_on_grid(grid)
+        samples = MorseKernel(0.5, 0.5).sample_on_grid(256)
         assert samples.values[0] == 0.0  # node at x = -pi
 
     def test_opposite_nodes_cancel(self):
-        grid = RingGrid(128)
-        samples = MorseKernel(0.5, 0.5).sample_on_grid(grid)
-        j = np.arange(1, grid.m)
-        assert np.abs(samples.values[j] + samples.values[grid.m - j]).max() < 1e-12
+        samples = MorseKernel(0.5, 0.5).sample_on_grid(128)
+        j = np.arange(1, 128)
+        assert np.abs(samples.values[j] + samples.values[128 - j]).max() < 1e-12
 
     def test_peak_at_smallest_nonzero_offset(self):
         # dense-evaluation check first: |f| decreases monotonically in |z| > 0
         kernel = MorseKernel(0.5, 0.5)
         z = np.linspace(1e-4, np.pi, 4000)
         assert np.all(np.diff(kernel.evaluate(z)) < 0.0)
-        grid = RingGrid(256)
-        samples = MorseKernel(0.5, 0.5).sample_on_grid(grid)
+        samples = MorseKernel(0.5, 0.5).sample_on_grid(256)
         peak = np.argmax(np.abs(samples.values))
-        assert abs(abs(grid.nodes[peak]) - grid.spacing) < 1e-12
+        assert abs(abs(grid_nodes(256)[peak]) - 2.0 * np.pi / 256) < 1e-12
 
     def test_cached_samples_and_spectrum_are_read_only(self):
-        grid = RingGrid(64)
-        samples = MorseKernel(0.5, 0.5, 0.1).sample_on_grid(grid)
+        samples = MorseKernel(0.5, 0.5, 0.1).sample_on_grid(64)
         assert samples.offset_spectrum is samples.offset_spectrum
         for array in (samples.values, samples.offset_spectrum):
             with pytest.raises(ValueError):
@@ -136,50 +131,46 @@ class TestGridSampling:
 
 class TestVelocityField:
     def test_uniform_density_is_equilibrium(self):
-        grid = RingGrid(256)
-        uniform = np.full(grid.m, 50.0 / (2 * np.pi))
-        v = velocity_field(MorseKernel(0.5, 0.5).sample_on_grid(grid), uniform)
+        uniform = np.full(256, 50.0 / (2 * np.pi))
+        v = velocity_field(MorseKernel(0.5, 0.5).sample_on_grid(256), uniform)
         assert np.abs(v).max() < 1e-10
 
     def test_zero_error_gives_zero_velocity(self):
-        grid = RingGrid(128)
-        v = velocity_field(MorseKernel(0.5, 0.5).sample_on_grid(grid), np.zeros(grid.m))
+        v = velocity_field(MorseKernel(0.5, 0.5).sample_on_grid(128), np.zeros(128))
         assert np.abs(v).max() == 0.0
 
     def test_symmetric_density_gives_antisymmetric_velocity(self):
-        grid = RingGrid(256)
+        x = grid_nodes(256)
         k = 6.0
-        bumps = (np.exp(k * np.cos(grid.nodes - 1.0)) + np.exp(k * np.cos(grid.nodes + 1.0)))
+        bumps = (np.exp(k * np.cos(x - 1.0)) + np.exp(k * np.cos(x + 1.0)))
         kernel = MorseKernel(0.5, 0.5)
-        v = velocity_field(kernel.sample_on_grid(grid), bumps)
+        v = velocity_field(kernel.sample_on_grid(x.size), bumps)
         mirrored = np.roll(v[::-1], 1)  # value at -x_j for each node j
         assert np.abs(v + mirrored).max() < 1e-10 * np.abs(v).max()
         # direct O(m^2) circulant sum on the same kernel samples
-        m = grid.m
+        m = x.size
         i = np.arange(m)
         lookup = (i[:, None] - i[None, :] + m // 2) % m
-        samples = kernel.sample_on_grid(grid).values
-        direct = grid.spacing * (samples[lookup] @ bumps)
+        samples = kernel.sample_on_grid(m).values
+        direct = (2.0 * np.pi / m) * (samples[lookup] @ bumps)
         assert np.abs(v - direct).max() < 1e-10 * np.abs(direct).max()
 
 
 class TestYoungBound:
     def test_zero_error(self):
-        grid = RingGrid(128)
-        lhs, rhs = young_bound_check(MorseKernel(0.5, 0.5), np.zeros(grid.m))
+        lhs, rhs = young_bound_check(MorseKernel(0.5, 0.5), np.zeros(128))
         assert lhs == 0.0 and rhs == 0.0
 
     def test_holds_on_random_smooth_fields(self):
         rng = np.random.default_rng(26)
-        grid = RingGrid(256)
+        x = grid_nodes(256)
         kernel = MorseKernel(0.5, 0.5)
         for _ in range(100):
-            e = random_smooth_field(grid, rng)
+            e = random_smooth_field(x, rng)
             lhs, rhs = young_bound_check(kernel, e)
             assert lhs <= rhs + 1e-12
 
     def test_strict_for_a_narrow_bump(self):
-        grid = RingGrid(256)
-        bump = von_mises_density(0.3, 40.0, 1.0, grid)
+        bump = von_mises_density(0.3, 40.0, 1.0, grid_nodes(256))
         lhs, rhs = young_bound_check(MorseKernel(0.5, 0.5), bump)
         assert lhs < rhs

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ringswarm import (
     GridFunction,
-    RingGrid,
+    grid_nodes,
     integrate,
     velocity_field,
     wrap_angle,
@@ -18,20 +18,20 @@ from ringswarm.dynamics import _rusanov_advance
 from ringswarm.kernels import MorseKernel
 
 
-def direct_convolve(kernel_fn, grid: RingGrid, density: np.ndarray) -> np.ndarray:
+def direct_convolve(kernel_fn, density: np.ndarray) -> np.ndarray:
     """O(m^2) reference: Delta * sum_j f(wrap(x_i - x_j)) rho_j, no FFT."""
-    x = grid.nodes
+    x = grid_nodes(density.size)
     d = x[:, None] - x[None, :]
     d = (d + np.pi) % (2.0 * np.pi) - np.pi
-    return grid.spacing * (kernel_fn(d) @ density)
+    return (2.0 * np.pi / density.size) * (kernel_fn(d) @ density)
 
 
 def direct_convolve_samples(kernel_samples: GridFunction, density: np.ndarray) -> np.ndarray:
     """O(m^2) circulant reference on the sampled kernel, integer indexing only."""
-    grid = kernel_samples.grid
-    i = np.arange(grid.m)
-    lookup = (i[:, None] - i[None, :] + grid.m // 2) % grid.m  # offset (i-j)*Delta -> node
-    return grid.spacing * (kernel_samples.values[lookup] @ density)
+    m = kernel_samples.values.size
+    i = np.arange(m)
+    lookup = (i[:, None] - i[None, :] + m // 2) % m  # offset (i-j)*Delta -> node
+    return (2.0 * np.pi / m) * (kernel_samples.values[lookup] @ density)
 
 
 def roll_central_difference(v, spacing):
@@ -52,13 +52,14 @@ def stencil_cases(draw):
     """Even m from 4 to 1024; finite samples v of any scale from 1e-300 to
     1e300; a density r >= 0 (exact zeros included) under a speed w, and a
     dt up to the CFL bound dt * max|w| <= Delta."""
-    grid = RingGrid(2 * draw(st.integers(2, 512)))
+    m = 2 * draw(st.integers(2, 512))
+    spacing = 2.0 * np.pi / m
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    v = rng.normal(size=grid.m) * 10.0 ** draw(st.integers(-300, 300))
-    r = rng.uniform(0.0, 100.0, grid.m) * (rng.uniform(size=grid.m) < 0.8)
-    w = rng.normal(size=grid.m) * 10.0 ** draw(st.integers(-3, 3))
-    dt = draw(st.floats(0.0, 1.0, exclude_min=True)) * grid.spacing / np.abs(w).max()
-    return grid, v, r, w, dt
+    v = rng.normal(size=m) * 10.0 ** draw(st.integers(-300, 300))
+    r = rng.uniform(0.0, 100.0, m) * (rng.uniform(size=m) < 0.8)
+    w = rng.normal(size=m) * 10.0 ** draw(st.integers(-3, 3))
+    dt = draw(st.floats(0.0, 1.0, exclude_min=True)) * spacing / np.abs(w).max()
+    return spacing, v, r, w, dt
 
 
 class TestStencilOracles:
@@ -68,10 +69,10 @@ class TestStencilOracles:
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(stencil_cases())
     def test_slicing_stencils_match_roll_forms(self, case):
-        grid, v, r, w, dt = case
-        assert np.array_equal(central_difference(v), roll_central_difference(v, grid.spacing))
+        spacing, v, r, w, dt = case
+        assert np.array_equal(central_difference(v), roll_central_difference(v, spacing))
         advanced = _rusanov_advance(r, w, dt)
-        assert np.array_equal(advanced, roll_rusanov_advance(r, w, dt, grid.spacing))
+        assert np.array_equal(advanced, roll_rusanov_advance(r, w, dt, spacing))
 
 
 class TestWrapDistance:
@@ -141,53 +142,47 @@ class TestWrapIntoDomain:
 
 class TestRingGrid:
     def test_nodes_structure(self):
-        grid = RingGrid(8)
-        assert grid.nodes[0] == -np.pi
-        assert np.all(np.diff(grid.nodes) > 0)
-        assert np.allclose(np.diff(grid.nodes), grid.spacing, atol=1e-15)
-        assert grid.spacing == 2.0 * np.pi / 8
+        x = grid_nodes(8)
+        assert x[0] == -np.pi
+        assert np.all(np.diff(x) > 0)
+        assert np.allclose(np.diff(x), 2.0 * np.pi / 8, atol=1e-15)
 
     def test_too_small_grid_rejected(self):
-        with pytest.raises(ValueError):
-            RingGrid(3)
+        with pytest.raises(ValueError, match="at least 4"):
+            GridFunction(np.zeros(3))
 
     def test_grid_function_validation(self):
-        grid = RingGrid(8)
         with pytest.raises(ValueError):
-            GridFunction(grid, np.zeros(7))
+            GridFunction(np.zeros((2, 4)))
         with pytest.raises(ValueError):
-            GridFunction(grid, np.full(8, np.nan))
+            GridFunction(np.full(8, np.nan))
 
     def test_grid_function_immutable(self):
-        f = GridFunction(RingGrid(8), np.arange(8.0))
+        f = GridFunction(np.arange(8.0))
         with pytest.raises(ValueError):
             f.values[0] = 1.0
 
     def test_grid_function_equality_is_identity(self):
-        grid = RingGrid(8)
-        f, g = GridFunction(grid, np.arange(8.0)), GridFunction(grid, np.arange(8.0))
+        f, g = GridFunction(np.arange(8.0)), GridFunction(np.arange(8.0))
         assert f == f and f != g
         assert len({f: 1, g: 2}) == 2 and hash(f) == hash(f)
 
 
 class TestCircularConvolve:
     def test_odd_kernel_times_constant_density(self):
-        grid = RingGrid(128)
-        kernel = MorseKernel(0.5, 0.5).sample_on_grid(grid)
-        out = velocity_field(kernel, np.full(grid.m, 3.7))
+        kernel = MorseKernel(0.5, 0.5).sample_on_grid(128)
+        out = velocity_field(kernel, np.full(128, 3.7))
         assert np.abs(out).max() < 1e-12
 
     def test_zero_density(self):
-        grid = RingGrid(64)
-        kernel = MorseKernel(0.5, 0.5).sample_on_grid(grid)
-        out = velocity_field(kernel, np.zeros(grid.m))
+        kernel = MorseKernel(0.5, 0.5).sample_on_grid(64)
+        out = velocity_field(kernel, np.zeros(64))
         assert np.abs(out).max() == 0.0
 
     def test_morse_times_von_mises_matches_direct_sum(self):
-        grid = RingGrid(256)
         kernel = MorseKernel(0.5, 0.5)
-        density = von_mises_density(0.0, 4.0, 50.0, grid)
-        samples = kernel.sample_on_grid(grid)
+        density = von_mises_density(0.0, 4.0, 50.0, grid_nodes(256))
+        samples = kernel.sample_on_grid(256)
         fast = velocity_field(samples, density)
         ref = direct_convolve_samples(samples, density)
         scale = np.abs(ref).max()
@@ -196,58 +191,54 @@ class TestCircularConvolve:
     @pytest.mark.parametrize("m", [16, 64, 256])
     def test_matches_direct_sum_on_random_fields(self, m):
         rng = np.random.default_rng(100 + m)
-        grid = RingGrid(m)
 
         def trig_kernel(z):
             return 0.8 * np.sin(z) - 0.3 * np.sin(2 * z) + 0.1 * np.cos(3 * z)
 
-        kernel = GridFunction(grid, trig_kernel(grid.nodes))
+        kernel = GridFunction(trig_kernel(grid_nodes(m)))
         density = rng.normal(0.0, 1.0, m)
         fast = velocity_field(kernel, density)
-        ref = direct_convolve(trig_kernel, grid, density)
+        ref = direct_convolve(trig_kernel, density)
         scale = max(np.abs(ref).max(), 1e-30)
         assert np.abs(fast - ref).max() < 1e-10 * scale
 
     def test_linearity_in_density(self):
-        grid = RingGrid(128)
         rng = np.random.default_rng(5)
-        kernel = MorseKernel(0.7, 0.9).sample_on_grid(grid)
-        rho1 = rng.normal(size=grid.m)
-        rho2 = rng.normal(size=grid.m)
+        kernel = MorseKernel(0.7, 0.9).sample_on_grid(128)
+        rho1 = rng.normal(size=128)
+        rho2 = rng.normal(size=128)
         alpha, beta = 1.7, -0.4
         lhs = velocity_field(kernel, alpha * rho1 + beta * rho2)
         rhs = alpha * velocity_field(kernel, rho1) + beta * velocity_field(kernel, rho2)
         assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_grid_mismatch_rejected(self):
-        kernel = MorseKernel().sample_on_grid(RingGrid(64))
+        kernel = MorseKernel().sample_on_grid(64)
         with pytest.raises(ValueError, match="mismatch"):
             velocity_field(kernel, np.zeros(128))
 
     def test_odd_node_count_rejected(self):
-        grid = RingGrid(65)
-        f = GridFunction(grid, np.zeros(65))
+        f = GridFunction(np.zeros(65))
         with pytest.raises(ValueError, match="even"):
             velocity_field(f, f.values)
 
 
 class TestSpatialDerivative:
     def test_constant_field(self):
-        grid = RingGrid(64)
         out = central_difference(np.full(64, 2.5))
         assert np.abs(out).max() == 0.0
 
     def test_sine(self):
-        grid = RingGrid(256)
-        out = central_difference(np.sin(grid.nodes))
-        assert np.abs(out - np.cos(grid.nodes)).max() < 1e-3
+        x = grid_nodes(256)
+        out = central_difference(np.sin(x))
+        assert np.abs(out - np.cos(x)).max() < 1e-3
 
     def test_cos_three_x(self):
-        grid = RingGrid(256)
-        out = central_difference(np.cos(3 * grid.nodes))
+        x = grid_nodes(256)
+        out = central_difference(np.cos(3 * x))
         # central differences: error <= |f'''| * Delta^2 / 6 = 27 * Delta^2 / 6
-        bound = 27.0 * grid.spacing**2 / 6.0
-        assert np.abs(out + 3.0 * np.sin(3 * grid.nodes)).max() < 1.1 * bound
+        bound = 27.0 * (2.0 * np.pi / 256)**2 / 6.0
+        assert np.abs(out + 3.0 * np.sin(3 * x)).max() < 1.1 * bound
 
 
 class TestIntegrate:
@@ -256,17 +247,15 @@ class TestIntegrate:
         assert integrate(np.full(64, n / (2 * np.pi))) == pytest.approx(n, rel=1e-14)
 
     def test_sine_integrates_to_zero(self):
-        grid = RingGrid(256)
-        assert abs(integrate(np.sin(grid.nodes))) < 1e-12
+        assert abs(integrate(np.sin(grid_nodes(256)))) < 1e-12
 
     def test_von_mises_mass(self):
-        grid = RingGrid(256)
-        assert integrate(von_mises_density(0.0, 4.0, 50.0, grid)) == pytest.approx(50.0, abs=1e-8)
+        assert integrate(von_mises_density(0.0, 4.0, 50.0, grid_nodes(256))) == pytest.approx(
+            50.0, abs=1e-8)
 
     def test_derivative_integrates_to_zero(self):
         rng = np.random.default_rng(11)
-        grid = RingGrid(128)
         for _ in range(20):
-            d = central_difference(rng.normal(size=grid.m))
+            d = central_difference(rng.normal(size=128))
             assert abs(integrate(d)) < 1e-12
 

@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,15 +12,13 @@ import pytest
 
 from ringswarm import (
     GridFunction,
-    MonomodalTarget,
     MorseKernel,
-    RingGrid,
     WrappedGaussianEstimator,
     compute_feedback,
     even_lattice,
+    grid_nodes,
     run_continuum,
     step_swarm,
-    target_at,
     velocity_control,
     velocity_field,
     von_mises_density,
@@ -133,6 +132,8 @@ class TestConfigDefaults:
             ScenarioConfig(n_agents=0)
         with pytest.raises(ValueError):
             ScenarioConfig(t_end=-1.0)
+        with pytest.raises(ValueError, match="scenario must be one of"):
+            ScenarioConfig(scenario="bogus")
 
     @pytest.mark.parametrize("overrides", INVALID_CONFIGS.values(), ids=INVALID_CONFIGS.keys())
     def test_validation_rule(self, overrides):
@@ -199,12 +200,12 @@ class TestRunRecords:
         rec = run_microscopic(cfg)
         final = np.array([row[2] for row in rec.agents if row[0] == rec.metrics[-1][0]])
 
-        grid = RingGrid(cfg.grid_m)
         kernel = MorseKernel(cfg.attraction_strength, cfg.attraction_length,
                              strength=1.0 / cfg.n_agents)
-        target = von_mises_density(cfg.mu, cfg.concentration, float(cfg.n_agents), grid)
-        estimator = WrappedGaussianEstimator(cfg.bandwidth, grid)
-        samples = kernel.sample_on_grid(grid)
+        target = von_mises_density(cfg.mu, cfg.concentration, float(cfg.n_agents),
+                                   grid_nodes(cfg.grid_m))
+        estimator = WrappedGaussianEstimator(cfg.bandwidth, cfg.grid_m)
+        samples = kernel.sample_on_grid(cfg.grid_m)
         v_target = velocity_field(samples, target)
 
         def control(x):
@@ -218,30 +219,40 @@ class TestRunRecords:
             x = step_swarm(x, kernel, control(x), cfg.dt, cfg.scheme)
         assert np.array_equal(x, final)
 
+    def test_readme_example_runs(self):
+        # the README's Library example, as written there, against this package
+        root = Path(__file__).resolve().parent.parent
+        blocks = re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(), re.S)
+        assert len(blocks) == 1
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run([sys.executable, "-c", blocks[0]], env=env, capture_output=True,
+                              text=True)
+        assert done.returncode == 0, done.stderr
+
     def test_library_loop_is_the_continuum_harness_loop(self):
         # target -> feedback -> U composed by hand and handed to
         # run_continuum must replay run_continuum_scenario exactly
         cfg = continuum_config(t_end=0.1)
         rec = run_continuum_scenario(cfg)
 
-        grid = RingGrid(cfg.grid_m)
+        x = grid_nodes(cfg.grid_m)
         mass = float(cfg.n_agents)
         kernel = MorseKernel(cfg.attraction_strength, cfg.attraction_length,
                              strength=1.0 / cfg.n_agents)
-        program = MonomodalTarget(cfg.mu, cfg.concentration, mass)
-        samples = kernel.sample_on_grid(grid)
+        samples = kernel.sample_on_grid(cfg.grid_m)
         q_integral_worst = 0.0
 
         def control(rho, v, t):
             nonlocal q_integral_worst
-            rho_d = target_at(program, t, grid)[0]
+            rho_d = von_mises_density(cfg.mu, cfg.concentration, mass, x)
             q = compute_feedback(rho, v, rho_d, velocity_field(samples, rho_d), cfg.kp)
-            q_integral_worst = max(q_integral_worst, abs(float(grid.spacing * q.sum())))
+            q_integral_worst = max(q_integral_worst,
+                                   abs(float((2.0 * np.pi / cfg.grid_m) * q.sum())))
             starved = rho < starvation_floor(rho)
             assert not starved.any()
             return velocity_control(rho, q, starved)
 
-        run = run_continuum(von_mises_density(0.0, 0.0, mass, grid), 0.0, samples, control,
+        run = run_continuum(von_mises_density(0.0, 0.0, mass, x), 0.0, samples, control,
                             cfg.t_end, cfl=cfg.cfl, dt_max=cfg.dt, sample_every=cfg.sample_every)
         rho_rows = np.array([row[2] for row in rec.density])
         assert np.array_equal(rho_rows, np.concatenate(run.densities))
@@ -350,11 +361,11 @@ class TestRunRecords:
         # the record's u_max column and step counters come from the same run
         cfg = continuum_config(t_end=0.2)
         rec = run_continuum_scenario(cfg)
-        controller = scenarios._Controller(cfg, on_starved="raise")
-        start = von_mises_density(0.0, 0.0, 50.0, controller.grid)
+        controller = scenarios._Controller(cfg)
+        start = von_mises_density(0.0, 0.0, 50.0, controller.nodes)
         run = run_continuum(start, 0.0, controller.samples, controller, cfg.t_end, cfl=cfg.cfl,
                             dt_max=cfg.dt, sample_every=cfg.sample_every)
-        fresh = [scenarios._Controller(cfg, on_starved="raise")(
+        fresh = [scenarios._Controller(cfg)(
                      rho, velocity_field(controller.samples, rho), t)
                  for t, rho in zip(run.times, run.densities)]
         assert len(run.times) == len(rec.metrics) == 5
@@ -416,15 +427,15 @@ class TestRunRecords:
         # controller: sampled states, U fields, step count and step extremes
         # are bitwise equal
         cfg = continuum_config(t_end=0.2)
-        controller = scenarios._Controller(cfg, on_starved="raise")
-        grid, kernel = controller.grid, controller.kernel
-        spacing, mass = grid.spacing, float(cfg.n_agents)
-        start = von_mises_density(0.0, 0.0, mass, grid)
+        controller = scenarios._Controller(cfg)
+        x, kernel = controller.nodes, controller.kernel
+        spacing, mass = 2.0 * np.pi / cfg.grid_m, float(cfg.n_agents)
+        start = von_mises_density(0.0, 0.0, mass, x)
         run = run_continuum(start, 0.0, controller.samples, controller, cfg.t_end, cfl=cfg.cfl,
                             dt_max=cfg.dt, sample_every=cfg.sample_every)
 
-        samples = kernel.sample_on_grid(grid)
-        rho_d = von_mises_density(cfg.mu, cfg.concentration, mass, grid)
+        samples = kernel.sample_on_grid(cfg.grid_m)
+        rho_d = von_mises_density(cfg.mu, cfg.concentration, mass, x)
         v_d = velocity_field(samples, rho_d)
 
         def control(rho):
@@ -630,8 +641,8 @@ class TestFullScenarios:
 
     def test_tracking_mode_follows_schedule(self):
         record = run_microscopic(tracking_config(record_agents=False))
-        from ringswarm import TrackingSchedule, wrap_angle
-        schedule = TrackingSchedule()
+        from ringswarm import wrap_angle
+        from ringswarm.density import tracking_mean
         by_time = {}
         for t, angle, rho, _ in record.density:
             by_time.setdefault(t, []).append((angle, rho))
@@ -641,7 +652,7 @@ class TestFullScenarios:
                 continue
             angles, rho = zip(*rows)
             peak = angles[int(np.argmax(rho))]
-            mu = schedule.mean_at(t)[0]
+            mu = tracking_mean(t)[0]
             worst = max(worst, abs(float(wrap_angle(peak - mu))))
         assert worst < 0.2
 
