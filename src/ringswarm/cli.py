@@ -48,7 +48,6 @@ def _add_common(parser):
     parser.add_argument("--dt", type=float)
     parser.add_argument("--grid-m", dest="grid_m", type=int)
     parser.add_argument("--bandwidth", type=float)
-    parser.add_argument("--scheme", choices=["euler", "rk4"])
     parser.add_argument("--sample-every", dest="sample_every", type=float)
     parser.add_argument("--noise-dbw", dest="noise_power_dbw", type=float)
 

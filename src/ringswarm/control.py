@@ -54,9 +54,9 @@ def velocity_control(rho: np.ndarray, q: np.ndarray, starved: np.ndarray) -> np.
     a grid-aligned rotation of rho and q rolls U.  The mask ``starved``
     marks the nodes below ``starvation_floor``, where the control would act
     as a source or sink: U is 0 there and they are left out of C.  Whether
-    such a node refuses the update or only zeroes U there is the caller's
-    choice (the continuum refuses; the agent loop, whose estimator keeps
-    the density high wherever inputs are actually sampled, zeroes).
+    such a node refuses the update or only zeroes U there is the runner's
+    choice (the continuum runner refuses; the agent loop, whose estimator
+    keeps the density high wherever inputs are actually sampled, zeroes).
     """
     # The trapezoid running integral of q is spacing * (cumsum(q) - q/2) up
     # to a constant, which C absorbs; the spacing 2*pi/m rides on the weights,

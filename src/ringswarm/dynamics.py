@@ -1,8 +1,8 @@
 """Time integration of the swarm at both scales.
 
 Microscopic: the N-agent ODE dx_i/dt = sum_j f(wrap(x_i - x_j)) + u_i,
-stepped with explicit Euler or RK4; the control field is refreshed once per
-step and frozen across RK4 stages (sampled-data actuation).
+stepped with classical RK4; the control field is refreshed once per step
+and frozen across its stages (sampled-data actuation).
 
 Continuum: the mass-conservation law rho_t + [rho (V + U)]_x = 0 on the
 ring, advanced with a conservative local Lax-Friedrichs (Rusanov) flux so
@@ -18,7 +18,9 @@ from .control import sample_agent_inputs
 from .kernels import MorseKernel, velocity_field
 from .ring import TWO_PI, GridFunction, wrap_angle
 
-SCHEMES = ("euler", "rk4")
+# Courant number dt * max|w| / spacing of the adaptive continuum step; the
+# Rusanov update keeps the density nonnegative for any value up to 1.
+CFL = 0.4
 
 
 def even_lattice(n: int) -> np.ndarray:
@@ -196,26 +198,21 @@ def microscopic_rhs(positions: np.ndarray, kernel: MorseKernel,
     return du
 
 
-def step_swarm(positions: np.ndarray, kernel: MorseKernel, u: np.ndarray | None, dt: float,
-               scheme: str) -> np.ndarray:
-    """The agent positions one step of ``dt`` later, wrapped into [-pi, pi),
-    by the ``scheme`` of SCHEMES.
+def step_swarm(positions: np.ndarray, kernel: MorseKernel, u: np.ndarray | None,
+               dt: float) -> np.ndarray:
+    """The agent positions one classical RK4 step of ``dt`` later, wrapped
+    into [-pi, pi).
 
     ``u`` holds the velocity control U at the grid nodes, evaluated at the
     pre-step positions (None for the open loop); it stays frozen across the
     step and is re-sampled at the staged agent positions.
     """
     x = positions
-    if scheme == "euler":
-        x_new = x + dt * microscopic_rhs(x, kernel, u)
-    elif scheme == "rk4":
-        k1 = microscopic_rhs(x, kernel, u)
-        k2 = microscopic_rhs(x + 0.5 * dt * k1, kernel, u)
-        k3 = microscopic_rhs(x + 0.5 * dt * k2, kernel, u)
-        k4 = microscopic_rhs(x + dt * k3, kernel, u)
-        x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    else:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    k1 = microscopic_rhs(x, kernel, u)
+    k2 = microscopic_rhs(x + 0.5 * dt * k1, kernel, u)
+    k3 = microscopic_rhs(x + 0.5 * dt * k2, kernel, u)
+    k4 = microscopic_rhs(x + dt * k3, kernel, u)
+    x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(x_new)):
         raise RuntimeError("non-finite agent position; run aborted")
     return wrap_angle(x_new)
@@ -262,15 +259,15 @@ def _rusanov_advance(r: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
     return r_new
 
 
-def max_stable_dt(w: np.ndarray, cfl: float) -> float:
-    """Largest admissible step cfl * spacing / max|w| for the speed field w;
+def max_stable_dt(w: np.ndarray) -> float:
+    """Largest admissible step CFL * spacing / max|w| for the speed field w;
     a non-finite speed raises, since it would give a zero step."""
     top = float(np.abs(w).max())
     if not math.isfinite(top):
         raise RuntimeError("non-finite advection speed; run aborted")
     if top == 0.0:
         return np.inf
-    return cfl * (TWO_PI / w.size) / top
+    return CFL * (TWO_PI / w.size) / top
 
 
 @dataclass(frozen=True)
@@ -291,8 +288,7 @@ class ContinuumRun:
 
 
 def run_continuum(rho: np.ndarray, t: float, kernel_samples: GridFunction, control, t_end: float,
-                  *, cfl: float = 0.4, dt_max: float = 1e-3,
-                  sample_every: float = 0.05) -> ContinuumRun:
+                  *, dt_max: float = 1e-3, sample_every: float = 0.05) -> ContinuumRun:
     """Advance the density samples ``rho`` from time ``t`` to t_end with
     adaptive CFL-limited steps; returns the sampled densities with the
     control of each (see ``ContinuumRun``).
@@ -313,7 +309,7 @@ def run_continuum(rho: np.ndarray, t: float, kernel_samples: GridFunction, contr
         w, u = continuum_velocity(rho, t, kernel_samples, control)
         if len(u_fields) < len(times):  # the step from a sample
             u_fields.append(u)
-        dt = min(max_stable_dt(w, cfl), dt_max, target - t)
+        dt = min(max_stable_dt(w), dt_max, target - t)
         rho = _rusanov_advance(rho, w, dt)
         t += dt
         steps += 1

@@ -35,6 +35,8 @@ def wrap_angle(a):
 
 def grid_nodes(m: int) -> np.ndarray:
     """The m node angles x_j = -pi + j * (2*pi/m) of the uniform grid."""
+    if m < 4:
+        raise ValueError(f"the grid needs at least 4 nodes, got m={m}")
     return -np.pi + (TWO_PI / m) * np.arange(m)
 
 

@@ -28,12 +28,7 @@ from .density import (
     tracking_mean,
     von_mises_density,
 )
-from .dynamics import (
-    SCHEMES,
-    even_lattice,
-    run_continuum,
-    step_swarm,
-)
+from .dynamics import even_lattice, run_continuum, step_swarm
 from .kernels import MorseKernel, velocity_field
 from .records import RunRecord
 from .ring import grid_nodes, integrate, wrap_angle
@@ -42,6 +37,7 @@ SCENARIOS = ("regulate-mono", "regulate-bimodal", "track", "open-loop", "continu
 DEFAULT_SWEEP_N = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, "inf")
 DEFAULT_NOISE_DBW = (0.0, 20.0, 40.0, 60.0, 80.0)
 INITIAL_LAYOUTS = ("even", "clumped")
+CLUMP_HALFWIDTH = 0.3  # the clumped start fills [-0.3, 0.3] evenly
 _FIELD_KINDS = {bool: bool, int: (int, np.integer), float: numbers.Real, str: str}
 
 
@@ -70,16 +66,13 @@ class ScenarioConfig:
     mu1: float = math.pi / 2.0
     mu2: float = -math.pi / 2.0
     grid_m: int = 256
-    scheme: str = "rk4"
     dt: float = 1e-3
     t_end: float = 3.0
     bandwidth: float = 0.2
     noise_power_dbw: float | None = None
     seed: int = 0
     sample_every: float = 0.05
-    cfl: float = 0.4
     initial: str = "even"
-    clump_halfwidth: float = 0.3
     record_agents: bool = True
     record_density: bool = True
 
@@ -100,15 +93,12 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must not be negative")
         if self.grid_m < 4 or self.grid_m % 2:
             raise ValueError(f"grid_m must be even and at least 4, got {self.grid_m}")
-        if not 0 < self.cfl <= 1:
-            raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        for name, allowed in (("scenario", SCENARIOS), ("scheme", SCHEMES),
-                              ("initial", INITIAL_LAYOUTS)):
+        for name, allowed in (("scenario", SCENARIOS), ("initial", INITIAL_LAYOUTS)):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         # Slack for the bound's own decimal value: 2.78/10 is 0.27799999999999997.
         if self.dt > self.dt_stability_bound * (1.0 + 1e-9):
-            raise ValueError(f"dt={self.dt} exceeds the {self.scheme} stability bound "
+            raise ValueError(f"dt={self.dt} exceeds the RK4 stability bound "
                              f"{self.dt_stability_bound!r} for kp={self.kp}")
         if self.noise_power_dbw is not None:
             if self.scenario in ("continuum", "open-loop"):
@@ -134,10 +124,9 @@ class ScenarioConfig:
 
     @property
     def dt_stability_bound(self) -> float:
-        """Explicit-scheme stability limit of the dominant feedback eigenvalue
-        (~kp on the error): real-axis stability interval 2.78 for RK4, 2 for
-        Euler."""
-        return (2.78 if self.scheme == "rk4" else 2.0) / self.kp
+        """RK4 stability limit of the dominant feedback eigenvalue (~kp on
+        the error): its real-axis stability interval is 2.78."""
+        return 2.78 / self.kp
 
 
 def monomodal_config(**overrides) -> ScenarioConfig:
@@ -196,7 +185,7 @@ def target_at(config: ScenarioConfig, t: float, x: np.ndarray):
 def initial_positions(config: ScenarioConfig) -> np.ndarray:
     if config.initial == "even":
         return even_lattice(config.n_agents)
-    h = config.clump_halfwidth
+    h = CLUMP_HALFWIDTH
     return wrap_angle(-h + 2.0 * h * (np.arange(config.n_agents) + 0.5) / config.n_agents)
 
 
@@ -239,14 +228,16 @@ class _Controller:
     """One controller evaluation on plain arrays, shared by both runners:
     target, feedback q plus the configured noise, the worst |integral of q|
     so far, then the U field (none in the open loop).  A node below the
-    starvation floor refuses the update in the continuum scenario; in the
-    agent scenarios U is 0 there and ``starved_updates`` counts the
-    evaluations that had any.  A non-finite q refuses as well.
+    starvation floor refuses the update when ``refuse_starved`` is set (the
+    continuum runner); otherwise (the agent runner) U is 0 there and
+    ``starved_updates`` counts the evaluations that had any.  A non-finite
+    q refuses as well.
     The node angles, the kernel's samples, a static target with its
     velocity field, and the noise generator are built once per run."""
 
-    def __init__(self, config: ScenarioConfig):
+    def __init__(self, config: ScenarioConfig, refuse_starved: bool):
         self.config = config
+        self.refuse_starved = refuse_starved
         self.nodes = grid_nodes(config.grid_m)
         self.kernel = build_kernel(config)
         self.samples = self.kernel.sample_on_grid(config.grid_m)
@@ -279,7 +270,7 @@ class _Controller:
         floor = starvation_floor(rho)
         starved = rho < floor
         if starved.any():
-            if self.config.scenario == "continuum":
+            if self.refuse_starved:
                 j = int(np.argmax(starved))
                 raise ValueError(
                     f"density {rho[j]:.3e} below floor {floor:.3e} at node {j} "
@@ -292,7 +283,7 @@ def run_microscopic(config: ScenarioConfig) -> RunRecord:
     """Closed-loop (or open-loop) agent simulation producing a full RunRecord."""
     # Far from every agent the estimate decays below the floor for small
     # swarms; those nodes are never sampled, so the control is zero there.
-    controller = _Controller(config)
+    controller = _Controller(config, refuse_starved=False)
     estimator = WrappedGaussianEstimator(config.bandwidth, config.grid_m)
     x, t = initial_positions(config), 0.0
     record = RunRecord(config=asdict(config), metadata=_base_metadata(config))
@@ -306,7 +297,7 @@ def run_microscopic(config: ScenarioConfig) -> RunRecord:
             _record_sample(record, config, t, controller.nodes, rho_hat,
                            controller.desired(t), u, x)
         if i < n_steps:
-            x = step_swarm(x, controller.kernel, u_field, config.dt, config.scheme)
+            x = step_swarm(x, controller.kernel, u_field, config.dt)
             t += config.dt
     record.metadata["q_integral_worst"] = controller.q_integral_worst
     record.metadata["final_kl"] = record.final_kl()
@@ -316,11 +307,11 @@ def run_microscopic(config: ScenarioConfig) -> RunRecord:
 
 def run_continuum_scenario(config: ScenarioConfig) -> RunRecord:
     """Finite-difference run of the controlled conservation law (N = infinity)."""
-    controller = _Controller(config)
+    controller = _Controller(config, refuse_starved=True)
     mass = float(config.n_agents)
     rho0 = von_mises_density(0.0, 0.0, mass, controller.nodes)  # uniform start, mass N
     run = run_continuum(rho0, 0.0, controller.samples, controller, config.t_end,
-                        cfl=config.cfl, dt_max=config.dt, sample_every=config.sample_every)
+                        dt_max=config.dt, sample_every=config.sample_every)
     record = RunRecord(config=asdict(config), metadata=_base_metadata(config))
     record.metadata["q_integral_worst"] = controller.q_integral_worst
     for t, rho, u in zip(run.times, run.densities, run.u_fields):

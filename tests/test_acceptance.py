@@ -111,7 +111,7 @@ def test_criterion_3_error_decay_bound():
     assert abs(integrate(rho0) - n) < 1e-12  # mass-preserving perturbation
     e0 = l2_norm(rho_d - rho0)
     run = run_continuum(rho0, 0.0, kernel.sample_on_grid(x.size), control, 0.1,
-                        cfl=0.4, dt_max=1e-3, sample_every=0.005)
+                        dt_max=1e-3, sample_every=0.005)
     ts = np.array(run.times)
     els = np.array([l2_norm(rho_d - rho) for rho in run.densities])
     slope = float(np.polyfit(ts, np.log(els**2), 1)[0])
@@ -161,7 +161,7 @@ def test_criterion_5_oracle_equivalence():
     def integrate_positions(dt):
         x = pos0
         for _ in range(int(round(0.35 / dt))):
-            x = step_swarm(x, kernel, None, dt, "rk4")
+            x = step_swarm(x, kernel, None, dt)
         return x
 
     ref = integrate_positions(0.35 / 2800)

@@ -191,10 +191,10 @@ class TestVelocityControl:
         assert err < 2.0 * (2.0 * np.pi / m)**2 * l2_norm(q)
 
     def test_starved_node_raises_with_location(self, x):
-        # the continuum's controller refuses an update with a starved node
+        # the continuum runner's controller refuses an update with a starved node
         values = np.full(x.size, 50.0 / (2 * np.pi))
         values[37] = 1e-12
-        controller = scenarios._Controller(continuum_config())
+        controller = scenarios._Controller(continuum_config(), refuse_starved=True)
         with pytest.raises(ValueError, match="node 37"):
             controller(values, np.zeros(x.size), 0.0)
 

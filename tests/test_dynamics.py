@@ -93,10 +93,10 @@ def interaction_cases(draw):
     return pos, MorseKernel(g, 1.0 / inv_l, strength=0.01)
 
 
-def rk4_positions(pos0, kernel, t_end, dt, scheme="rk4"):
+def rk4_positions(pos0, kernel, t_end, dt):
     x = pos0
     for _ in range(int(round(t_end / dt))):
-        x = step_swarm(x, kernel, None, dt, scheme)
+        x = step_swarm(x, kernel, None, dt)
     return x
 
 
@@ -105,7 +105,7 @@ def open_loop_samples(x, kernel, dt, t_end, sample_every):
     samples = [x]
     stride = int(round(sample_every / dt))
     for i in range(1, int(round(t_end / dt)) + 1):
-        x = step_swarm(x, kernel, None, dt, "rk4")
+        x = step_swarm(x, kernel, None, dt)
         if i % stride == 0:
             samples.append(x)
     return samples
@@ -203,19 +203,13 @@ class TestMicroscopicRhs:
 class TestStepSwarm:
     def test_single_agent_is_stationary(self):
         kernel = MorseKernel(0.5, 0.5)
-        for scheme in dynamics.SCHEMES:
-            assert step_swarm(np.array([0.4]), kernel, None, 1e-2, scheme).tolist() == [0.4]
-
-    def test_unknown_scheme_is_refused(self):
-        # a misspelt scheme must not silently run one of the others
-        with pytest.raises(ValueError, match="scheme must be one of"):
-            step_swarm(np.array([0.0, 1.0]), MorseKernel(0.5, 0.5), None, 1e-3, "RK4")
+        assert step_swarm(np.array([0.4]), kernel, None, 1e-2).tolist() == [0.4]
 
     def test_positions_stay_wrapped(self):
         kernel = MorseKernel(0.5, 0.5, strength=5.0)
         x = np.array([-3.1, 3.1])
         for _ in range(200):
-            x = step_swarm(x, kernel, None, 5e-3, "rk4")
+            x = step_swarm(x, kernel, None, 5e-3)
         assert np.all(x >= -np.pi) and np.all(x < np.pi)
 
     def test_rotational_equivariance(self):
@@ -247,17 +241,9 @@ class TestStepSwarm:
         q = feedback(rho, target, kernel, kp)
         q_shifted = feedback(rho_shifted, np.roll(target, shift), kernel, kp)
         assert np.abs(np.roll(q, shift) - q_shifted).max() <= 1e-12 * kp * peak
-        stepped = step_swarm(x, kernel, solve(rho, q), 1e-3, "rk4")
-        stepped_shifted = step_swarm(shifted, kernel, solve(rho_shifted, q_shifted), 1e-3, "rk4")
+        stepped = step_swarm(x, kernel, solve(rho, q), 1e-3)
+        stepped_shifted = step_swarm(shifted, kernel, solve(rho_shifted, q_shifted), 1e-3)
         assert np.abs(wrap_angle(stepped_shifted - stepped - shift * spacing)).max() <= 1e-9
-
-    def test_euler_first_order(self):
-        kernel = MorseKernel(2.0, 2.0, strength=2.0)
-        pos0 = np.array([-1.0, 1.0])
-        ref = rk4_positions(pos0, kernel, 0.2, 1e-5)
-        e1 = np.abs(rk4_positions(pos0, kernel, 0.2, 4e-3, scheme="euler") - ref).max()
-        e2 = np.abs(rk4_positions(pos0, kernel, 0.2, 2e-3, scheme="euler") - ref).max()
-        assert e1 / e2 == pytest.approx(2.0, abs=0.3)
 
     def test_rk4_fourth_order_on_frozen_input_problem(self):
         # two attracting agents; separation stays inside the smooth range
@@ -282,27 +268,33 @@ class TestStepSwarm:
         for _ in range(2):
             x = even_lattice(20)
             for _ in range(100):
-                x = step_swarm(x, kernel, control(x), 1e-3, "rk4")
+                x = step_swarm(x, kernel, control(x), 1e-3)
             runs.append(x)
         assert np.array_equal(runs[0], runs[1])
 
-    def test_euler_step_is_one_rhs_evaluation(self):
-        # step_swarm has no velocity code of its own: an Euler step is
-        # x + dt * microscopic_rhs(x, kernel, U) to the last bit
+    def test_rk4_step_is_four_rhs_stages(self):
+        # step_swarm has no velocity code of its own: a step is the
+        # classical four-stage combination of microscopic_rhs(., kernel, U),
+        # with U frozen across the stages, to the last bit
         kernel = MorseKernel(0.5, 0.5, strength=1 / 20)
         x = np.random.default_rng(66).uniform(-2.0, 2.0, 20)
         rho = WrappedGaussianEstimator(0.2, 128).estimate(x)
         q = feedback(rho, von_mises_density(0.0, 4.0, 20.0, grid_nodes(128)), kernel, 10.0)
         u_field = solve(rho, q)
+        dt = 1e-3
         for field in (u_field, None):
-            out = step_swarm(x, kernel, field, 1e-3, "euler")
-            assert np.array_equal(out, x + 1e-3 * microscopic_rhs(x, kernel, field))
+            k1 = microscopic_rhs(x, kernel, field)
+            k2 = microscopic_rhs(x + 0.5 * dt * k1, kernel, field)
+            k3 = microscopic_rhs(x + 0.5 * dt * k2, kernel, field)
+            k4 = microscopic_rhs(x + dt * k3, kernel, field)
+            expected = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            assert np.array_equal(step_swarm(x, kernel, field, dt), expected)
 
     def test_nonfinite_positions_abort(self):
         kernel = MorseKernel(0.5, 0.5)
         huge = np.full(64, 1e308)
         with np.errstate(over="ignore"), pytest.raises(RuntimeError, match="non-finite"):
-            step_swarm(np.array([0.0, 1.0]), kernel, huge, 1e-3, "rk4")
+            step_swarm(np.array([0.0, 1.0]), kernel, huge, 1e-3)
 
 
 class TestOpenLoop:
@@ -387,10 +379,11 @@ class TestContinuum:
 
         rusanov_advance = dynamics._rusanov_advance
         monkeypatch.setattr(dynamics, "_rusanov_advance", advance)
-        run_continuum(rho, 0.0, MorseKernel(0.5, 0.5).sample_on_grid(256), None, 0.05, cfl=0.4,
+        run_continuum(rho, 0.0, MorseKernel(0.5, 0.5).sample_on_grid(256), None, 0.05,
                       dt_max=1.0, sample_every=0.05)
         assert len(steps) > 1
-        assert all(dt * top <= 0.4 * (2.0 * np.pi / 256) * (1 + 1e-12) for dt, top in steps)
+        bound = dynamics.CFL * (2.0 * np.pi / 256)
+        assert all(dt * top <= bound * (1 + 1e-12) for dt, top in steps)
         assert sum(dt for dt, _ in steps) == pytest.approx(0.05)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -399,7 +392,7 @@ class TestContinuum:
         w = np.linspace(-1.0, 1.0, 16)
         w[5] = bad
         with pytest.raises(RuntimeError, match="non-finite advection speed"):
-            dynamics.max_stable_dt(w, 0.4)
+            dynamics.max_stable_dt(w)
 
     @pytest.mark.parametrize("t0,t_end,every,times", [
         (0.5, 0.6, 0.05, [0.5, 0.55, 0.6]),
@@ -436,7 +429,7 @@ class TestContinuum:
 
         rho0 = von_mises_density(0.0, 0.0, n, nodes)
         e0 = l2_norm(rho_d - rho0)
-        run = run_continuum(rho0, 0.0, kernel.sample_on_grid(256), control, 0.1, cfl=0.4,
+        run = run_continuum(rho0, 0.0, kernel.sample_on_grid(256), control, 0.1,
                             dt_max=1e-3, sample_every=0.005)
         ts = np.array(run.times)
         els = np.array([l2_norm(rho_d - rho) for rho in run.densities])
@@ -518,9 +511,7 @@ class TestContinuum:
 @pytest.mark.slow
 class TestScaleConsistency:
     def test_particle_and_continuum_spreading_agree(self):
-        # both scales started from the same smooth clumped profile; the
-        # particle run is Euler-stepped (the consistency statement is about
-        # the model, not the integrator)
+        # both scales started from the same smooth clumped profile
         nodes = grid_nodes(256)
         n = 1000
         kernel = MorseKernel(0.5, 0.5, strength=1.0 / n)
@@ -534,7 +525,7 @@ class TestScaleConsistency:
 
         x = pos0
         for _ in range(3000):
-            x = step_swarm(x, kernel, None, 1e-3, "euler")
+            x = step_swarm(x, kernel, None, 1e-3)
         kde = WrappedGaussianEstimator(0.2, 256).estimate(x)
 
         cont = run_continuum(rho0, 0.0, kernel.sample_on_grid(256), None, 3.0,

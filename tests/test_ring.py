@@ -151,6 +151,12 @@ class TestRingGrid:
         with pytest.raises(ValueError, match="at least 4"):
             GridFunction(np.zeros(3))
 
+    @pytest.mark.parametrize("m", [0, -4, 3])
+    def test_fewer_than_4_nodes_rejected(self, m):
+        for build in (grid_nodes, MorseKernel().sample_on_grid):
+            with pytest.raises(ValueError, match=f"at least 4 nodes, got m={m}"):
+                build(m)
+
     def test_grid_function_validation(self):
         with pytest.raises(ValueError):
             GridFunction(np.zeros((2, 4)))

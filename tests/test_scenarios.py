@@ -44,14 +44,10 @@ from ringswarm.scenarios import (
 
 # One invalid config per validation rule of ScenarioConfig.
 INVALID_CONFIGS = {
-    "cfl-zero": {"cfl": 0.0},
-    "cfl-negative": {"cfl": -0.4},
-    "cfl-above-one": {"cfl": 1.5},
     "n-agents-fractional": {"n_agents": 12.5},
     "grid-m-fractional": {"grid_m": 256.0},
     "grid-m-odd": {"grid_m": 255},
     "grid-m-too-small": {"grid_m": 2},
-    "scheme-unknown": {"scheme": "foo"},
     "initial-unknown": {"initial": "random"},
     "bandwidth-pi": {"bandwidth": math.pi},
     "bandwidth-below-spacing": {"bandwidth": 0.02},  # 2*pi/256 is 0.0245
@@ -59,8 +55,6 @@ INVALID_CONFIGS = {
     "sample-every-off-dt-grid": {"t_end": 0.01, "sample_every": 0.0035},
     "sample-every-below-dt": {"sample_every": 5e-4},
     "dt-above-rk4-stability-bound": {"dt": 0.4, "t_end": 0.4, "sample_every": 0.4},
-    "dt-above-euler-stability-bound": {"scheme": "euler", "dt": 0.25, "t_end": 0.5,
-                                       "sample_every": 0.25},
     "noise-on-continuum": {"scenario": "continuum", "noise_power_dbw": 20.0},
     "noise-on-open-loop": {"scenario": "open-loop", "noise_power_dbw": 20.0},
     "kp-nan": {"kp": math.nan},
@@ -115,7 +109,7 @@ class TestConfigDefaults:
         assert cfg.initial == "clumped"
         assert cfg.t_end == 20.0
         # the clumped starts lie inside [-pi, pi), so wrapping moves none
-        h, n = cfg.clump_halfwidth, cfg.n_agents
+        h, n = scenarios.CLUMP_HALFWIDTH, cfg.n_agents
         expected = -h + 2.0 * h * (np.arange(n) + 0.5) / n
         assert np.array_equal(scenarios.initial_positions(cfg), expected)
 
@@ -216,7 +210,7 @@ class TestRunRecords:
 
         x = even_lattice(cfg.n_agents)
         for _ in range(int(round(cfg.t_end / cfg.dt))):
-            x = step_swarm(x, kernel, control(x), cfg.dt, cfg.scheme)
+            x = step_swarm(x, kernel, control(x), cfg.dt)
         assert np.array_equal(x, final)
 
     def test_readme_example_runs(self):
@@ -253,7 +247,7 @@ class TestRunRecords:
             return velocity_control(rho, q, starved)
 
         run = run_continuum(von_mises_density(0.0, 0.0, mass, x), 0.0, samples, control,
-                            cfg.t_end, cfl=cfg.cfl, dt_max=cfg.dt, sample_every=cfg.sample_every)
+                            cfg.t_end, dt_max=cfg.dt, sample_every=cfg.sample_every)
         rho_rows = np.array([row[2] for row in rec.density])
         assert np.array_equal(rho_rows, np.concatenate(run.densities))
         assert rec.metadata["q_integral_worst"] == q_integral_worst
@@ -332,6 +326,13 @@ class TestRunRecords:
         assert len(rec.agents) == 0
         assert "starved_updates" not in rec.metadata  # a starved node raises there
 
+    def test_continuum_runner_refuses_a_starved_node_whatever_the_scenario(self):
+        # the runner, not the config's scenario name, sets the policy: the
+        # k = 8 target's antipodal tail starves the regulated density
+        with pytest.raises(ValueError, match="below floor"):
+            run_continuum_scenario(monomodal_config(concentration=8.0, t_end=2.0,
+                                                    record_density=False))
+
     def test_two_agents_starve_every_update(self):
         rec = run_microscopic(monomodal_config(n_agents=2, t_end=0.2, record_agents=False,
                                                record_density=False))
@@ -361,11 +362,11 @@ class TestRunRecords:
         # the record's u_max column and step counters come from the same run
         cfg = continuum_config(t_end=0.2)
         rec = run_continuum_scenario(cfg)
-        controller = scenarios._Controller(cfg)
+        controller = scenarios._Controller(cfg, refuse_starved=True)
         start = von_mises_density(0.0, 0.0, 50.0, controller.nodes)
-        run = run_continuum(start, 0.0, controller.samples, controller, cfg.t_end, cfl=cfg.cfl,
+        run = run_continuum(start, 0.0, controller.samples, controller, cfg.t_end,
                             dt_max=cfg.dt, sample_every=cfg.sample_every)
-        fresh = [scenarios._Controller(cfg)(
+        fresh = [scenarios._Controller(cfg, refuse_starved=True)(
                      rho, velocity_field(controller.samples, rho), t)
                  for t, rho in zip(run.times, run.densities)]
         assert len(run.times) == len(rec.metrics) == 5
@@ -427,11 +428,11 @@ class TestRunRecords:
         # controller: sampled states, U fields, step count and step extremes
         # are bitwise equal
         cfg = continuum_config(t_end=0.2)
-        controller = scenarios._Controller(cfg)
+        controller = scenarios._Controller(cfg, refuse_starved=True)
         x, kernel = controller.nodes, controller.kernel
         spacing, mass = 2.0 * np.pi / cfg.grid_m, float(cfg.n_agents)
         start = von_mises_density(0.0, 0.0, mass, x)
-        run = run_continuum(start, 0.0, controller.samples, controller, cfg.t_end, cfl=cfg.cfl,
+        run = run_continuum(start, 0.0, controller.samples, controller, cfg.t_end,
                             dt_max=cfg.dt, sample_every=cfg.sample_every)
 
         samples = kernel.sample_on_grid(cfg.grid_m)
@@ -453,7 +454,7 @@ class TestRunRecords:
             if len(u_fields) < len(states):
                 u_fields.append(u)
             w = v + u
-            dt = min(cfg.cfl * spacing / float(np.abs(w).max()), cfg.dt, target - t)
+            dt = min(dynamics.CFL * spacing / float(np.abs(w).max()), cfg.dt, target - t)
             flux = rho * w
             a = np.maximum(np.abs(w), np.abs(np.roll(w, -1)))
             face = 0.5 * (flux + np.roll(flux, -1)) - 0.5 * a * (np.roll(rho, -1) - rho)
@@ -768,9 +769,16 @@ class TestCli:
     def test_bad_config_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         for overrides in ({"bogus": 1}, {"integration_constant": "zero"},
-                          {"mean_field_scaling": True}):
+                          {"mean_field_scaling": True}, {"scheme": "euler"}, {"cfl": 0.4},
+                          {"clump_halfwidth": 0.3}):
             cfg_file.write_text(json.dumps(overrides))
             assert cli_main(["regulate-mono", "--config", str(cfg_file)]) == 2
+
+    def test_scheme_flag_is_usage_error(self, tmp_path):
+        # the agents always step RK4: an integrator flag is a usage error
+        out = tmp_path / "run"
+        assert cli_main(["regulate-mono", "--scheme", "euler", "--out", str(out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", ["5", "null", "[]"])
     def test_config_that_is_not_an_object_is_usage_error(self, tmp_path, text):
