@@ -46,8 +46,6 @@ def _add_common(parser):
     parser.add_argument("--kp", type=float)
     parser.add_argument("--t-end", dest="t_end", type=float)
     parser.add_argument("--dt", type=float)
-    parser.add_argument("--grid-m", dest="grid_m", type=int)
-    parser.add_argument("--bandwidth", type=float)
     parser.add_argument("--sample-every", dest="sample_every", type=float)
     parser.add_argument("--noise-dbw", dest="noise_power_dbw", type=float)
 
@@ -87,7 +85,9 @@ def _load_config(command: str, args) -> ScenarioConfig:
         bad = set(raw) - _FIELDS
         if bad:
             raise SystemExit(f"ringswarm: unknown config keys: {sorted(bad)}")
-        raw.pop("scenario", None)  # the subcommand owns the scenario kind
+        if raw.get("scenario", config.scenario) != config.scenario:
+            raise SystemExit(f"ringswarm: config scenario {raw['scenario']!r} does not match "
+                             f"the {command} command's {config.scenario!r}")
         try:
             config = replace(config, **raw)
         except (TypeError, ValueError) as exc:

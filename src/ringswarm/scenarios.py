@@ -1,9 +1,10 @@
 """Experiment harness: regulation, tracking, scalability and noise studies.
 
 Each scenario is a ScenarioConfig with baseline defaults (N = 50 agents,
-Morse kernel G = L = 0.5, gain kp = 10, t_end = 3); runs are deterministic
-functions of the config and seed and produce RunRecords ready for CSV
-serialization.
+gain kp = 10, t_end = 3).  What no run varies is fixed: MorseKernel's own
+G and L at strength 1/N, GRID_M, BANDWIDTH, BIMODAL_MEANS, and the open
+loop's clumped start.  Runs are deterministic functions of the config and
+seed and produce RunRecords ready for CSV serialization.
 """
 
 import math
@@ -36,8 +37,10 @@ from .ring import grid_nodes, integrate, wrap_angle
 SCENARIOS = ("regulate-mono", "regulate-bimodal", "track", "open-loop", "continuum")
 DEFAULT_SWEEP_N = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, "inf")
 DEFAULT_NOISE_DBW = (0.0, 20.0, 40.0, 60.0, 80.0)
-INITIAL_LAYOUTS = ("even", "clumped")
-CLUMP_HALFWIDTH = 0.3  # the clumped start fills [-0.3, 0.3] evenly
+CLUMP_HALFWIDTH = 0.3  # the open loop's clumped start fills [-0.3, 0.3] evenly
+GRID_M = 256  # grid nodes of the estimate, the target and the U field
+BANDWIDTH = 0.2  # the estimator's Gaussian width
+BIMODAL_MEANS = (math.pi / 2.0, -math.pi / 2.0)
 _FIELD_KINDS = {bool: bool, int: (int, np.integer), float: numbers.Real, str: str}
 
 
@@ -58,21 +61,14 @@ class ScenarioConfig:
 
     scenario: str = "regulate-mono"
     n_agents: int = 50
-    attraction_strength: float = 0.5
-    attraction_length: float = 0.5
     kp: float = 10.0
     concentration: float = 4.0
     mu: float = 0.0
-    mu1: float = math.pi / 2.0
-    mu2: float = -math.pi / 2.0
-    grid_m: int = 256
     dt: float = 1e-3
     t_end: float = 3.0
-    bandwidth: float = 0.2
     noise_power_dbw: float | None = None
     seed: int = 0
     sample_every: float = 0.05
-    initial: str = "even"
     record_agents: bool = True
     record_density: bool = True
 
@@ -84,18 +80,14 @@ class ScenarioConfig:
                                  f"{getattr(f.type, '__name__', f.type)}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        for name in ("n_agents", "attraction_strength", "attraction_length", "kp", "grid_m",
-                     "dt", "t_end", "bandwidth", "sample_every"):
+        for name in ("n_agents", "kp", "dt", "t_end", "sample_every"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("concentration", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must not be negative")
-        if self.grid_m < 4 or self.grid_m % 2:
-            raise ValueError(f"grid_m must be even and at least 4, got {self.grid_m}")
-        for name, allowed in (("scenario", SCENARIOS), ("initial", INITIAL_LAYOUTS)):
-            if getattr(self, name) not in allowed:
-                raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
+        if self.scenario not in SCENARIOS:
+            raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         # Slack for the bound's own decimal value: 2.78/10 is 0.27799999999999997.
         if self.dt > self.dt_stability_bound * (1.0 + 1e-9):
             raise ValueError(f"dt={self.dt} exceeds the RK4 stability bound "
@@ -116,11 +108,10 @@ class ScenarioConfig:
             if round(steps) < 1 or abs(steps - round(steps)) > 1e-6:
                 raise ValueError(f"{name}={getattr(self, name)} is not a whole multiple "
                                  f"of dt={self.dt}")
-        # Refused as in the run: a bandwidth outside [spacing, pi), and, without
-        # numpy's warnings, a target that overflows (none peaks above its t = 0).
-        WrappedGaussianEstimator(self.bandwidth, self.grid_m)
+        # Refused as in the run, without numpy's warnings: a target that
+        # overflows (none peaks above its t = 0).
         with np.errstate(over="ignore", invalid="ignore"):
-            target_at(self, 0.0, grid_nodes(self.grid_m))
+            target_at(self, 0.0, grid_nodes(GRID_M))
 
     @property
     def dt_stability_bound(self) -> float:
@@ -147,7 +138,6 @@ def tracking_config(**overrides) -> ScenarioConfig:
 def open_loop_config(**overrides) -> ScenarioConfig:
     # The mean-field-scaled repulsion spreads a clump on a ~10 s timescale.
     overrides.setdefault("t_end", 20.0)
-    overrides.setdefault("initial", "clumped")
     return ScenarioConfig(scenario="open-loop", **overrides)
 
 
@@ -156,8 +146,7 @@ def continuum_config(**overrides) -> ScenarioConfig:
 
 
 def build_kernel(config: ScenarioConfig) -> MorseKernel:
-    return MorseKernel(config.attraction_strength, config.attraction_length,
-                       1.0 / config.n_agents)
+    return MorseKernel(strength=1.0 / config.n_agents)
 
 
 def target_at(config: ScenarioConfig, t: float, x: np.ndarray):
@@ -174,7 +163,7 @@ def target_at(config: ScenarioConfig, t: float, x: np.ndarray):
         rho_d = von_mises_density(mu, k, mass, x)
         return rho_d, mu_dot * k * np.sin(x - mu) * rho_d
     if config.scenario == "regulate-bimodal":
-        rho_d = bimodal_density(config.mu1, config.mu2, config.concentration, mass, x)
+        rho_d = bimodal_density(*BIMODAL_MEANS, config.concentration, mass, x)
     elif config.scenario == "open-loop":
         rho_d = von_mises_density(0.0, 0.0, mass, x)  # uniform reference for the KL metric
     else:  # regulate-mono and continuum
@@ -183,7 +172,8 @@ def target_at(config: ScenarioConfig, t: float, x: np.ndarray):
 
 
 def initial_positions(config: ScenarioConfig) -> np.ndarray:
-    if config.initial == "even":
+    """An even lattice, or a clump for the open loop."""
+    if config.scenario != "open-loop":
         return even_lattice(config.n_agents)
     h = CLUMP_HALFWIDTH
     return wrap_angle(-h + 2.0 * h * (np.arange(config.n_agents) + 0.5) / config.n_agents)
@@ -238,9 +228,9 @@ class _Controller:
     def __init__(self, config: ScenarioConfig, refuse_starved: bool):
         self.config = config
         self.refuse_starved = refuse_starved
-        self.nodes = grid_nodes(config.grid_m)
+        self.nodes = grid_nodes(GRID_M)
         self.kernel = build_kernel(config)
-        self.samples = self.kernel.sample_on_grid(config.grid_m)
+        self.samples = self.kernel.sample_on_grid(GRID_M)
         self.target = (None if config.scenario == "track"
                        else target_at(config, 0.0, self.nodes)[0])
         self.target_v = (None if self.target is None
@@ -284,7 +274,7 @@ def run_microscopic(config: ScenarioConfig) -> RunRecord:
     # Far from every agent the estimate decays below the floor for small
     # swarms; those nodes are never sampled, so the control is zero there.
     controller = _Controller(config, refuse_starved=False)
-    estimator = WrappedGaussianEstimator(config.bandwidth, config.grid_m)
+    estimator = WrappedGaussianEstimator(BANDWIDTH, GRID_M)
     x, t = initial_positions(config), 0.0
     record = RunRecord(config=asdict(config), metadata=_base_metadata(config))
     n_steps = int(round(config.t_end / config.dt))

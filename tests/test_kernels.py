@@ -139,6 +139,11 @@ class TestVelocityField:
         v = velocity_field(MorseKernel(0.5, 0.5).sample_on_grid(128), np.zeros(128))
         assert np.abs(v).max() == 0.0
 
+    def test_odd_node_count_rejected(self):
+        # offsets between the nodes of an odd grid miss the kernel's samples
+        with pytest.raises(ValueError, match="even node count"):
+            velocity_field(MorseKernel().sample_on_grid(255), np.ones(255))
+
     def test_symmetric_density_gives_antisymmetric_velocity(self):
         x = grid_nodes(256)
         k = 6.0

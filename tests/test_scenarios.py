@@ -45,12 +45,6 @@ from ringswarm.scenarios import (
 # One invalid config per validation rule of ScenarioConfig.
 INVALID_CONFIGS = {
     "n-agents-fractional": {"n_agents": 12.5},
-    "grid-m-fractional": {"grid_m": 256.0},
-    "grid-m-odd": {"grid_m": 255},
-    "grid-m-too-small": {"grid_m": 2},
-    "initial-unknown": {"initial": "random"},
-    "bandwidth-pi": {"bandwidth": math.pi},
-    "bandwidth-below-spacing": {"bandwidth": 0.02},  # 2*pi/256 is 0.0245
     "t-end-off-dt-grid": {"t_end": 0.0125},
     "sample-every-off-dt-grid": {"t_end": 0.01, "sample_every": 0.0035},
     "sample-every-below-dt": {"sample_every": 5e-4},
@@ -58,13 +52,10 @@ INVALID_CONFIGS = {
     "noise-on-continuum": {"scenario": "continuum", "noise_power_dbw": 20.0},
     "noise-on-open-loop": {"scenario": "open-loop", "noise_power_dbw": 20.0},
     "kp-nan": {"kp": math.nan},
-    "bandwidth-nan": {"bandwidth": math.nan},
     "t-end-inf": {"t_end": math.inf},
     "sample-every-inf": {"sample_every": math.inf},
     "concentration-negative": {"concentration": -1.0},
     "concentration-overflow": {"concentration": 800.0},
-    "attraction-strength-zero": {"attraction_strength": 0.0},
-    "attraction-length-negative": {"attraction_length": -0.5},
     "seed-negative": {"seed": -1},
     "seed-fractional": {"seed": 1.5},
     "n-agents-bool": {"n_agents": True},
@@ -86,8 +77,7 @@ class TestConfigDefaults:
     def test_monomodal_defaults(self):
         cfg = monomodal_config()
         assert cfg.n_agents == 50
-        assert cfg.attraction_strength == 0.5
-        assert cfg.attraction_length == 0.5
+        assert scenarios.build_kernel(cfg) == MorseKernel(0.5, 0.5, strength=1.0 / 50)
         assert cfg.kp == 10.0
         assert cfg.concentration == 4.0
         assert cfg.mu == 0.0
@@ -96,8 +86,7 @@ class TestConfigDefaults:
     def test_bimodal_defaults(self):
         cfg = bimodal_config()
         assert cfg.concentration == 8.0
-        assert cfg.mu1 == pytest.approx(math.pi / 2)
-        assert cfg.mu2 == pytest.approx(-math.pi / 2)
+        assert scenarios.BIMODAL_MEANS == pytest.approx((math.pi / 2, -math.pi / 2))
 
     def test_tracking_defaults(self):
         cfg = tracking_config()
@@ -106,7 +95,6 @@ class TestConfigDefaults:
 
     def test_open_loop_defaults(self):
         cfg = open_loop_config()
-        assert cfg.initial == "clumped"
         assert cfg.t_end == 20.0
         # the clumped starts lie inside [-pi, pi), so wrapping moves none
         h, n = scenarios.CLUMP_HALFWIDTH, cfg.n_agents
@@ -194,12 +182,11 @@ class TestRunRecords:
         rec = run_microscopic(cfg)
         final = np.array([row[2] for row in rec.agents if row[0] == rec.metrics[-1][0]])
 
-        kernel = MorseKernel(cfg.attraction_strength, cfg.attraction_length,
-                             strength=1.0 / cfg.n_agents)
+        kernel = MorseKernel(strength=1.0 / cfg.n_agents)
         target = von_mises_density(cfg.mu, cfg.concentration, float(cfg.n_agents),
-                                   grid_nodes(cfg.grid_m))
-        estimator = WrappedGaussianEstimator(cfg.bandwidth, cfg.grid_m)
-        samples = kernel.sample_on_grid(cfg.grid_m)
+                                   grid_nodes(scenarios.GRID_M))
+        estimator = WrappedGaussianEstimator(scenarios.BANDWIDTH, scenarios.GRID_M)
+        samples = kernel.sample_on_grid(scenarios.GRID_M)
         v_target = velocity_field(samples, target)
 
         def control(x):
@@ -229,11 +216,10 @@ class TestRunRecords:
         cfg = continuum_config(t_end=0.1)
         rec = run_continuum_scenario(cfg)
 
-        x = grid_nodes(cfg.grid_m)
+        x = grid_nodes(scenarios.GRID_M)
         mass = float(cfg.n_agents)
-        kernel = MorseKernel(cfg.attraction_strength, cfg.attraction_length,
-                             strength=1.0 / cfg.n_agents)
-        samples = kernel.sample_on_grid(cfg.grid_m)
+        kernel = MorseKernel(strength=1.0 / cfg.n_agents)
+        samples = kernel.sample_on_grid(scenarios.GRID_M)
         q_integral_worst = 0.0
 
         def control(rho, v, t):
@@ -241,7 +227,7 @@ class TestRunRecords:
             rho_d = von_mises_density(cfg.mu, cfg.concentration, mass, x)
             q = compute_feedback(rho, v, rho_d, velocity_field(samples, rho_d), cfg.kp)
             q_integral_worst = max(q_integral_worst,
-                                   abs(float((2.0 * np.pi / cfg.grid_m) * q.sum())))
+                                   abs(float((2.0 * np.pi / scenarios.GRID_M) * q.sum())))
             starved = rho < starvation_floor(rho)
             assert not starved.any()
             return velocity_control(rho, q, starved)
@@ -430,12 +416,12 @@ class TestRunRecords:
         cfg = continuum_config(t_end=0.2)
         controller = scenarios._Controller(cfg, refuse_starved=True)
         x, kernel = controller.nodes, controller.kernel
-        spacing, mass = 2.0 * np.pi / cfg.grid_m, float(cfg.n_agents)
+        spacing, mass = 2.0 * np.pi / scenarios.GRID_M, float(cfg.n_agents)
         start = von_mises_density(0.0, 0.0, mass, x)
         run = run_continuum(start, 0.0, controller.samples, controller, cfg.t_end,
                             dt_max=cfg.dt, sample_every=cfg.sample_every)
 
-        samples = kernel.sample_on_grid(cfg.grid_m)
+        samples = kernel.sample_on_grid(scenarios.GRID_M)
         rho_d = von_mises_density(cfg.mu, cfg.concentration, mass, x)
         v_d = velocity_field(samples, rho_d)
 
@@ -770,14 +756,30 @@ class TestCli:
         cfg_file = tmp_path / "cfg.json"
         for overrides in ({"bogus": 1}, {"integration_constant": "zero"},
                           {"mean_field_scaling": True}, {"scheme": "euler"}, {"cfl": 0.4},
-                          {"clump_halfwidth": 0.3}):
+                          {"clump_halfwidth": 0.3}, {"grid_m": 256}, {"bandwidth": 0.2},
+                          {"initial": "even"}, {"mu1": 1.0}, {"mu2": -1.0},
+                          {"attraction_strength": 0.5}, {"attraction_length": 0.5}):
             cfg_file.write_text(json.dumps(overrides))
             assert cli_main(["regulate-mono", "--config", str(cfg_file)]) == 2
 
     def test_scheme_flag_is_usage_error(self, tmp_path):
-        # the agents always step RK4: an integrator flag is a usage error
+        # the agents always step RK4 on a fixed grid with a fixed estimator:
+        # a flag for the integrator, the grid or the bandwidth is a usage error
         out = tmp_path / "run"
-        assert cli_main(["regulate-mono", "--scheme", "euler", "--out", str(out)]) == 2
+        for flag in (["--scheme", "euler"], ["--grid-m", "128"], ["--bandwidth", "0.3"]):
+            assert cli_main(["regulate-mono", *flag, "--out", str(out)]) == 2
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command, scenario", [("regulate-mono", "track"),
+                                                   ("open-loop", "continuum"),
+                                                   ("sweep-n", "continuum")])
+    def test_config_scenario_must_match_the_command(self, tmp_path, command, scenario):
+        # the subcommand picks the scenario: a config file naming another one
+        # is a usage error, not a run of the subcommand's scenario
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"scenario": scenario, "t_end": 0.1}))
+        out = tmp_path / "run"
+        assert cli_main([command, "--config", str(cfg_file), "--out", str(out)]) == 2
         assert not out.exists()
 
     @pytest.mark.parametrize("text", ["5", "null", "[]"])
