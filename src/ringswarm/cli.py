@@ -35,6 +35,38 @@ _COMMANDS = {
     "sweep-n": (monomodal_config, "final KL across swarm sizes (inf = continuum)"),
     "sweep-noise": (monomodal_config, "final KL across feedback noise powers"),
 }
+# The fields a sweep sets for every member, so a config may not set them.
+_SWEPT = {"sweep-n": {"n_agents", "record_agents", "record_density"},
+          "sweep-noise": {"noise_power_dbw", "record_agents", "record_density"}}
+
+
+def _checked(convert, valid, what):
+    """An argparse type: the converted text, refused unless it is valid."""
+    def parse(text: str):
+        try:
+            if valid(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+    return parse
+
+
+_count = _checked(int, lambda n: n >= 1, "an integer of at least 1")
+_power = _checked(float, math.isfinite, "a finite number")  # a --p-list entry, in dBW
+# A --n-list entry: a swarm size, or inf for the continuum run.
+_size = _checked(lambda text: "inf" if text.lower() in ("inf", "infinity") else int(text),
+                 lambda n: n == "inf" or n >= 1, "an integer of at least 1 or inf")
+
+
+def _list_of(entry):
+    """Comma-separated entries: empty ones are skipped, a list of none refused."""
+    def parse(text: str) -> list:
+        items = [entry(token.strip()) for token in text.split(",") if token.strip()]
+        if not items:
+            raise argparse.ArgumentTypeError(f"{text!r} holds no entry")
+        return items
+    return parse
 
 
 def _add_common(parser):
@@ -60,112 +92,74 @@ def build_parser():
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
         if name == "sweep-n":
-            p.add_argument("--n-list", default=None,
+            p.add_argument("--n-list", type=_list_of(_size),
                            help="comma-separated sizes, e.g. 1,5,50,inf")
-            p.add_argument("--workers", type=int, default=None)
         if name == "sweep-noise":
-            p.add_argument("--p-list", default=None,
+            p.add_argument("--p-list", type=_list_of(_power),
                            help="comma-separated noise powers in dBW")
-            p.add_argument("--seeds", type=int, default=5)
-            p.add_argument("--workers", type=int, default=None)
+            p.add_argument("--seeds", type=_count, default=5)
+        if name.startswith("sweep-"):
+            p.add_argument("--workers", type=_count)
     return parser
 
 
-def _load_config(command: str, args) -> ScenarioConfig:
-    factory, _ = _COMMANDS[command]
-    config = factory()
+def _load_config(parser, args) -> ScenarioConfig:
+    """The command's defaults, then the config file's keys, then the flags,
+    checked once as the run will see them."""
+    config = _COMMANDS[args.command][0]()
+    merged = {}
     if args.config is not None:
         try:
-            raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SystemExit(f"ringswarm: cannot read config {args.config}: {exc}")
-        if not isinstance(raw, dict):
-            raise SystemExit(f"ringswarm: config {args.config} must hold a JSON object, "
-                             f"got {raw!r}")
-        bad = set(raw) - _FIELDS
+            merged = json.loads(args.config.read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            parser.error(f"cannot read config {args.config}: {exc}")
+        if not isinstance(merged, dict):
+            parser.error(f"config {args.config} must hold a JSON object, got {merged!r}")
+        bad = set(merged) - _FIELDS
         if bad:
-            raise SystemExit(f"ringswarm: unknown config keys: {sorted(bad)}")
-        if raw.get("scenario", config.scenario) != config.scenario:
-            raise SystemExit(f"ringswarm: config scenario {raw['scenario']!r} does not match "
-                             f"the {command} command's {config.scenario!r}")
-        try:
-            config = replace(config, **raw)
-        except (TypeError, ValueError) as exc:
-            raise SystemExit(f"ringswarm: invalid config: {exc}")
-    overrides = {name: getattr(args, name) for name in _FIELDS
-                 if getattr(args, name, None) is not None}
-    if overrides:
-        try:
-            config = replace(config, **overrides)
-        except ValueError as exc:
-            raise SystemExit(f"ringswarm: invalid flag value: {exc}")
-    return config
+            parser.error(f"unknown config keys: {sorted(bad)}")
+        if merged.get("scenario", config.scenario) != config.scenario:
+            parser.error(f"config scenario {merged['scenario']!r} does not match "
+                         f"the {args.command} command's {config.scenario!r}")
+    merged.update((name, getattr(args, name)) for name in _FIELDS
+                  if getattr(args, name, None) is not None)
+    swept = sorted(_SWEPT.get(args.command, set()) & set(merged))
+    if swept:
+        parser.error(f"{args.command} sets {', '.join(swept)} for every member")
+    try:
+        return replace(config, **merged)
+    except (TypeError, ValueError, OverflowError) as exc:
+        parser.error(f"invalid config: {exc}")
 
 
-def _out_dir(command: str, args) -> Path:
+def _out_dir(parser, args) -> Path:
     root = Path(os.environ.get("RINGSWARM_OUT", "."))
-    out = args.out if args.out is not None else Path("runs") / command
-    return out if out.is_absolute() else root / out
-
-
-def _parse_n_list(text: str):
-    items = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token.lower() in ("inf", "infinity"):
-            items.append("inf")
-        else:
-            try:
-                n = int(token)
-            except ValueError:
-                raise SystemExit(f"ringswarm: bad --n-list entry {token!r}")
-            if n < 1:
-                raise SystemExit(f"ringswarm: --n-list entry {token!r} is below 1")
-            items.append(n)
-    if not items:
-        raise SystemExit("ringswarm: --n-list is empty")
-    return items
+    out = args.out if args.out is not None else Path("runs") / args.command
+    out = out if out.is_absolute() else root / out
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        parser.error(f"cannot write to {out}: {existing} is not a directory")
+    return out
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        config = _load_config(parser, args)
+        outdir = _out_dir(parser, args)
     except SystemExit as exc:  # argparse exits on usage errors and --help
         return int(exc.code or 0)
     command = args.command
     try:
-        config = _load_config(command, args)
-        n_list = p_list = None
-        if command == "sweep-n" and args.n_list:
-            n_list = _parse_n_list(args.n_list)
-        if getattr(args, "workers", None) is not None and args.workers < 1:
-            raise SystemExit(f"ringswarm: --workers must be at least 1, got {args.workers}")
-        if command == "sweep-noise" and args.seeds < 1:
-            raise SystemExit(f"ringswarm: --seeds must be at least 1, got {args.seeds}")
-        if command == "sweep-noise" and args.p_list:
-            try:
-                p_list = [float(p) for p in args.p_list.split(",")]
-            except ValueError as exc:
-                raise SystemExit(f"ringswarm: bad --p-list: {exc}")
-            if not all(math.isfinite(p) for p in p_list):
-                raise SystemExit(f"ringswarm: --p-list entries must be finite, got {args.p_list}")
-    except SystemExit as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    outdir = _out_dir(command, args)
-
-    try:
         if command == "sweep-n":
-            rows = scenarios.run_scalability_sweep(config, n_list=n_list,
+            rows = scenarios.run_scalability_sweep(config, n_list=args.n_list,
                                                    workers=args.workers)
             write_sweep(outdir, rows, asdict(config), {"sweep": "n_agents"})
             for param, kl, status in rows:
                 print(f"N={param}: d_kl={kl:.6g} [{status}]")
         elif command == "sweep-noise":
-            rows = scenarios.run_noise_sweep(config, p_list=p_list,
+            rows = scenarios.run_noise_sweep(config, p_list=args.p_list,
                                              n_seeds=args.seeds, workers=args.workers)
             write_sweep(outdir, rows, asdict(config),
                         {"sweep": "noise_power_dbw", "seeds_per_point": args.seeds})
@@ -180,7 +174,7 @@ def main(argv=None) -> int:
             final = record.metrics[-1]
             print(f"{command}: t={final[0]:g} d_kl={final[1]:.6g} e_l2={final[2]:.6g} "
                   f"-> {outdir}")
-    except (ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"ringswarm: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -78,6 +78,8 @@ class ScenarioConfig:
             if not _has_field_type(value, f.type):
                 raise ValueError(f"{f.name} must be of type "
                                  f"{getattr(f.type, '__name__', f.type)}, got {value!r}")
+            if isinstance(value, numbers.Integral) and f.type in (float, float | None):
+                object.__setattr__(self, f.name, value := float(value))  # 10 echoes as 10.0
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         for name in ("n_agents", "kp", "dt", "t_end", "sample_every"):

@@ -122,6 +122,15 @@ class TestConfigDefaults:
         with pytest.raises(ValueError):
             ScenarioConfig(**overrides)
 
+    def test_integer_in_a_float_field_is_stored_as_a_float(self):
+        cfg = ScenarioConfig(kp=10, t_end=1, noise_power_dbw=20)
+        assert [type(v) for v in (cfg.kp, cfg.t_end, cfg.noise_power_dbw)] == [float] * 3
+        assert cfg == ScenarioConfig(kp=10.0, t_end=1.0, noise_power_dbw=20.0)
+        with pytest.raises(ValueError, match="kp must be of type float"):
+            ScenarioConfig(kp=True)
+        with pytest.raises(OverflowError):
+            ScenarioConfig(kp=10 ** 400)
+
 
 @pytest.fixture(scope="module")
 def short_record():
@@ -809,6 +818,87 @@ class TestCli:
         out = tmp_path / "run"
         assert cli_main(["regulate-mono", "--dt", "0.278", "--t-end", "0.278",
                          "--sample-every", "0.278", "--out", str(out)]) == 0
+
+    def test_config_file_is_checked_with_the_flags_on_top(self, tmp_path):
+        # t_end = 0.0105 is off the default dt grid but on the flag's
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"t_end": 0.0105}))
+        out = tmp_path / "run"
+        assert cli_main(["regulate-mono", "--config", str(cfg_file), "--dt", "0.0005",
+                         "--n", "5", "--out", str(out)]) == 0
+        lines = (out / "metadata.txt").read_text().splitlines()
+        assert "t_end = 0.0105" in lines and "dt = 0.0005" in lines
+
+    def test_integer_in_a_config_file_echoes_as_the_flag_value(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"kp": 10}))
+        common = ["regulate-mono", "--t-end", "0.01", "--n", "5", "--out"]
+        assert cli_main(common + [str(tmp_path / "file"), "--config", str(cfg_file)]) == 0
+        assert cli_main(common + [str(tmp_path / "flag"), "--kp", "10"]) == 0
+        assert ((tmp_path / "file" / "metadata.txt").read_bytes()
+                == (tmp_path / "flag" / "metadata.txt").read_bytes())
+
+    def test_integer_too_large_for_a_float_field_is_usage_error(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"kp": 10 ** 400}))
+        out = tmp_path / "run"
+        assert cli_main(["regulate-mono", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_p_list_skips_empty_entries(self, tmp_path):
+        common = ["sweep-noise", "--seeds", "1", "--t-end", "0.01", "--n", "5",
+                  "--workers", "1", "--out"]
+        assert cli_main(common + [str(tmp_path / "a"), "--p-list", "0,,20"]) == 0
+        assert cli_main(common + [str(tmp_path / "b"), "--p-list", "0,20"]) == 0
+        assert read_rows(tmp_path / "a" / "sweep.csv") == read_rows(tmp_path / "b" / "sweep.csv")
+
+    @pytest.mark.parametrize("command, flag", [("sweep-n", "--n-list"),
+                                               ("sweep-noise", "--p-list")])
+    @pytest.mark.parametrize("text", [",", ""], ids=["comma", "blank"])
+    def test_empty_list_is_usage_error(self, tmp_path, command, flag, text):
+        out = tmp_path / "sweep"
+        assert cli_main([command, flag, text, "--t-end", "0.01", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, args, config", [
+        ("sweep-n", ["--n", "100"], {}),
+        ("sweep-noise", ["--noise-dbw", "70"], {}),
+        ("sweep-n", [], {"record_agents": False}),
+        ("sweep-noise", [], {"record_density": False}),
+        ("sweep-noise", [], {"noise_power_dbw": 70.0})],
+        ids=["n-flag", "noise-flag", "record-agents-file", "record-density-file", "noise-file"])
+    def test_sweep_refuses_a_field_it_sets(self, tmp_path, command, args, config):
+        # the sweep sets these for every member: a value for them would be
+        # ignored by the run yet echoed in metadata.txt
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(config))
+        out = tmp_path / "sweep"
+        assert cli_main([command, *args, "--config", str(cfg_file), "--t-end", "0.01",
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_sweep_n_takes_the_noise_of_its_agent_members(self, tmp_path):
+        out = tmp_path / "sweep"
+        assert cli_main(["sweep-n", "--n-list", "5", "--noise-dbw", "20", "--t-end", "0.01",
+                         "--workers", "1", "--out", str(out)]) == 0
+        assert "noise_power_dbw = 20.0" in (out / "metadata.txt").read_text().splitlines()
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_through_a_file_is_usage_error(self, tmp_path, monkeypatch, out):
+        # refused before the run, not after it when the directory is made
+        (tmp_path / "afile").write_text("kept")
+        monkeypatch.setattr(scenarios, "run_microscopic", None)
+        assert cli_main(["regulate-mono", "--t-end", "0.01", "--out",
+                         str(tmp_path / out)]) == 2
+        assert (tmp_path / "afile").read_text() == "kept"
+
+    def test_write_failure_is_runtime_error(self, tmp_path, monkeypatch, capsys):
+        def fail(self, outdir):
+            raise OSError("disk full")
+        monkeypatch.setattr(ringswarm.records.RunRecord, "write", fail)
+        assert cli_main(["regulate-mono", "--t-end", "0.01", "--n", "5",
+                         "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == "ringswarm: disk full\n"
 
     def test_env_var_output_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RINGSWARM_OUT", str(tmp_path))
