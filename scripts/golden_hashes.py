@@ -1,4 +1,4 @@
-"""Print the sha256 of every file the eight reference CLI commands write.
+"""Print the sha256 of every file the nine reference CLI commands write.
 
     python3 scripts/golden_hashes.py > hashes.txt
 
@@ -32,6 +32,9 @@ COMMANDS = (
     ("swnoise", ["sweep-noise", "--p-list", "0,40", "--seeds", "2", "--t-end", "0.1",
                  "--n", "10", "--workers", "1"]),
     ("cont-mu1", ["continuum", "--config", "mu1.json"]),
+    # At kp = 10 the sampling instants bind before the continuum's step cap
+    # 1/kp does; at kp = 100 the cap 0.01 sets the longest steps.
+    ("cont-kp100", ["continuum", "--kp", "100", "--t-end", "0.5"]),
 )
 
 

@@ -17,7 +17,7 @@ from .ring import TWO_PI, central_difference, integrate, wrap_angle
 
 def compute_feedback(rho: np.ndarray, v: np.ndarray, rho_d: np.ndarray, v_d: np.ndarray,
                      kp: float) -> np.ndarray:
-    """The mass source q = kp*e - [e*Vd]_x - [rho_d*Ve]_x with e = rho_d - rho
+    """The mass source q = kp*e - [e*Vd + rho_d*Ve]_x with e = rho_d - rho
     and the proportional gain ``kp`` (1/seconds).
 
     Arrays on one grid: the density ``rho`` and its velocity field
@@ -25,16 +25,16 @@ def compute_feedback(rho: np.ndarray, v: np.ndarray, rho_d: np.ndarray, v_d: np.
     ``v_d`` = f * rho_d.  Ve = f * e is formed as v_d - v by linearity, so
     the feedback itself convolves nothing: the continuum step passes the
     V(rho) it transports with, and a static target's Vd is a constant of
-    the run.  The flux derivatives use the shared periodic
-    central-difference stencil, which makes the integral of q vanish
-    identically.
+    the run.  The two fluxes are summed and differenced once with the
+    shared periodic central-difference stencil, which makes the integral of
+    q vanish identically.
     """
     e = rho_d - rho
-    flux_e = v_d - v  # Ve, then rho_d * Ve
-    flux_e *= rho_d
+    flux = v_d - v  # Ve, then e*Vd + rho_d*Ve
+    flux *= rho_d
+    flux += e * v_d
     q = kp * e
-    q -= central_difference(e * v_d)
-    q -= central_difference(flux_e)
+    q -= central_difference(flux)
     return q
 
 

@@ -230,17 +230,18 @@ def continuum_velocity(rho: np.ndarray, t: float, kernel_samples: GridFunction, 
     return (v, None) if u is None else (v + u, u)
 
 
-def _rusanov_advance(r: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
+def _rusanov_advance(r: np.ndarray, w: np.ndarray, speed: np.ndarray, dt: float) -> np.ndarray:
     """Conservative update of the density samples r under the frozen speed
-    field w; a negative or non-finite result raises."""
+    field w, whose magnitudes |w| are ``speed``; a negative or non-finite
+    result raises."""
     m = r.size
     ext = np.empty((3, m + 1))  # flux, speed, r, each with node 0 again at m
     np.multiply(r, w, out=ext[0, :m])
-    np.abs(w, out=ext[1, :m])
+    ext[1, :m] = speed
     ext[2, :m] = r
     ext[:, m] = ext[:, 0]
-    flux, speed, dens = ext
-    a = np.maximum(speed[:-1], speed[1:])  # face j+1/2 wave speed
+    flux, wrapped_speed, dens = ext
+    a = np.maximum(wrapped_speed[:-1], wrapped_speed[1:])  # face j+1/2 wave speed
     a *= 0.5
     a *= dens[1:] - dens[:-1]
     face = flux[:-1] + flux[1:]
@@ -259,15 +260,16 @@ def _rusanov_advance(r: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
     return r_new
 
 
-def max_stable_dt(w: np.ndarray) -> float:
-    """Largest admissible step CFL * spacing / max|w| for the speed field w;
-    a non-finite speed raises, since it would give a zero step."""
-    top = float(np.abs(w).max())
+def max_stable_dt(speed: np.ndarray) -> float:
+    """Largest admissible step CFL * spacing / max|w| for the magnitudes
+    ``speed`` = |w| of the speed field w; a non-finite speed raises, since
+    it would give a zero step."""
+    top = float(speed.max())
     if not math.isfinite(top):
         raise RuntimeError("non-finite advection speed; run aborted")
     if top == 0.0:
         return np.inf
-    return CFL * (TWO_PI / w.size) / top
+    return CFL * (TWO_PI / speed.size) / top
 
 
 @dataclass(frozen=True)
@@ -309,8 +311,9 @@ def run_continuum(rho: np.ndarray, t: float, kernel_samples: GridFunction, contr
         w, u = continuum_velocity(rho, t, kernel_samples, control)
         if len(u_fields) < len(times):  # the step from a sample
             u_fields.append(u)
-        dt = min(max_stable_dt(w), dt_max, target - t)
-        rho = _rusanov_advance(rho, w, dt)
+        speed = np.abs(w)  # once for the CFL bound and the face wave speeds
+        dt = min(max_stable_dt(speed), dt_max, target - t)
+        rho = _rusanov_advance(rho, w, speed, dt)
         t += dt
         steps += 1
         shortest, longest = min(shortest, dt), max(longest, dt)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ring import TWO_PI, GridFunction, grid_nodes
+from .ring import GridFunction, grid_nodes
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,4 @@ def velocity_field(kernel_samples: GridFunction, density: np.ndarray) -> np.ndar
     if density.shape != (m,):
         raise ValueError(f"grid mismatch: {m} kernel samples, density of shape "
                          f"{density.shape}")
-    v = np.fft.irfft(kernel_samples.offset_spectrum * np.fft.rfft(density), n=m)
-    v *= TWO_PI / m
-    return v
+    return np.fft.irfft(kernel_samples.offset_spectrum * np.fft.rfft(density), n=m)

@@ -61,13 +61,15 @@ class GridFunction:
     @cached_property
     def offset_spectrum(self):
         """Read-only rfft of the samples reindexed by offset (offset n*Delta
-        sits at node (n + m/2) % m): the kernel side of a circular
-        convolution, computed once per sample set.  Needs an even node
-        count, so that node-to-node offsets land exactly on grid angles."""
+        sits at node (n + m/2) % m) times the quadrature weight Delta: the
+        kernel side of a circular convolution, computed once per sample set.
+        Needs an even node count, so that node-to-node offsets land exactly
+        on grid angles."""
         m = self.values.size
         if m % 2:
             raise ValueError("circular convolution needs an even node count")
         spectrum = np.fft.rfft(np.roll(self.values, -(m // 2)))
+        spectrum *= TWO_PI / m
         spectrum.setflags(write=False)
         return spectrum
 

@@ -57,7 +57,12 @@ def _has_field_type(value, annotation) -> bool:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Full description of one experiment; defaults are the baseline setup."""
+    """Full description of one experiment; defaults are the baseline setup.
+
+    ``dt`` is the agents' RK4 step.  The continuum steps at its own bounds
+    (Courant number CFL, 1/kp and the sampling instants), so for it ``dt``
+    is only the sampling grid that ``t_end`` and ``sample_every`` must fit.
+    """
 
     scenario: str = "regulate-mono"
     n_agents: int = 50
@@ -201,18 +206,19 @@ def _base_metadata(config: ScenarioConfig) -> dict:
     return meta
 
 
-def _record_sample(record: RunRecord, config: ScenarioConfig, t: float, nodes: np.ndarray,
+def _record_sample(record: RunRecord, config: ScenarioConfig, t: float, node_angles: list,
                    rho: np.ndarray, rho_d: np.ndarray, u: np.ndarray, positions=None):
     """Append one sample: the metrics row, then the agent and density rows
-    the config asks for, the fields taken at the node angles ``nodes``.  ``u``
-    is the control at the agents, or the U field without ``positions``."""
+    the config asks for, the fields taken at the node angles, given as the
+    list ``node_angles``.  ``u`` is the control at the agents, or the U
+    field without ``positions``."""
     record.metrics.append((t, kl_divergence(rho, rho_d), l2_norm(rho_d - rho),
                            float(np.abs(u).max())))
     if positions is not None and config.record_agents:
         record.agents.extend(zip([t] * positions.size, range(positions.size),
                                  positions.tolist(), u.tolist()))
     if config.record_density:
-        record.density.extend(zip([t] * nodes.size, nodes.tolist(), rho.tolist(),
+        record.density.extend(zip([t] * len(node_angles), node_angles, rho.tolist(),
                                   rho_d.tolist()))
 
 
@@ -224,13 +230,15 @@ class _Controller:
     continuum runner); otherwise (the agent runner) U is 0 there and
     ``starved_updates`` counts the evaluations that had any.  A non-finite
     q refuses as well.
-    The node angles, the kernel's samples, a static target with its
-    velocity field, and the noise generator are built once per run."""
+    The node angles (also as the list the density rows take), the kernel's
+    samples, a static target with its velocity field, and the noise
+    generator are built once per run."""
 
     def __init__(self, config: ScenarioConfig, refuse_starved: bool):
         self.config = config
         self.refuse_starved = refuse_starved
         self.nodes = grid_nodes(GRID_M)
+        self.node_angles = self.nodes.tolist()
         self.kernel = build_kernel(config)
         self.samples = self.kernel.sample_on_grid(GRID_M)
         self.target = (None if config.scenario == "track"
@@ -286,7 +294,7 @@ def run_microscopic(config: ScenarioConfig) -> RunRecord:
         u_field = controller(rho_hat, velocity_field(controller.samples, rho_hat), t)
         if i % stride == 0 or i == n_steps:
             u = np.zeros(x.size) if u_field is None else sample_agent_inputs(u_field, x)
-            _record_sample(record, config, t, controller.nodes, rho_hat,
+            _record_sample(record, config, t, controller.node_angles, rho_hat,
                            controller.desired(t), u, x)
         if i < n_steps:
             x = step_swarm(x, controller.kernel, u_field, config.dt)
@@ -302,18 +310,23 @@ def run_continuum_scenario(config: ScenarioConfig) -> RunRecord:
     controller = _Controller(config, refuse_starved=True)
     mass = float(config.n_agents)
     rho0 = von_mises_density(0.0, 0.0, mass, controller.nodes)  # uniform start, mass N
+    # Forward Euler damps the gain mode by 1 - kp*dt: at dt <= 1/kp, half
+    # its stability bound 2/kp, the error decays without flipping sign.
+    # config.dt only sets the sampling grid here.
+    dt_cap = 1.0 / config.kp
     run = run_continuum(rho0, 0.0, controller.samples, controller, config.t_end,
-                        dt_max=config.dt, sample_every=config.sample_every)
+                        dt_max=dt_cap, sample_every=config.sample_every)
     record = RunRecord(config=asdict(config), metadata=_base_metadata(config))
     record.metadata["q_integral_worst"] = controller.q_integral_worst
     for t, rho, u in zip(run.times, run.densities, run.u_fields):
         u = np.zeros(rho.size) if u is None else u
-        _record_sample(record, config, t, controller.nodes, rho, controller.desired(t), u)
+        _record_sample(record, config, t, controller.node_angles, rho, controller.desired(t), u)
     record.metadata["final_kl"] = record.final_kl()
     record.metadata["mass_drift"] = abs(integrate(run.densities[-1]) - mass)
     record.metadata["continuum_steps"] = run.steps
     record.metadata["continuum_dt_min"] = run.dt_min
     record.metadata["continuum_dt_max"] = run.dt_max
+    record.metadata["continuum_dt_cap"] = dt_cap
     return record
 
 

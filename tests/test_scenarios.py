@@ -73,6 +73,62 @@ def read_rows(path):
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
+def replay_direct_steps(cfg):
+    """Replay the continuum of ``cfg`` as the plain per-step loop written
+    out here (the Rusanov step as its np.roll formula, the step capped at
+    1/kp) against run_continuum driven by the scenario's controller and
+    against the scenario run's counters; assert that the sampled states, U
+    fields, step count and step extremes are bitwise equal, and return the
+    steps."""
+    controller = scenarios._Controller(cfg, refuse_starved=True)
+    x, kernel = controller.nodes, controller.kernel
+    spacing, mass = 2.0 * np.pi / scenarios.GRID_M, float(cfg.n_agents)
+    start = von_mises_density(0.0, 0.0, mass, x)
+    run = run_continuum(start, 0.0, controller.samples, controller, cfg.t_end,
+                        dt_max=1.0 / cfg.kp, sample_every=cfg.sample_every)
+
+    samples = kernel.sample_on_grid(scenarios.GRID_M)
+    rho_d = von_mises_density(cfg.mu, cfg.concentration, mass, x)
+    v_d = velocity_field(samples, rho_d)
+
+    def control(rho):
+        v = velocity_field(samples, rho)
+        q = compute_feedback(rho, v, rho_d, v_d, cfg.kp)
+        starved = rho < starvation_floor(rho)
+        assert not starved.any()
+        return v, velocity_control(rho, q, starved)
+
+    rho, t, k = start, 0.0, 1
+    states, u_fields, steps = [(t, rho)], [], []
+    while t < cfg.t_end - 1e-12:
+        target = min(k * cfg.sample_every, cfg.t_end)
+        v, u = control(rho)
+        if len(u_fields) < len(states):
+            u_fields.append(u)
+        w = v + u
+        dt = min(dynamics.CFL * spacing / float(np.abs(w).max()), 1.0 / cfg.kp, target - t)
+        flux = rho * w
+        a = np.maximum(np.abs(w), np.abs(np.roll(w, -1)))
+        face = 0.5 * (flux + np.roll(flux, -1)) - 0.5 * a * (np.roll(rho, -1) - rho)
+        rho = np.maximum(rho - (dt / spacing) * (face - np.roll(face, 1)), 0.0)
+        t += dt
+        steps.append(dt)
+        if t >= target - 1e-12:
+            states.append((t, rho))
+            k += 1
+    u_fields.append(control(rho)[1])
+
+    assert list(run.times) == [t for t, _ in states]
+    assert all(np.array_equal(a, b)
+               for a, (_, b) in zip(run.densities, states, strict=True))
+    assert all(np.array_equal(a, b) for a, b in zip(run.u_fields, u_fields, strict=True))
+    assert (run.steps, run.dt_min, run.dt_max) == (len(steps), min(steps), max(steps))
+    rec = run_continuum_scenario(cfg)
+    assert (rec.metadata["continuum_steps"], rec.metadata["continuum_dt_min"],
+            rec.metadata["continuum_dt_max"]) == (len(steps), min(steps), max(steps))
+    return steps
+
+
 class TestConfigDefaults:
     def test_monomodal_defaults(self):
         cfg = monomodal_config()
@@ -242,7 +298,7 @@ class TestRunRecords:
             return velocity_control(rho, q, starved)
 
         run = run_continuum(von_mises_density(0.0, 0.0, mass, x), 0.0, samples, control,
-                            cfg.t_end, dt_max=cfg.dt, sample_every=cfg.sample_every)
+                            cfg.t_end, dt_max=1.0 / cfg.kp, sample_every=cfg.sample_every)
         rho_rows = np.array([row[2] for row in rec.density])
         assert np.array_equal(rho_rows, np.concatenate(run.densities))
         assert rec.metadata["q_integral_worst"] == q_integral_worst
@@ -360,7 +416,7 @@ class TestRunRecords:
         controller = scenarios._Controller(cfg, refuse_starved=True)
         start = von_mises_density(0.0, 0.0, 50.0, controller.nodes)
         run = run_continuum(start, 0.0, controller.samples, controller, cfg.t_end,
-                            dt_max=cfg.dt, sample_every=cfg.sample_every)
+                            dt_max=1.0 / cfg.kp, sample_every=cfg.sample_every)
         fresh = [scenarios._Controller(cfg, refuse_starved=True)(
                      rho, velocity_field(controller.samples, rho), t)
                  for t, rho in zip(run.times, run.densities)]
@@ -371,7 +427,7 @@ class TestRunRecords:
         meta = rec.metadata
         assert (meta["continuum_steps"], meta["continuum_dt_min"], meta["continuum_dt_max"]) \
             == (run.steps, run.dt_min, run.dt_max)
-        assert 0.0 < run.dt_min < run.dt_max <= cfg.dt
+        assert 0.0 < run.dt_min < run.dt_max <= 1.0 / cfg.kp
 
     def test_feedback_runs_once_per_step_and_for_the_final_sample(self, monkeypatch):
         calls = []
@@ -418,57 +474,30 @@ class TestRunRecords:
         assert len(built) == 1
 
     def test_run_replays_the_direct_step_oracle(self):
-        # the plain per-step loop written out here, the Rusanov step as its
-        # np.roll formula, against run_continuum driven by the scenario's
-        # controller: sampled states, U fields, step count and step extremes
-        # are bitwise equal
-        cfg = continuum_config(t_end=0.2)
-        controller = scenarios._Controller(cfg, refuse_starved=True)
-        x, kernel = controller.nodes, controller.kernel
-        spacing, mass = 2.0 * np.pi / scenarios.GRID_M, float(cfg.n_agents)
-        start = von_mises_density(0.0, 0.0, mass, x)
-        run = run_continuum(start, 0.0, controller.samples, controller, cfg.t_end,
-                            dt_max=cfg.dt, sample_every=cfg.sample_every)
+        # over 0.2 s the CFL bound sets every step
+        steps = replay_direct_steps(continuum_config(t_end=0.2))
+        assert max(steps) < 1.0 / 10.0
 
-        samples = kernel.sample_on_grid(scenarios.GRID_M)
-        rho_d = von_mises_density(cfg.mu, cfg.concentration, mass, x)
-        v_d = velocity_field(samples, rho_d)
+    def test_run_replays_the_direct_step_oracle_where_the_cap_binds(self):
+        # at kp = 100 the step cap 1/kp = 0.01 sets the longest steps
+        steps = replay_direct_steps(continuum_config(kp=100.0, t_end=0.5))
+        assert max(steps) == 1.0 / 100.0
 
-        def control(rho):
-            v = velocity_field(samples, rho)
-            q = compute_feedback(rho, v, rho_d, v_d, cfg.kp)
-            starved = rho < starvation_floor(rho)
-            assert not starved.any()
-            return v, velocity_control(rho, q, starved)
+    def test_continuum_result_does_not_depend_on_dt(self):
+        # the continuum steps at its own bounds: config.dt only sets the
+        # sampling grid, which t_end and sample_every must fit
+        final = [run_continuum_scenario(continuum_config(record_density=False, **kw))
+                 .final_kl() for kw in ({}, {"dt": 0.05},
+                                        {"dt": 0.25, "sample_every": 0.25})]
+        assert final[1:] == pytest.approx([final[0]] * 2, rel=1e-9, abs=0.0)
 
-        rho, t, k = start, 0.0, 1
-        states, u_fields, steps = [(t, rho)], [], []
-        while t < cfg.t_end - 1e-12:
-            target = min(k * cfg.sample_every, cfg.t_end)
-            v, u = control(rho)
-            if len(u_fields) < len(states):
-                u_fields.append(u)
-            w = v + u
-            dt = min(dynamics.CFL * spacing / float(np.abs(w).max()), cfg.dt, target - t)
-            flux = rho * w
-            a = np.maximum(np.abs(w), np.abs(np.roll(w, -1)))
-            face = 0.5 * (flux + np.roll(flux, -1)) - 0.5 * a * (np.roll(rho, -1) - rho)
-            rho = np.maximum(rho - (dt / spacing) * (face - np.roll(face, 1)), 0.0)
-            t += dt
-            steps.append(dt)
-            if t >= target - 1e-12:
-                states.append((t, rho))
-                k += 1
-        u_fields.append(control(rho)[1])
-
-        assert list(run.times) == [t for t, _ in states]
-        assert all(np.array_equal(a, b)
-                   for a, (_, b) in zip(run.densities, states, strict=True))
-        assert all(np.array_equal(a, b) for a, b in zip(run.u_fields, u_fields, strict=True))
-        assert (run.steps, run.dt_min, run.dt_max) == (len(steps), min(steps), max(steps))
-        rec = run_continuum_scenario(cfg)
-        assert (rec.metadata["continuum_steps"], rec.metadata["continuum_dt_min"],
-                rec.metadata["continuum_dt_max"]) == (len(steps), min(steps), max(steps))
+    def test_continuum_steps_stay_within_the_gain_bound(self):
+        # forward Euler needs dt < 2/kp on the gain mode; every step stays at
+        # or below 1/kp, here below the default dt of 1e-3
+        meta = run_continuum_scenario(continuum_config(kp=2500.0, t_end=0.2,
+                                                       record_density=False)).metadata
+        assert 0.0 < meta["continuum_dt_min"] <= meta["continuum_dt_max"] <= 1.0 / 2500.0
+        assert meta["continuum_dt_cap"] == 1.0 / 2500.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("cfg", [continuum_config(t_end=0.1),
@@ -702,9 +731,9 @@ class TestCli:
         out = tmp_path / "cont"
         assert cli_main(["continuum", "--t-end", "0.2", "--out", str(out)]) == 0
         assert (out / "metrics.csv").exists()
-        counters = (out / "metadata.txt").read_text().splitlines()[-3:]
+        counters = (out / "metadata.txt").read_text().splitlines()[-4:]
         assert [line.split(" = ")[0] for line in counters] == [
-            "continuum_steps", "continuum_dt_min", "continuum_dt_max"]
+            "continuum_steps", "continuum_dt_min", "continuum_dt_max", "continuum_dt_cap"]
 
     def test_track_subcommand(self, tmp_path):
         out = tmp_path / "tr"
