@@ -10,7 +10,7 @@ metrics: L2 norm and KL divergence between grid-normalised densities.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -123,6 +123,14 @@ def _checked_profile(values: np.ndarray, concentration: float) -> np.ndarray:
     return values
 
 
+@lru_cache(maxsize=16)
+def _i0(concentration: float) -> float:
+    """The normaliser I0(k), once per concentration: a tracking run takes
+    its target's at every control update, and numpy's i0 of one scalar
+    costs tens of microseconds."""
+    return float(np.i0(concentration))
+
+
 def von_mises_density(mu: float, concentration: float, mass: float, x: np.ndarray) -> np.ndarray:
     """von Mises profile mass * exp(k cos(x - mu)) / (2*pi*I0(k)) at the angles x.
 
@@ -130,7 +138,7 @@ def von_mises_density(mu: float, concentration: float, mass: float, x: np.ndarra
     uniform density mass / (2*pi).  Overflow raises.
     """
     values = mass * np.exp(concentration * np.cos(x - mu))
-    values /= 2.0 * np.pi * np.i0(concentration)
+    values /= 2.0 * np.pi * _i0(concentration)
     return _checked_profile(values, concentration)
 
 
@@ -140,7 +148,7 @@ def bimodal_density(mu1: float, mu2: float, concentration: float, mass: float,
     overflow raises."""
     k = concentration
     values = np.exp(k * np.cos(x - mu1)) + np.exp(k * np.cos(x - mu2))
-    values *= mass / (4.0 * np.pi * np.i0(k))
+    values *= mass / (4.0 * np.pi * _i0(k))
     return _checked_profile(values, k)
 
 

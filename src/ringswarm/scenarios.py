@@ -206,20 +206,18 @@ def _base_metadata(config: ScenarioConfig) -> dict:
     return meta
 
 
-def _record_sample(record: RunRecord, config: ScenarioConfig, t: float, node_angles: list,
-                   rho: np.ndarray, rho_d: np.ndarray, u: np.ndarray, positions=None):
-    """Append one sample: the metrics row, then the agent and density rows
-    the config asks for, the fields taken at the node angles, given as the
-    list ``node_angles``.  ``u`` is the control at the agents, or the U
-    field without ``positions``."""
+def _record_sample(record: RunRecord, config: ScenarioConfig, t: float, rho: np.ndarray,
+                   rho_d: np.ndarray, u: np.ndarray, positions=None):
+    """Append one sample: the metrics row, then the agent and density arrays
+    the config asks for, the fields taken at the record's node angles.
+    ``u`` is the control at the agents, or the U field without
+    ``positions``."""
     record.metrics.append((t, kl_divergence(rho, rho_d), l2_norm(rho_d - rho),
                            float(np.abs(u).max())))
     if positions is not None and config.record_agents:
-        record.agents.extend(zip([t] * positions.size, range(positions.size),
-                                 positions.tolist(), u.tolist()))
+        record.agents.append((t, positions, u))
     if config.record_density:
-        record.density.extend(zip([t] * len(node_angles), node_angles, rho.tolist(),
-                                  rho_d.tolist()))
+        record.density.append((t, rho, rho_d))
 
 
 class _Controller:
@@ -230,15 +228,13 @@ class _Controller:
     continuum runner); otherwise (the agent runner) U is 0 there and
     ``starved_updates`` counts the evaluations that had any.  A non-finite
     q refuses as well.
-    The node angles (also as the list the density rows take), the kernel's
-    samples, a static target with its velocity field, and the noise
-    generator are built once per run."""
+    The node angles, the kernel's samples, a static target with its
+    velocity field, and the noise generator are built once per run."""
 
     def __init__(self, config: ScenarioConfig, refuse_starved: bool):
         self.config = config
         self.refuse_starved = refuse_starved
         self.nodes = grid_nodes(GRID_M)
-        self.node_angles = self.nodes.tolist()
         self.kernel = build_kernel(config)
         self.samples = self.kernel.sample_on_grid(GRID_M)
         self.target = (None if config.scenario == "track"
@@ -286,7 +282,8 @@ def run_microscopic(config: ScenarioConfig) -> RunRecord:
     controller = _Controller(config, refuse_starved=False)
     estimator = WrappedGaussianEstimator(BANDWIDTH, GRID_M)
     x, t = initial_positions(config), 0.0
-    record = RunRecord(config=asdict(config), metadata=_base_metadata(config))
+    record = RunRecord(config=asdict(config), metadata=_base_metadata(config),
+                       node_angles=controller.nodes)
     n_steps = int(round(config.t_end / config.dt))
     stride = int(round(config.sample_every / config.dt))
     for i in range(n_steps + 1):
@@ -294,8 +291,7 @@ def run_microscopic(config: ScenarioConfig) -> RunRecord:
         u_field = controller(rho_hat, velocity_field(controller.samples, rho_hat), t)
         if i % stride == 0 or i == n_steps:
             u = np.zeros(x.size) if u_field is None else sample_agent_inputs(u_field, x)
-            _record_sample(record, config, t, controller.node_angles, rho_hat,
-                           controller.desired(t), u, x)
+            _record_sample(record, config, t, rho_hat, controller.desired(t), u, x)
         if i < n_steps:
             x = step_swarm(x, controller.kernel, u_field, config.dt)
             t += config.dt
@@ -316,11 +312,12 @@ def run_continuum_scenario(config: ScenarioConfig) -> RunRecord:
     dt_cap = 1.0 / config.kp
     run = run_continuum(rho0, 0.0, controller.samples, controller, config.t_end,
                         dt_max=dt_cap, sample_every=config.sample_every)
-    record = RunRecord(config=asdict(config), metadata=_base_metadata(config))
+    record = RunRecord(config=asdict(config), metadata=_base_metadata(config),
+                       node_angles=controller.nodes)
     record.metadata["q_integral_worst"] = controller.q_integral_worst
     for t, rho, u in zip(run.times, run.densities, run.u_fields):
         u = np.zeros(rho.size) if u is None else u
-        _record_sample(record, config, t, controller.node_angles, rho, controller.desired(t), u)
+        _record_sample(record, config, t, rho, controller.desired(t), u)
     record.metadata["final_kl"] = record.final_kl()
     record.metadata["mass_drift"] = abs(integrate(run.densities[-1]) - mass)
     record.metadata["continuum_steps"] = run.steps

@@ -79,10 +79,9 @@ def test_criterion_1_monomodal_regulation(mono_run, continuum_mono_run):
 def test_criterion_2_bimodal_regulation(bimodal_run):
     record = bimodal_run
     final_kl = record.final_kl()
-    t_final = record.metrics[-1][0]
-    rows = [r for r in record.density if r[0] == t_final]
-    angles = np.array([r[1] for r in rows])
-    rho = np.array([r[2] for r in rows])
+    t_final, rho, _ = record.density[-1]
+    assert t_final == record.metrics[-1][0]
+    angles = record.node_angles
     m = rho.size
     spacing = 2 * np.pi / m
     peaks = [angles[j] for j in range(m)

@@ -238,6 +238,16 @@ class TestVonMises:
         with pytest.raises(ValueError, match="nonnegative"):
             von_mises_density(0.0, -1.0, 50.0, x)
 
+    @pytest.mark.parametrize("k", [0.0, 4.0, 20.0, 700.0])
+    def test_profiles_equal_the_direct_i0_formulas_bitwise(self, x, k):
+        # the cached normaliser is numpy's i0 of the same scalar
+        direct = 50.0 * np.exp(k * np.cos(x - 0.3))
+        direct /= 2.0 * np.pi * np.i0(k)
+        assert np.array_equal(von_mises_density(0.3, k, 50.0, x), direct)
+        direct = np.exp(k * np.cos(x - 1.0)) + np.exp(k * np.cos(x + 1.0))
+        direct *= 50.0 / (4.0 * np.pi * np.i0(k))
+        assert np.array_equal(bimodal_density(1.0, -1.0, k, 50.0, x), direct)
+
 
 class TestBimodal:
     def test_coincident_means_reduce_to_monomodal(self, x):

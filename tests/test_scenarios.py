@@ -207,8 +207,8 @@ class TestRunRecords:
     def test_row_counts(self, short_record):
         n_samples = len(short_record.metrics)
         assert n_samples == 7  # 0.0, 0.05, ..., 0.25 plus the final state
-        assert len(short_record.agents) == 12 * n_samples
-        assert len(short_record.density) == 256 * n_samples
+        assert sum(x.size for _, x, _ in short_record.agents) == 12 * n_samples
+        assert sum(rho.size for _, rho, _ in short_record.density) == 256 * n_samples
 
     def test_written_files_and_headers(self, short_record, tmp_path):
         paths = short_record.write(tmp_path / "run")
@@ -245,7 +245,8 @@ class TestRunRecords:
         # composed by hand, must replay run_microscopic exactly
         cfg = monomodal_config(n_agents=10, t_end=0.1)
         rec = run_microscopic(cfg)
-        final = np.array([row[2] for row in rec.agents if row[0] == rec.metrics[-1][0]])
+        t_final, final, _ = rec.agents[-1]
+        assert t_final == rec.metrics[-1][0]
 
         kernel = MorseKernel(strength=1.0 / cfg.n_agents)
         target = von_mises_density(cfg.mu, cfg.concentration, float(cfg.n_agents),
@@ -299,7 +300,7 @@ class TestRunRecords:
 
         run = run_continuum(von_mises_density(0.0, 0.0, mass, x), 0.0, samples, control,
                             cfg.t_end, dt_max=1.0 / cfg.kp, sample_every=cfg.sample_every)
-        rho_rows = np.array([row[2] for row in rec.density])
+        rho_rows = np.concatenate([rho for _, rho, _ in rec.density])
         assert np.array_equal(rho_rows, np.concatenate(run.densities))
         assert rec.metadata["q_integral_worst"] == q_integral_worst
 
@@ -365,8 +366,7 @@ class TestRunRecords:
         base = run_continuum_scenario(continuum_config(t_end=0.5))
         moved = run_continuum_scenario(continuum_config(mu=shift * 2 * math.pi / m, t_end=0.5))
         assert moved.metadata["continuum_steps"] == base.metadata["continuum_steps"]
-        rho, rho_moved = (np.array([row[2] for row in rec.density]).reshape(-1, m)
-                          for rec in (base, moved))
+        rho, rho_moved = (np.array([r for _, r, _ in rec.density]) for rec in (base, moved))
         assert np.abs(np.roll(rho, shift, axis=1) - rho_moved).max() <= 1e-12 * rho.max()
 
     def test_continuum_record(self):
@@ -643,18 +643,14 @@ class TestFullScenarios:
         assert full_mono.metrics[-1][2] < full_mono.metrics[0][2]
 
     def test_monomodal_inputs_settle(self, full_mono):
-        by_time = {}
-        for t, i, _, u in full_mono.agents:
-            by_time.setdefault(round(t, 6), {})[i] = u
-        u_end = np.array([by_time[3.0][i] for i in sorted(by_time[3.0])])
-        u_mid = np.array([by_time[2.5][i] for i in sorted(by_time[2.5])])
+        by_time = {round(t, 6): u for t, _, u in full_mono.agents}  # u by agent id
+        u_end, u_mid = by_time[3.0], by_time[2.5]
         assert np.abs(u_end - u_mid).max() < 0.05 * np.abs(u_end).max()
 
     def test_bimodal_final_density_mirror_symmetric(self):
         record = run_microscopic(bimodal_config(record_agents=False))
-        t_final = record.metrics[-1][0]
-        rows = [r for r in record.density if r[0] == t_final]
-        rho = np.array([r[2] for r in rows])
+        t_final, rho, _ = record.density[-1]
+        assert t_final == record.metrics[-1][0]
         from ringswarm import kl_divergence
         mirrored = np.roll(rho[::-1], 1)
         assert kl_divergence(rho, mirrored) < 0.05
@@ -668,14 +664,11 @@ class TestFullScenarios:
         record = run_microscopic(tracking_config(record_agents=False))
         from ringswarm import wrap_angle
         from ringswarm.density import tracking_mean
-        by_time = {}
-        for t, angle, rho, _ in record.density:
-            by_time.setdefault(t, []).append((angle, rho))
+        angles = record.node_angles
         worst = 0.0
-        for t, rows in by_time.items():
+        for t, rho, _ in record.density:
             if t <= 1.0:
                 continue
-            angles, rho = zip(*rows)
             peak = angles[int(np.argmax(rho))]
             mu = tracking_mean(t)[0]
             worst = max(worst, abs(float(wrap_angle(peak - mu))))
