@@ -105,7 +105,7 @@ def build_parser():
 
 def _load_config(parser, args) -> ScenarioConfig:
     """The command's defaults, then the config file's keys, then the flags,
-    checked once as the run will see them."""
+    checked as the run, and each --p-list member, will see them."""
     config = _COMMANDS[args.command][0]()
     merged = {}
     if args.config is not None:
@@ -127,7 +127,10 @@ def _load_config(parser, args) -> ScenarioConfig:
     if swept:
         parser.error(f"{args.command} sets {', '.join(swept)} for every member")
     try:
-        return replace(config, **merged)
+        config = replace(config, **merged)
+        for power in getattr(args, "p_list", None) or ():
+            replace(config, noise_power_dbw=power)
+        return config
     except (TypeError, ValueError, OverflowError) as exc:
         parser.error(f"invalid config: {exc}")
 

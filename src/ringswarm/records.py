@@ -3,11 +3,13 @@
 Floats are written with Python's shortest round-trip representation, so a
 rerun with the same config and seed produces byte-identical files.  A run
 record keeps its metrics as rows, but its agent and density samples as plain
-arrays; the writer formats each column where it repeats only once (the node
-angles and agent ids per run, t per sample, a target's samples while its
-array stays the same object) and writes the file one sample at a time.  The
-metadata sidecar echoes the full configuration and library versions needed
-to replay a run; it deliberately carries no timestamps.
+arrays; one writer serves both sample files and formats each column where it
+repeats only once (the agent ids or node angles per run, t per sample, the
+last column while its array stays the same object, as a static target's
+does).  Records have no value equality: two runs agree when the files they
+write hold the same bytes.  The metadata sidecar echoes the full
+configuration and library versions needed to replay a run; it deliberately
+carries no timestamps.
 """
 
 from dataclasses import dataclass, field
@@ -48,41 +50,19 @@ def _row_lines(rows):
     return (",".join(map(str, row)) + "\n" for row in rows)
 
 
-def _lines(*columns):
-    """The lines of one sample, from its columns of strings; a value that
-    repeats down the sample is ``itertools.repeat``."""
-    return "\n".join(map(",".join, zip(*columns))) + "\n"
-
-
 def _strings(values: np.ndarray) -> list:
     return list(map(str, values.tolist()))
 
 
-def _agent_blocks(samples):
-    """The agents.csv lines of each ``(t, x, u)`` sample; the id strings are
-    built once, from the first sample's swarm."""
-    ids = list(map(str, range(samples[0][1].size))) if samples else []
-    for t, x, u in samples:
-        yield _lines(repeat(str(t)), ids, _strings(x), _strings(u))
-
-
-def _density_blocks(node_angles: np.ndarray, samples):
-    """The density.csv lines of each ``(t, rho, rho_d)`` sample at the
-    ``node_angles``; rho_d is formatted again only when the sample's array
-    is not the previous sample's object."""
-    angles = _strings(node_angles) if samples else []
-    rho_d_last, rho_d_strings = None, []
-    for t, rho, rho_d in samples:
-        if rho_d is not rho_d_last:
-            rho_d_last, rho_d_strings = rho_d, _strings(rho_d)
-        yield _lines(repeat(str(t)), angles, _strings(rho), rho_d_strings)
-
-
-def _same_samples(first, second) -> bool:
-    """Whether two lists of ``(t, *arrays)`` samples hold equal values."""
-    return len(first) == len(second) and all(
-        t == t2 and all(map(np.array_equal, arrays, arrays2))
-        for (t, *arrays), (t2, *arrays2) in zip(first, second))
+def _sample_lines(keys, samples):
+    """The lines of each ``(t, a, b)`` sample, one per key: t, the key, then
+    that key's a and b; b is formatted again only when its array is not the
+    previous sample's object."""
+    b_last, b_strings = None, []
+    for t, a, b in samples:
+        if b is not b_last:
+            b_last, b_strings = b, _strings(b)
+        yield "\n".join(map(",".join, zip(repeat(str(t)), keys, _strings(a), b_strings))) + "\n"
 
 
 def write_metadata(path: Path, sections: dict):
@@ -95,7 +75,7 @@ def write_metadata(path: Path, sections: dict):
     path.write_text("\n".join(lines), encoding="utf-8")
 
 
-@dataclass
+@dataclass(eq=False)
 class RunRecord:
     """Everything one run produced: config echo, extra metadata, one metrics
     row per sample, and the sampled arrays: ``agents`` holds ``(t, x, u)``
@@ -108,16 +88,6 @@ class RunRecord:
     agents: list = field(default_factory=list)
     node_angles: np.ndarray = None
     density: list = field(default_factory=list)
-
-    def __eq__(self, other):
-        """Equal fields, the sampled arrays compared value by value."""
-        if not isinstance(other, RunRecord):
-            return NotImplemented
-        return ((self.config, self.metadata, self.metrics)
-                == (other.config, other.metadata, other.metrics)
-                and np.array_equal(self.node_angles, other.node_angles)
-                and _same_samples(self.agents, other.agents)
-                and _same_samples(self.density, other.density))
 
     def final_kl(self) -> float:
         return float(self.metrics[-1][1])
@@ -132,9 +102,10 @@ class RunRecord:
             "metadata": outdir / "metadata.txt",
         }
         write_csv(paths["metrics"], METRICS_HEADER, _row_lines(self.metrics))
-        write_csv(paths["agents"], AGENTS_HEADER, _agent_blocks(self.agents))
-        write_csv(paths["density"], DENSITY_HEADER,
-                  _density_blocks(self.node_angles, self.density))
+        ids = _strings(np.arange(self.agents[0][1].size)) if self.agents else []
+        angles = _strings(self.node_angles) if self.density else []
+        write_csv(paths["agents"], AGENTS_HEADER, _sample_lines(ids, self.agents))
+        write_csv(paths["density"], DENSITY_HEADER, _sample_lines(angles, self.density))
         write_metadata(paths["metadata"], {"config": self.config, "run": self.metadata})
         return paths
 

@@ -10,7 +10,9 @@ def kernel_derivative(kernel: MorseKernel, z):
     Morse kernel.
 
     The classical derivative away from 0, extended at the origin by its
-    two-sided limit G/L - 1.
+    two-sided limit G/L - 1.  The kernel itself jumps by 2s(1 - G) at 0
+    (1/N at s = 1/N, G = 1/2); that jump's delta is not in this function, so
+    ``derivative_l2_norm`` leaves it out.
     """
     a = np.abs(np.asarray(z, dtype=float))
     g_over_l = kernel.attraction_strength / kernel.attraction_length

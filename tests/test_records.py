@@ -23,17 +23,19 @@ def direct_files(record):
 
 
 def test_write_matches_the_direct_row_formatter(tmp_path):
-    # -0.0 next to 0.0, agent id 1 at t = 1.0 (and x = 1.0), a target that
-    # becomes a new array equal to the old one but for the sign of zero,
-    # then stays the same object: a cache keyed by value, or by equal
-    # contents, writes a wrong string somewhere here
+    # -0.0 next to 0.0, agent id 1 at t = 1.0 (and x = 1.0), and inputs and
+    # a target that stay the same object across samples and also change to
+    # a new array equal to the old one but for the sign of zero: a cache
+    # keyed by value, or by equal contents, writes a wrong string here
+    held = np.array([1.0, -1.5, 0.0])
     static = np.array([-0.0, 0.25, 1.0, 1e-300])
     record = RunRecord(
         config={"seed": 1},
         metrics=[(0.0, 0.5, -0.0, 0.0), (1.0, 1, 0.1, 2.0)],
         agents=[(0.0, np.array([0.0, -0.0, 1.0]), np.array([-0.0, 0.0, 1.0])),
-                (1.0, np.array([1.0, 1.0, -0.0]), np.array([1.0, -1.5, 0.0])),
-                (2.5, np.array([-3.0, 0.1, 1e-17]), np.array([0.0, 0.0, 0.0]))],
+                (1.0, np.array([1.0, 1.0, -0.0]), held),
+                (2.5, np.array([-3.0, 0.1, 1e-17]), held),
+                (3.0, np.array([0.5, 0.1, 1e-17]), np.array([1.0, -1.5, -0.0]))],
         node_angles=np.array([-np.pi, -0.0, 0.0, 1.0]),
         density=[(0.0, np.array([0.0, -0.0, 1.0, 0.5]), np.array([0.0, 0.25, 1.0, 1e-300])),
                  (1.0, np.array([-0.0, 0.0, 1.0, 1.0]), static),
@@ -45,32 +47,13 @@ def test_write_matches_the_direct_row_formatter(tmp_path):
 
 
 def test_write_of_a_record_without_samples(tmp_path):
-    record = RunRecord(config={}, metrics=[(0.0, 0.0, 0.0, 0.0)])
-    paths = record.write(tmp_path)
-    for key, text in direct_files(record).items():
-        assert paths[key].read_text() == text
-    assert paths["density"].read_text() == ",".join(DENSITY_HEADER) + "\n"
-
-
-def sampled_record(rho_last=2.0):
-    return RunRecord(
-        config={"seed": 1}, metadata={"steps": 3}, metrics=[(0.0, 0.5, 0.1, 0.0)],
-        agents=[(0.0, np.array([0.0, 1.0]), np.array([0.5, -0.5]))],
-        node_angles=np.array([0.0, np.pi]),
-        density=[(0.0, np.array([1.0, 1.0]), np.array([1.0, 1.0])),
-                 (0.5, np.array([0.0, rho_last]), np.array([1.0, 1.0]))],
-    )
-
-
-def test_records_compare_their_samples_by_value():
-    record = sampled_record()
-    assert record == sampled_record()
-    assert record != sampled_record(rho_last=2.5)
-    shorter = sampled_record()
-    shorter.density.pop()
-    assert record != shorter
-    moved = sampled_record()
-    moved.density[1] = (0.75,) + moved.density[1][1:]
-    assert record != moved
-    assert record != RunRecord(config={"seed": 1})
-    assert record != "not a record"
+    # no samples at all, then agent samples with neither density samples
+    # nor node angles
+    bare = RunRecord(config={}, metrics=[(0.0, 0.0, 0.0, 0.0)])
+    agents_only = RunRecord(config={}, metrics=[(0.0, 0.0, 0.0, 0.0)],
+                            agents=[(0.0, np.array([0.5, -0.0]), np.array([0.0, 1.0]))])
+    for name, record in (("bare", bare), ("agents_only", agents_only)):
+        paths = record.write(tmp_path / name)
+        for key, text in direct_files(record).items():
+            assert paths[key].read_text() == text
+        assert paths["density"].read_text() == ",".join(DENSITY_HEADER) + "\n"

@@ -304,13 +304,15 @@ class TestRunRecords:
         assert np.array_equal(rho_rows, np.concatenate(run.densities))
         assert rec.metadata["q_integral_worst"] == q_integral_worst
 
-    def test_continuum_replays_with_warm_caches(self):
-        # two runs of one config in one process agree: nothing a run builds
-        # (the kernel samples, their spectrum, the target) outlives it
+    def test_continuum_replays_with_warm_caches(self, tmp_path):
+        # two runs of one config in one process write the same bytes:
+        # nothing a run builds (the kernel samples, their spectrum, the
+        # target) outlives it
         cfg = continuum_config(t_end=0.2)
-        first = run_continuum_scenario(cfg)
-        second = run_continuum_scenario(cfg)
-        assert first == second
+        first = run_continuum_scenario(cfg).write(tmp_path / "first")
+        second = run_continuum_scenario(cfg).write(tmp_path / "second")
+        for key in first:
+            assert first[key].read_bytes() == second[key].read_bytes(), key
 
     @pytest.mark.parametrize("cfg", [continuum_config(t_end=0.1),
                                      monomodal_config(n_agents=10, t_end=0.1)],
@@ -771,6 +773,14 @@ class TestCli:
         out = tmp_path / "noise"
         assert cli_main(["sweep-noise", "--p-list", p_list, "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_p_list_power_whose_variance_overflows_is_usage_error(self, tmp_path, capsys):
+        # 10^(4000/10) overflows a float: refused before any member runs
+        out = tmp_path / "noise"
+        assert cli_main(["sweep-noise", "--p-list", "0,4000", "--seeds", "1", "--t-end", "0.01",
+                         "--n", "5", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "noise_power_dbw=4000.0 overflows" in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
