@@ -18,9 +18,14 @@ from .control import sample_agent_inputs
 from .kernels import MorseKernel, velocity_field
 from .ring import TWO_PI, GridFunction, wrap_angle
 
-# Courant number dt * max|w| / spacing of the adaptive continuum step; the
-# Rusanov update keeps the density nonnegative for any value up to 1.
-CFL = 0.4
+# Courant number nu = dt * max|w| / spacing of the adaptive continuum step.
+# With the face speeds a = max(|w_j|, |w_j+1|) of _rusanov_advance, node j's
+# new value weighs its old one by 1 - lam * (a_j-1/2 + a_j+1/2) / 2 >= 1 - nu
+# (lam = dt / spacing), node j-1's by lam * (a_j-1/2 + w_j-1) / 2 >= 0 and
+# node j+1's by lam * (a_j+1/2 - w_j+1) / 2 >= 0, so the density stays
+# nonnegative for any nu <= 1; 0.9 leaves rounding in the bound a 10% margin
+# before the -1e-12 refusal.
+CFL = 0.9
 
 
 def even_lattice(n: int) -> np.ndarray:
@@ -279,7 +284,9 @@ class ContinuumRun:
     as an array: the one its step applied, or for the last sample, from
     which no step starts, its evaluation after the run; None in the open
     loop.  ``steps`` counts the Rusanov steps, and ``dt_min``/``dt_max``
-    are their extremes (nan when there was none)."""
+    are their extremes; ``dt_bound_min`` is the smallest bound a step met,
+    min(``max_stable_dt``, the cap ``dt_max``), whatever a sampling instant
+    cut it to (each nan when there was no step)."""
 
     times: tuple
     densities: tuple
@@ -287,6 +294,7 @@ class ContinuumRun:
     steps: int
     dt_min: float
     dt_max: float
+    dt_bound_min: float
 
 
 def run_continuum(rho: np.ndarray, t: float, kernel_samples: GridFunction, control, t_end: float,
@@ -302,7 +310,7 @@ def run_continuum(rho: np.ndarray, t: float, kernel_samples: GridFunction, contr
     reproducible regardless of the adaptive step history in between.
     """
     times, densities, u_fields = [t], [rho], []
-    steps, shortest, longest = 0, math.inf, 0.0
+    steps, shortest, longest, tightest = 0, math.inf, 0.0, math.inf
     k = int(t // sample_every) + 1
     if k * sample_every <= t + 1e-12:  # the start sits on an instant
         k += 1
@@ -312,11 +320,12 @@ def run_continuum(rho: np.ndarray, t: float, kernel_samples: GridFunction, contr
         if len(u_fields) < len(times):  # the step from a sample
             u_fields.append(u)
         speed = np.abs(w)  # once for the CFL bound and the face wave speeds
-        dt = min(max_stable_dt(speed), dt_max, target - t)
+        bound = min(max_stable_dt(speed), dt_max)
+        dt = min(bound, target - t)
         rho = _rusanov_advance(rho, w, speed, dt)
         t += dt
         steps += 1
-        shortest, longest = min(shortest, dt), max(longest, dt)
+        shortest, longest, tightest = min(shortest, dt), max(longest, dt), min(tightest, bound)
         if t >= target - 1e-12:
             times.append(t)
             densities.append(rho)
@@ -324,5 +333,6 @@ def run_continuum(rho: np.ndarray, t: float, kernel_samples: GridFunction, contr
     u_fields.append(None if control is None
                     else control(rho, velocity_field(kernel_samples, rho), t))
     if not steps:
-        shortest = longest = math.nan
-    return ContinuumRun(tuple(times), tuple(densities), tuple(u_fields), steps, shortest, longest)
+        shortest = longest = tightest = math.nan
+    return ContinuumRun(tuple(times), tuple(densities), tuple(u_fields), steps, shortest, longest,
+                        tightest)

@@ -51,7 +51,7 @@ def _row_lines(rows):
 
 
 def _strings(values: np.ndarray) -> list:
-    return list(map(str, values.tolist()))
+    return list(map(repr, values.tolist()))
 
 
 def _sample_lines(keys, samples):

@@ -323,6 +323,7 @@ def run_continuum_scenario(config: ScenarioConfig) -> RunRecord:
     record.metadata["continuum_steps"] = run.steps
     record.metadata["continuum_dt_min"] = run.dt_min
     record.metadata["continuum_dt_max"] = run.dt_max
+    record.metadata["continuum_dt_bound_min"] = run.dt_bound_min
     record.metadata["continuum_dt_cap"] = dt_cap
     return record
 

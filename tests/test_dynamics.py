@@ -490,6 +490,8 @@ class TestContinuum:
         assert len(applied) - 1 == run.steps == len(steps)
         assert (run.dt_min, run.dt_max) == (min(steps), max(steps))
         assert 0.0 < run.dt_min < run.dt_max <= 0.02
+        # the step with the smallest bound takes at most that bound
+        assert run.dt_min <= run.dt_bound_min <= 0.02
 
     def test_open_loop_and_stepless_runs(self):
         kernel = MorseKernel(0.5, 0.5, strength=0.1)
@@ -497,7 +499,7 @@ class TestContinuum:
         run = run_continuum(rho, 0.2, kernel.sample_on_grid(64), None, 0.2)
         assert run.times == (0.2,) and run.densities[0] is rho
         assert run.u_fields == (None,) and run.steps == 0
-        assert math.isnan(run.dt_min) and math.isnan(run.dt_max)
+        assert math.isnan(run.dt_min) and math.isnan(run.dt_max) and math.isnan(run.dt_bound_min)
         run = run_continuum(rho, 0.2, kernel.sample_on_grid(64), None, 0.3, sample_every=0.05)
         assert len(run.times) == len(run.densities) == 3
         assert run.u_fields == (None,) * 3 and run.steps >= 100

@@ -78,8 +78,8 @@ def replay_direct_steps(cfg):
     out here (the Rusanov step as its np.roll formula, the step capped at
     1/kp) against run_continuum driven by the scenario's controller and
     against the scenario run's counters; assert that the sampled states, U
-    fields, step count and step extremes are bitwise equal, and return the
-    steps."""
+    fields, step count, step extremes and smallest step bound are bitwise
+    equal, and return the steps and their bounds."""
     controller = scenarios._Controller(cfg, refuse_starved=True)
     x, kernel = controller.nodes, controller.kernel
     spacing, mass = 2.0 * np.pi / scenarios.GRID_M, float(cfg.n_agents)
@@ -99,14 +99,15 @@ def replay_direct_steps(cfg):
         return v, velocity_control(rho, q, starved)
 
     rho, t, k = start, 0.0, 1
-    states, u_fields, steps = [(t, rho)], [], []
+    states, u_fields, steps, bounds = [(t, rho)], [], [], []
     while t < cfg.t_end - 1e-12:
         target = min(k * cfg.sample_every, cfg.t_end)
         v, u = control(rho)
         if len(u_fields) < len(states):
             u_fields.append(u)
         w = v + u
-        dt = min(dynamics.CFL * spacing / float(np.abs(w).max()), 1.0 / cfg.kp, target - t)
+        bounds.append(min(dynamics.CFL * spacing / float(np.abs(w).max()), 1.0 / cfg.kp))
+        dt = min(bounds[-1], target - t)
         flux = rho * w
         a = np.maximum(np.abs(w), np.abs(np.roll(w, -1)))
         face = 0.5 * (flux + np.roll(flux, -1)) - 0.5 * a * (np.roll(rho, -1) - rho)
@@ -122,11 +123,12 @@ def replay_direct_steps(cfg):
     assert all(np.array_equal(a, b)
                for a, (_, b) in zip(run.densities, states, strict=True))
     assert all(np.array_equal(a, b) for a, b in zip(run.u_fields, u_fields, strict=True))
-    assert (run.steps, run.dt_min, run.dt_max) == (len(steps), min(steps), max(steps))
-    rec = run_continuum_scenario(cfg)
-    assert (rec.metadata["continuum_steps"], rec.metadata["continuum_dt_min"],
-            rec.metadata["continuum_dt_max"]) == (len(steps), min(steps), max(steps))
-    return steps
+    expected = (len(steps), min(steps), max(steps), min(bounds))
+    assert (run.steps, run.dt_min, run.dt_max, run.dt_bound_min) == expected
+    meta = run_continuum_scenario(cfg).metadata
+    assert (meta["continuum_steps"], meta["continuum_dt_min"], meta["continuum_dt_max"],
+            meta["continuum_dt_bound_min"]) == expected
+    return steps, bounds
 
 
 class TestConfigDefaults:
@@ -476,14 +478,39 @@ class TestRunRecords:
         assert len(built) == 1
 
     def test_run_replays_the_direct_step_oracle(self):
-        # over 0.2 s the CFL bound sets every step
-        steps = replay_direct_steps(continuum_config(t_end=0.2))
+        # over 0.2 s the CFL bound sets every step; the sampling instants cut
+        # some steps below the smallest bound, which dt_bound_min ignores
+        steps, bounds = replay_direct_steps(continuum_config(t_end=0.2))
         assert max(steps) < 1.0 / 10.0
+        assert min(steps) < min(bounds)
 
     def test_run_replays_the_direct_step_oracle_where_the_cap_binds(self):
         # at kp = 100 the step cap 1/kp = 0.01 sets the longest steps
-        steps = replay_direct_steps(continuum_config(kp=100.0, t_end=0.5))
-        assert max(steps) == 1.0 / 100.0
+        steps, bounds = replay_direct_steps(continuum_config(kp=100.0, t_end=0.5))
+        assert max(steps) == max(bounds) == 1.0 / 100.0
+
+    def test_default_run_steps_at_the_courant_bound(self):
+        # at a Courant number of 0.9 the default run takes 297 steps (611
+        # at 0.4), so a quiet return to the old number fails here
+        meta = run_continuum_scenario(continuum_config(record_density=False)).metadata
+        assert meta["continuum_steps"] <= 300
+
+    def test_sampled_error_does_not_depend_on_the_courant_number(self, monkeypatch):
+        # against a run at an eighth of the Courant number, every sampled
+        # e_l2 agrees within 1% of the initial error (0.22% measured) and
+        # within 2% of its own value (1.2% mid-transient, where the m = 256
+        # grid's own error is about 2%); the steady-state final_kl agrees in
+        # its late digits
+        cfg = continuum_config(record_density=False)
+        base = run_continuum_scenario(cfg)
+        monkeypatch.setattr(dynamics, "CFL", dynamics.CFL / 8.0)
+        fine = run_continuum_scenario(cfg)
+        assert fine.metadata["continuum_steps"] > 4 * base.metadata["continuum_steps"]
+        assert [row[0] for row in base.metrics] == [row[0] for row in fine.metrics]
+        e_base, e_fine = ([row[2] for row in rec.metrics] for rec in (base, fine))
+        assert e_base == pytest.approx(e_fine, rel=0.0, abs=1e-2 * e_fine[0])
+        assert e_base == pytest.approx(e_fine, rel=2e-2, abs=0.0)
+        assert base.final_kl() == pytest.approx(fine.final_kl(), rel=1e-8, abs=0.0)
 
     def test_continuum_result_does_not_depend_on_dt(self):
         # the continuum steps at its own bounds: config.dt only sets the
@@ -726,9 +753,10 @@ class TestCli:
         out = tmp_path / "cont"
         assert cli_main(["continuum", "--t-end", "0.2", "--out", str(out)]) == 0
         assert (out / "metrics.csv").exists()
-        counters = (out / "metadata.txt").read_text().splitlines()[-4:]
+        counters = (out / "metadata.txt").read_text().splitlines()[-5:]
         assert [line.split(" = ")[0] for line in counters] == [
-            "continuum_steps", "continuum_dt_min", "continuum_dt_max", "continuum_dt_cap"]
+            "continuum_steps", "continuum_dt_min", "continuum_dt_max", "continuum_dt_bound_min",
+            "continuum_dt_cap"]
 
     def test_track_subcommand(self, tmp_path):
         out = tmp_path / "tr"
