@@ -1,4 +1,4 @@
-"""Print the sha256 of every file the nine reference CLI commands write.
+"""Print the sha256 of every file the ten reference CLI commands write.
 
     python3 scripts/golden_hashes.py > hashes.txt
 
@@ -35,6 +35,9 @@ COMMANDS = (
     # At kp = 10 the sampling instants bind before the continuum's step cap
     # 1/kp does; at kp = 100 the cap 0.01 sets the longest steps.
     ("cont-kp100", ["continuum", "--kp", "100", "--t-end", "0.5"]),
+    # The benchmark's mono-n1000 path: at N = 1000 every interaction sum
+    # takes the four-class path, which N = 50 mostly skips.
+    ("mono-n1000", ["regulate-mono", "--n", "1000", "--t-end", "0.06"]),
 )
 
 

@@ -75,16 +75,17 @@ def velocity_control(rho: np.ndarray, q: np.ndarray, starved: np.ndarray) -> np.
 def sample_agent_inputs(u: np.ndarray, positions) -> np.ndarray:
     """Evaluate the U samples ``u`` at agent positions by periodic linear
     interpolation."""
-    pos = wrap_angle(positions)
-    s = (pos + np.pi) / (TWO_PI / u.size)
+    s = wrap_angle(positions) + np.pi
+    s /= TWO_PI / u.size
     # Positions sitting on a node must sample it exactly; rounding noise in
     # (pos + pi)/spacing would otherwise leak a neighbour's value in.
-    nearest = np.round(s)
+    nearest = np.rint(s)
     s = np.where(np.abs(s - nearest) < 1e-9, nearest, s)
-    below = np.floor(s)
-    frac = s - below
-    # s lies in [0, m], so j + 1 is at most m + 1: both nodes are read from
-    # the values extended by their first two, which also wraps them
-    extended = np.concatenate((u, u[:2]))
-    j = below.astype(int)
-    return extended[j] * (1.0 - frac) + extended[j + 1] * frac
+    j = s.astype(np.intp)  # s >= 0, so the cast is the floor
+    s -= j
+    # s lies in [0, m], so j + 1 is at most m + 1: both nodes wrap once
+    value = u.take(j, mode="wrap")
+    value *= 1.0 - s
+    s *= u.take(j + 1, mode="wrap")
+    value += s
+    return value

@@ -11,6 +11,7 @@ mass is exact and the density stays nonnegative under the CFL bound.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,12 +43,14 @@ def even_lattice(n: int) -> np.ndarray:
 # f = +-pi (antipodal) and f = +-2*pi (wrapped offset 0, which a difference
 # just short of 2*pi can round to) are in none.  Per layout: the rows
 # (hi, lo) of _count_table, agent j being in a class when lo <= j < hi,
-# then the signs and shifts as columns, the classes behind first.  Below a
-# spread of pi only the own-image classes can hold agents, and they read
-# the unsearched table.
-_FOUR_CLASSES = (np.array([[2, 9, 3, 8], [4, 7, 5, 6]]), np.array([[1.0], [1.0], [-1.0], [-1.0]]),
-                 np.array([[0.0], [-TWO_PI], [TWO_PI], [0.0]]))
-_OWN_IMAGE_CLASSES = (np.array([[2, 1], [0, 3]]), np.array([[1.0], [-1.0]]), np.zeros((2, 1)))
+# then the shifts as a column; the first half of the classes lie behind
+# and the second ahead.  Below a spread of pi only the own-image classes
+# can hold agents, and they read the unsearched table.
+_FOUR_CLASSES = (np.array([[2, 9, 3, 8], [4, 7, 5, 6]]), np.array([[0.0], [-TWO_PI], [TWO_PI], [0.0]]))
+_OWN_IMAGE_CLASSES = (np.array([[2, 1], [0, 3]]), np.zeros((2, 1)))
+# Without ties, y_i's run of equal positions is i alone: it starts at i
+# and ends before i + 1.
+_RUN_BOUNDS = np.array([[0], [1]])
 # The cut pair _count_above searches: pi and its neighbour towards -inf.
 _PI_PAIR = np.array([[np.pi], [np.nextafter(np.pi, -np.inf)]])
 # Largest rate-scaled width a * (x - anchor) of one block of the prefix sums;
@@ -58,12 +61,16 @@ _BLOCK_EXPONENT = 300.0
 def _count_above(y, cuts):
     """Per agent i and cut c of ``cuts`` (a (k, 1) array of neighbouring
     cuts), the number of sorted y_j with fl(y_i - y_j) > c, broadcastable
-    to (k, n).  That difference falls as j rises, so each count is a
-    boundary in y: searchsorted on y_i - cuts[0] guesses it for every cut
-    (they round y_i - c alike), and the raw predicate moves the guess one
-    group of equal positions at a time."""
+    to (k, n): one row when the guess holds for every cut.  That
+    difference falls as j rises, so each count is a boundary in y:
+    searchsorted on y_i - cuts[0] guesses it for every cut (they round
+    y_i - c alike), and the raw predicate moves the guess one group of
+    equal positions at a time."""
     padded = np.concatenate(([-np.inf], y, [np.inf]))
-    k = np.searchsorted(y, y - cuts[0])  # one row for all cuts until a row moves
+    guess = y - cuts[0]
+    k = np.zeros(y.size, dtype=np.intp)  # one row for all cuts until a row moves
+    low = guess.searchsorted(y[0], "right")  # guesses at or below y[0] count nothing
+    k[low:] = y.searchsorted(guess[low:])
     while True:
         back = y - padded[k] <= cuts  # y[k - 1] fails: move left
         ahead = y - padded[k + 1] > cuts  # y[k] holds: move right
@@ -71,6 +78,12 @@ def _count_above(y, cuts):
             return k
         k = np.where(back, np.searchsorted(y, padded[k], "left"), k)
         k = np.where(ahead, np.searchsorted(y, padded[k + 1], "right"), k)
+
+
+def _transposed(counts):
+    """For a row of counts rising from 0 to n: per i < n, the number of j
+    with counts[j] <= i."""
+    return np.bincount(counts, minlength=counts.size + 1)[:-1].cumsum()
 
 
 def _count_table(y, search):
@@ -81,61 +94,97 @@ def _count_table(y, search):
     f >= pi (f > nextafter(pi, -inf)) and f >= 2*pi, which only a spread of
     2*pi can reach.  The cuts below 0 follow by transposing: f > -c fails
     for (i, j) exactly when fl(y_j - y_i) = -f >= c, and the j where that
-    holds are those whose own count of f >= c exceeds i.  So one bincount
-    and one cumsum of the rows from 2 give, after them, f >= 0, then with
-    ``search`` f >= -pi, f > -pi and f > -2*pi.
+    holds are those whose own count of f >= c exceeds i.  So the rows from
+    2 give, after them, f >= 0, then with ``search`` f >= -pi, f > -pi and
+    f > -2*pi.  Most need no transposing of their own: without ties row 2
+    is i and f >= 0 is i + 1; where no f is exactly pi, f > pi and f >= pi
+    agree, and so do their transposes; and where no f reaches 2*pi,
+    f > -2*pi is n.
     """
     n = y.size
     known = 4 if search else 1
     table = np.empty((2 + 2 * known, n), dtype=np.intp)
     table[0], table[1] = 0, n
-    new = np.concatenate(([True], y[1:] != y[:-1]))  # y_i opens a run
-    np.maximum.accumulate(np.where(new, np.arange(n), 0), out=table[2])
+    new = y[1:] != y[:-1]  # y[i + 1] opens a run
+    if new.all():
+        np.add(np.arange(n), _RUN_BOUNDS, out=table[2::known])
+    else:
+        np.maximum.accumulate(np.where(np.concatenate(([True], new)), np.arange(n), 0),
+                              out=table[2])
+        table[2 + known] = _transposed(table[2])
     if search:
-        table[3:5] = _count_above(y, _PI_PAIR)
-        table[5] = 0 if y[-1] - y[0] < TWO_PI else _count_above(y, np.nextafter([[TWO_PI]], 0))
-    flat = (table[2:2 + known] + (n + 1) * np.arange(known)[:, None]).ravel()
-    tally = np.bincount(flat, minlength=known * (n + 1))
-    table[2 + known:] = tally.reshape(-1, n + 1).cumsum(axis=1)[:, :n]
+        table[3:5] = above = _count_above(y, _PI_PAIR)
+        table[7:9] = [_transposed(row) for row in above] if above.ndim > 1 else _transposed(above)
+        if y[-1] - y[0] < TWO_PI:
+            table[5], table[9] = 0, n
+        else:
+            table[5] = _count_above(y, np.nextafter([[TWO_PI]], 0))
+            table[9] = _transposed(table[5])
     return table
 
 
 def _exp_prefix(y, rates):
     """Sums of exp(rate * x) over the sorted y below and above each index.
 
-    Row r holds P[j] = sum_{l < j} exp(rates[r] * (y_l - A[j])) at entry j
-    for j in 0..n.  The entries from 2n + 1 down to n + 1 hold the same
-    sums over the mirrored positions x = -y[::-1], so entry n + 1 + c is
-    S[c] = sum_{l >= c} exp(rates[r] * (A - y_l)) with A its anchor.
-    Entries 0 and 2n + 1 are empty sums.  Along either direction the anchor
-    is the first x of its block, a new block starts every
-    _BLOCK_EXPONENT / max(rates) of x, and earlier blocks are carried over
-    rescaled, so every sum stays finite and well conditioned however large
-    the rates are.
+    ``sums[r, 0, j]`` is P[j] = sum_{l < j} exp(rates[r] * (y_l - A)) for j
+    in 0..n, and ``sums[r, 1]`` holds the same sums over the mirrored
+    positions x = -y[::-1], so that its entry n - c is S[c] = sum_{l >= c}
+    exp(rates[r] * (A - y_l)); entry 0 of each side is the empty sum.  A is
+    the entry's anchor in ``anchors``, which broadcasts to (2, n + 1).
+    Along either direction the anchor is the first x of its block, a new
+    block starts every _BLOCK_EXPONENT / max(rates) of x, and earlier
+    blocks are carried over rescaled, so every sum stays finite and well
+    conditioned however large the rates are.
+
+    Both sides and both rates take one subtract, multiply, exp and cumsum
+    over a (rates, 2, n) buffer.  With one block a side, the usual case,
+    ``anchors`` is (2, 1) and that cumsum is the only one; otherwise each
+    later block restarts its cumsum and adds its carry.
     """
     n = y.size
-    a = rates[:, None]
+    a = rates[:, None, None]
+    x = np.empty((2, n))
+    x[0] = y
+    np.negative(y[::-1], out=x[1])
     width = _BLOCK_EXPONENT / max(rates)
-    sums = np.zeros((rates.size, 2 * n + 2))
-    anchors = np.empty(2 * n + 2)
-    for x, side_sums, side_anchors in ((y, sums[:, :n + 1], anchors[:n + 1]),
-                                       (-y[::-1], sums[:, :n:-1], anchors[:n:-1])):
-        side_anchors[0] = x[0]
+    segments = []  # (sides, start, stop) of each block
+    for side, xs in enumerate(x):
         start = 0
         while start < n:
-            anchor = x[start]
-            end = anchor + width
-            stop = n if x[-1] <= end else int(np.searchsorted(x, end, "right"))
-            block = side_sums[:, start + 1:stop + 1]
-            np.subtract(x[start:stop], anchor, out=block)
-            block *= a
-            np.exp(block, out=block)
-            np.cumsum(block, axis=1, out=block)
-            if start:  # the first block carries nothing
-                block += side_sums[:, start:start + 1] * np.exp(a * (side_anchors[start] - anchor))
-            side_anchors[start + 1:stop + 1] = anchor
+            end = xs[start] + width
+            stop = n if xs[-1] <= end else int(xs.searchsorted(end, "right"))
+            segments.append((slice(side, side + 1), start, stop))
             start = stop
+    if len(segments) == 2:  # one block a side: one anchor each, one cumsum for both
+        anchors = lead = x[:, :1]
+        segments = [(slice(None), 0, n)]
+    else:
+        anchors = np.empty((2, n + 1))
+        anchors[:, 0] = x[:, 0]
+        lead = anchors[:, 1:]  # the anchor of each term
+        for sides, start, stop in segments:
+            lead[sides, start:stop] = x[sides, start:start + 1]
+    sums = np.empty((rates.size, 2, n + 1))
+    sums[:, :, 0] = 0.0
+    terms = sums[:, :, 1:]
+    np.multiply(a, x - lead, out=terms)
+    np.exp(terms, out=terms)
+    for sides, start, stop in segments:
+        block = sums[:, sides, start + 1:stop + 1]
+        block.cumsum(axis=2, out=block)
+        if start:  # the first block carries nothing
+            carried, anchor = anchors[sides, start:start + 1], anchors[sides, start + 1:start + 2]
+            block += sums[:, sides, start:start + 1] * np.exp(a * (carried - anchor))
     return sums, anchors
+
+
+@lru_cache(maxsize=16)
+def _rates_and_weights(kernel: MorseKernel, classes: int):
+    """The rates 1 and 1/L of ``kernel``'s two exponentials, and the weights
+    of their per-class sums: 1 for the repulsion's, -G for the attraction's."""
+    rates = np.array([1.0, 1.0 / kernel.attraction_length])
+    weights = np.array([1.0] * classes + [-kernel.attraction_strength] * classes)
+    return rates, weights
 
 
 def _interaction_sum(positions: np.ndarray, kernel: MorseKernel) -> np.ndarray:
@@ -154,10 +203,13 @@ def _interaction_sum(positions: np.ndarray, kernel: MorseKernel) -> np.ndarray:
     Because exp(-a|w|) separates into exp(-a x_i) exp(a (x_j + 2*pi*k)),
     each of the four classes (behind or ahead, one image) is a contiguous
     range of the sorted positions, summed in O(1) per agent from prefix
-    sums of exp(+-a x) for a = 1 and a = 1/L.
+    sums of exp(+-a x) for a = 1 and a = 1/L.  When both ends of a range
+    lie in one block of the prefix sums, as they do whenever each side is
+    one block, they share its anchor and so one exponential per class,
+    agent and rate.
     """
     n = positions.size
-    order = np.argsort(positions, kind="stable")
+    order = positions.argsort(kind="stable")
     y = positions[order]
     if n and (y[0] < -np.pi or y[-1] >= np.pi):
         return _interaction_sum(wrap_angle(positions), kernel)
@@ -165,29 +217,35 @@ def _interaction_sum(positions: np.ndarray, kernel: MorseKernel) -> np.ndarray:
     if spread == 0.0:  # no pairs apart: at most one agent, or all coincident
         return np.zeros(n)
     search = spread >= np.pi  # |f| <= spread: below pi no f reaches +-pi
-    rows, signs, shifts = _FOUR_CLASSES if search else _OWN_IMAGE_CLASSES
+    rows, shifts = _FOUR_CLASSES if search else _OWN_IMAGE_CLASSES
+    classes, half = shifts.size, shifts.size // 2
     # Behind, the range lo <= j < hi sums to T(hi) - T(lo) with
     # T(j) = P[j] exp(a (A[j] - q)) and q = y_i - shift; ahead it sums to
-    # S[lo] - S[hi] (entries n + 1 + lo and n + 1 + hi, see _exp_prefix)
-    # with q = shift - y_i, and the kernel's sign there makes that
-    # T(n + 1 + hi) - T(n + 1 + lo).  The exponent is <= 0 up to rounding
-    # wherever the sum is > 0; capping it at 0 keeps an empty sum from
-    # meeting an overflowed factor.
+    # S[lo] - S[hi] (flat entries 2n + 1 - lo and 2n + 1 - hi of the
+    # (2, n + 1) sides, see _exp_prefix) with q = shift - y_i, and the
+    # kernel's sign there makes that T(2n + 1 - hi) - T(2n + 1 - lo).  The
+    # exponent is <= 0 up to rounding wherever the sum is > 0; capping it
+    # at 0 keeps an empty sum from meeting an overflowed factor.
     idx = _count_table(y, search)[rows]  # (hi, lo) per class
-    idx[:, signs.size // 2:] += n + 1
-    rates = np.array([1.0, 1.0 / kernel.attraction_length])
+    np.subtract(2 * n + 1, idx[:, half:], out=idx[:, half:])
+    rates, weights = _rates_and_weights(kernel, classes)
     sums, anchors = _exp_prefix(y, rates)
-    base = anchors[idx]
-    base -= signs * (y - shifts)
+    if anchors.shape[1] == 1:  # one block a side: both ends share the exponent
+        behind, ahead = anchors
+        base = np.empty((1, classes, n))
+    else:
+        ends = anchors.ravel()[idx]
+        behind, ahead = ends[:, :half], ends[:, half:]
+        base = np.empty((2, classes, n))
+    y_shifted = y - shifts  # the exponent A - q: q is this behind, minus this ahead
+    np.subtract(behind, y_shifted[:half], out=base[:, :half])
+    np.add(ahead, y_shifted[half:], out=base[:, half:])
     np.minimum(base, 0.0, out=base)
-    diff = np.empty((rates.size, signs.size, n))
-    terms = np.empty_like(base)
-    for rate, sums_at, out in zip(rates, sums, diff):
-        np.multiply(base, rate, out=terms)
-        np.exp(terms, out=terms)
-        terms *= sums_at[idx]
-        np.subtract(terms[0], terms[1], out=out)
-    weights = np.array([1.0] * signs.size + [-kernel.attraction_strength] * signs.size)
+    factors = rates[:, None, None, None] * base
+    np.exp(factors, out=factors)
+    terms = sums.reshape(rates.size, -1).take(idx, axis=1)  # (rates, ends, classes, agents)
+    terms *= factors
+    diff = terms[:, 0] - terms[:, 1]
     out = np.empty(n)
     out[order] = kernel.strength * (weights @ diff.reshape(-1, n))
     return out
@@ -218,7 +276,7 @@ def step_swarm(positions: np.ndarray, kernel: MorseKernel, u: np.ndarray | None,
     k3 = microscopic_rhs(x + 0.5 * dt * k2, kernel, u)
     k4 = microscopic_rhs(x + dt * k3, kernel, u)
     x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(x_new)):
+    if not np.isfinite(x_new).all():
         raise RuntimeError("non-finite agent position; run aborted")
     return wrap_angle(x_new)
 

@@ -24,8 +24,8 @@ def wrap_angle(a):
     Entries already inside keep their exact floating-point value, and an
     array with every entry inside is returned as the same object."""
     a = np.asarray(a, dtype=float)
-    inside = (a >= -np.pi) & (a < np.pi)
-    if not inside.all():
+    if a.size and not (a.min() >= -np.pi and a.max() < np.pi):  # some entry outside, or nan
+        inside = (a >= -np.pi) & (a < np.pi)
         w = (a + np.pi) % TWO_PI - np.pi
         # Just below an odd multiple of pi the modulo rounds up to 2*pi; the
         # pi that gives is the seam, -pi.

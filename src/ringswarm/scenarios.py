@@ -10,6 +10,7 @@ seed and produce RunRecords ready for CSV serialization.
 import math
 import numbers
 import os
+import sys
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -340,18 +341,28 @@ def _sweep_member(args):
         return math.nan, f"error: {exc}"
 
 
-def _run_jobs(fn, jobs, workers):
+def _run_jobs(fn, jobs, workers, labels):
+    """``fn``'s (final KL, status) of each job, in request order, with one
+    stderr line per finished job under its label."""
     # A pool forks all its workers at the first submit, so it gets no more
     # than there are jobs.
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     workers = min(workers or os.cpu_count() or 1, len(jobs))
+
+    def collect(outcomes):  # map yields in request order
+        done = []
+        for label, (kl, status) in zip(labels, outcomes):
+            done.append((kl, status))
+            print(f"{label} ({len(done)}/{len(jobs)}): d_kl={kl:.6g} [{status}]", file=sys.stderr)
+        return done
+
     if workers <= 1:
-        return [fn(job) for job in jobs]
+        return collect(map(fn, jobs))
     from concurrent.futures import ProcessPoolExecutor  # only pooled sweeps pay for it
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))  # map preserves request order
+        return collect(pool.map(fn, jobs))
 
 
 def run_scalability_sweep(config: ScenarioConfig | None = None, n_list=None,
@@ -363,7 +374,8 @@ def run_scalability_sweep(config: ScenarioConfig | None = None, n_list=None,
     members = [dict(scenario="continuum", noise_power_dbw=None) if n == "inf"
                else dict(scenario="regulate-mono", n_agents=int(n), record_agents=False,
                          record_density=False) for n in n_list]
-    outcomes = _run_jobs(_sweep_member, [(config, m) for m in members], workers)
+    outcomes = _run_jobs(_sweep_member, [(config, m) for m in members], workers,
+                         [f"sweep-n N={n}" for n in n_list])
     return [(str(n), *outcome) for n, outcome in zip(n_list, outcomes)]
 
 
@@ -377,7 +389,9 @@ def run_noise_sweep(config: ScenarioConfig | None = None, p_list=None,
     members = [dict(scenario="regulate-mono", noise_power_dbw=float(power),
                     seed=config.seed + 1000 * i, record_agents=False, record_density=False)
                for power in p_list for i in range(n_seeds)]
-    outcomes = _run_jobs(_sweep_member, [(config, m) for m in members], workers)
+    outcomes = _run_jobs(_sweep_member, [(config, m) for m in members], workers,
+                         [f"sweep-noise P={m['noise_power_dbw']} dBW seed={m['seed']}"
+                          for m in members])
     rows = []
     for i, power in enumerate(p_list):  # by position: == never holds for nan
         mine = outcomes[i * n_seeds:(i + 1) * n_seeds]

@@ -58,6 +58,66 @@ def direct_interaction_sum(positions, kernel):
     return kernel.strength * f.sum(axis=1)
 
 
+def reference_exp_prefix(y, rates, block_exponent=300.0):
+    """The prefix sums of exp(+-rate * x) summed one side and one block at a
+    time: sums (rates, 2n + 2) and anchors (2n + 2), the mirrored side held
+    from entry 2n + 1 down to n + 1 (see dynamics._exp_prefix)."""
+    n = y.size
+    a = rates[:, None]
+    width = block_exponent / max(rates)
+    sums = np.zeros((rates.size, 2 * n + 2))
+    anchors = np.empty(2 * n + 2)
+    for x, side_sums, side_anchors in ((y, sums[:, :n + 1], anchors[:n + 1]),
+                                       (-y[::-1], sums[:, :n:-1], anchors[:n:-1])):
+        side_anchors[0] = x[0]
+        start = 0
+        while start < n:
+            anchor = x[start]
+            end = anchor + width
+            stop = n if x[-1] <= end else int(np.searchsorted(x, end, "right"))
+            block = side_sums[:, start + 1:stop + 1]
+            np.subtract(x[start:stop], anchor, out=block)
+            block *= a
+            np.exp(block, out=block)
+            np.cumsum(block, axis=1, out=block)
+            if start:  # the first block carries nothing
+                block += side_sums[:, start:start + 1] * np.exp(a * (side_anchors[start] - anchor))
+            side_anchors[start + 1:stop + 1] = anchor
+            start = stop
+    return sums, anchors
+
+
+def assert_prefix_sums_match_reference(y, rates):
+    """dynamics._exp_prefix against the reference, bit for bit; returns its
+    anchors."""
+    n = y.size
+    sums, anchors = dynamics._exp_prefix(y, rates)
+    ref_sums, ref_anchors = reference_exp_prefix(y, rates)
+    assert sums.shape == (rates.size, 2, n + 1)
+    assert np.array_equal(sums[:, 0], ref_sums[:, :n + 1])
+    assert np.array_equal(sums[:, 1], ref_sums[:, :n:-1])
+    full = np.broadcast_to(anchors, (2, n + 1))
+    assert np.array_equal(full[0], ref_anchors[:n + 1])
+    assert np.array_equal(full[1], ref_anchors[:n:-1])
+    return anchors
+
+
+def one_block_on_one_side(rng):
+    """Sorted positions and rates whose spread is within an ulp of a block's
+    width 300 / max(rates), such that the y side fits in one block and the
+    mirrored side -y[::-1] needs two, or the other way round.  The ends lie
+    in different binades, so y[0] + width and width - y[-1] round apart."""
+    for _ in range(200):
+        y = np.sort(rng.uniform(-1.9, 3.1, 20))
+        rate = 300.0 / (y[-1] - y[0]) * (1 - 8 * EPS)
+        for _ in range(32):
+            width = 300.0 / rate
+            if (y[-1] <= y[0] + width) != (-y[0] <= -y[-1] + width):
+                return y, np.array([1.0, rate])
+            rate = np.nextafter(rate, np.inf)
+    raise AssertionError("no spread found where the two sides round differently")
+
+
 def staged_positions(rng, n):
     """Staged RK4 positions: unwrapped, straddling the seam."""
     pos = rng.choice([-np.pi, np.pi], n) + rng.uniform(-0.02, 0.02, n)
@@ -190,6 +250,53 @@ class TestMicroscopicRhs:
             table = dynamics._count_table(y, search)
             for row, c in zip(table, cuts, strict=True):
                 assert np.array_equal(row, (f > c).sum(axis=1)), (search, c)
+
+    @pytest.mark.parametrize("layout", ["lattice", "duplicated", "seam"])
+    def test_class_counts_at_a_thousand_agents(self, layout):
+        # the benchmark's swarm size, past the oracle strategy's 300 agents:
+        # a tie-free lattice with a spread below 2*pi takes every shortcut of
+        # the table, duplicated agents and a spread that rounds to 2*pi none
+        rng = np.random.default_rng(67)
+        if layout == "lattice":
+            pos = even_lattice(1000) + rng.uniform(-1e-4, 1e-4, 1000)
+        elif layout == "duplicated":
+            pos = np.repeat(even_lattice(500) + rng.uniform(-1e-4, 1e-4, 500), 2)
+        else:
+            pos = rng.uniform(-np.pi, np.pi, 1000)
+            pos[:2] = -np.pi, below(np.pi)
+        y = np.sort(wrap_angle(pos))
+        ties, spread = bool((y[1:] == y[:-1]).any()), y[-1] - y[0]
+        assert (ties, spread >= 2 * np.pi) == {"lattice": (False, False),
+                                               "duplicated": (True, False),
+                                               "seam": (False, True)}[layout]
+        f = y[:, None] - y[None, :]
+        table = dynamics._count_table(y, True)
+        for row, c in zip(table, SEARCHED_CUTS, strict=True):
+            assert np.array_equal(row, (f > c).sum(axis=1)), c
+
+    def test_prefix_sums_with_one_block_a_side(self):
+        rng = np.random.default_rng(68)
+        y = np.sort(rng.uniform(-np.pi, np.pi, 50))
+        anchors = assert_prefix_sums_match_reference(y, np.array([1.0, 2.0]))
+        assert anchors.shape == (2, 1)
+
+    def test_prefix_sums_with_one_block_on_one_side_and_two_on_the_other(self):
+        y, rates = one_block_on_one_side(np.random.default_rng(69))
+        anchors = assert_prefix_sums_match_reference(y, rates)
+        # one side's anchors are all its first x, the other's change once
+        assert sorted(np.unique(side).size for side in anchors) == [1, 2]
+
+    @pytest.mark.parametrize("inv_l", [100.0, 200.0])
+    def test_prefix_sums_with_many_blocks(self, inv_l):
+        rng = np.random.default_rng(70)
+        y = np.sort(rng.uniform(-np.pi, np.pi, 300))
+        anchors = assert_prefix_sums_match_reference(y, np.array([1.0, inv_l]))
+        assert min(np.unique(side).size for side in anchors) >= 3
+
+    @pytest.mark.parametrize("y", [[0.5], [-1.0, 2.0], [-np.pi, below(np.pi)]])
+    def test_prefix_sums_of_one_and_two_agents(self, y):
+        for rates in ([1.0, 2.0], [1.0, 200.0]):
+            assert_prefix_sums_match_reference(np.array(y), np.array(rates))
 
     def test_out_of_domain_swarm_sums_like_its_wrapped_copy(self):
         rng = np.random.default_rng(66)

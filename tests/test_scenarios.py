@@ -749,6 +749,26 @@ class TestCli:
         _, rows = read_rows(out / "sweep.csv")
         assert len(rows) == 2
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_sweeps_report_each_member_on_stderr(self, tmp_path, capsys, workers):
+        # one line per finished member in request order, serial or pooled;
+        # stdout keeps only the table
+        sweeps = [(["sweep-n", "--n-list", "5,1,inf", "--t-end", "0.05"],
+                   ["N=5", "N=1", "N=inf"]),
+                  (["sweep-noise", "--p-list", "40,0", "--seeds", "2", "--t-end", "0.05",
+                    "--n", "5"],
+                   ["P=40.0 dBW seed=0", "P=40.0 dBW seed=1000", "P=0.0 dBW seed=0",
+                    "P=0.0 dBW seed=1000"])]
+        for args, labels in sweeps:
+            out = tmp_path / args[0]
+            assert cli_main(args + ["--workers", workers, "--out", str(out)]) == 0
+            captured = capsys.readouterr()
+            lines = captured.err.splitlines()
+            assert [line.split(" d_kl=")[0] for line in lines] == [
+                f"{args[0]} {label} ({i}/{len(labels)}):" for i, label in enumerate(labels, 1)]
+            assert all(line.endswith(" [ok]") for line in lines)
+            assert "d_kl" in captured.out and args[0] not in captured.out
+
     def test_continuum_subcommand(self, tmp_path):
         out = tmp_path / "cont"
         assert cli_main(["continuum", "--t-end", "0.2", "--out", str(out)]) == 0
