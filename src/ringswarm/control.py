@@ -63,12 +63,10 @@ def velocity_control(rho: np.ndarray, q: np.ndarray, starved: np.ndarray) -> np.
     # which are 0 on the starved nodes.
     cum = q.cumsum()
     cum -= 0.5 * q
-    any_starved = starved.any()
-    weight = (TWO_PI / rho.size) / (np.where(starved, np.inf, rho) if any_starved else rho)
+    weight = (TWO_PI / rho.size) / np.where(starved, np.inf, rho)
     u = (cum * weight).sum() / weight.sum() - cum
     u *= weight
-    if any_starved:
-        u[starved] = 0.0
+    u[starved] = 0.0
     return u
 
 

@@ -11,7 +11,6 @@ mass is exact and the density stays nonnegative under the CFL bound.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -147,15 +146,6 @@ def _exp_prefix(y, rates):
     return sums
 
 
-@lru_cache(maxsize=16)
-def _rates_and_weights(kernel: MorseKernel, classes: int):
-    """The rates 1 and 1/L of ``kernel``'s two exponentials, and the weights
-    of their per-class sums: 1 for the repulsion's, -G for the attraction's."""
-    rates = np.array([1.0, 1.0 / kernel.attraction_length])
-    weights = np.array([1.0] * classes + [-kernel.attraction_strength] * classes)
-    return rates, weights
-
-
 def _interaction_sum(positions: np.ndarray, kernel: MorseKernel) -> np.ndarray:
     """Exact O(N log N) sum of kernel velocities over all ordered pairs of
     the ``positions``, which lie in [-pi, pi) (``microscopic_rhs`` wraps
@@ -192,7 +182,8 @@ def _interaction_sum(positions: np.ndarray, kernel: MorseKernel) -> np.ndarray:
     # meeting an overflowed factor.
     idx = _count_table(y, search)[rows]  # (hi, lo) per class
     np.subtract(2 * n + 1, idx[:, half:], out=idx[:, half:])
-    rates, weights = _rates_and_weights(kernel, classes)
+    rates = np.array([1.0, 1.0 / kernel.attraction_length])
+    weights = np.repeat([1.0, -kernel.attraction_strength], classes)  # repulsion, attraction
     sums = _exp_prefix(y, rates)
     base = np.empty((1, classes, n))  # both ends share the exponent
     y_shifted = y - shifts  # the exponent A - q: q is this behind, minus this ahead
@@ -280,8 +271,7 @@ def _rusanov_advance(r: np.ndarray, w: np.ndarray, speed: np.ndarray, dt: float)
     low = r_new.min()
     if not low >= -1e-12:
         raise RuntimeError(f"density fell to {low:.3e}; scheme positivity violated")
-    if low <= 0.0:
-        np.maximum(r_new, 0.0, out=r_new)
+    np.maximum(r_new, 0.0, out=r_new)
     return r_new
 
 
@@ -329,6 +319,9 @@ def run_continuum(rho: np.ndarray, t: float, kernel_samples: GridFunction, contr
     multiples of ``sample_every`` after the start ``t``, so trajectories are
     reproducible regardless of the adaptive step history in between.
     """
+    if not (sample_every > 0.0 and dt_max > 0.0):  # NaN fails too; +inf is valid
+        raise ValueError(f"sample_every and dt_max must be positive, got {sample_every} "
+                         f"and {dt_max}")
     times, densities, u_fields = [t], [rho], []
     steps, shortest, longest, tightest = 0, math.inf, 0.0, math.inf
     k = int(t // sample_every) + 1

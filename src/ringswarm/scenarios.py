@@ -155,10 +155,6 @@ def continuum_config(**overrides) -> ScenarioConfig:
     return ScenarioConfig(scenario="continuum", **overrides)
 
 
-def build_kernel(config: ScenarioConfig) -> MorseKernel:
-    return MorseKernel(strength=1.0 / config.n_agents)
-
-
 def target_at(config: ScenarioConfig, t: float, x: np.ndarray):
     """The scenario's desired density rho_d of mass N and its time derivative
     at time t, sampled at the angles x.
@@ -226,7 +222,7 @@ def _record_sample(record: RunRecord, config: ScenarioConfig, t: float, rho: np.
 class _Controller:
     """One controller evaluation on plain arrays, shared by both runners:
     target, feedback q plus the configured noise, the worst |integral of q|
-    so far, then the U field (none in the open loop).  A node below the
+    so far, then the U field (the open loop calls none).  A node below the
     starvation floor refuses the update when ``refuse_starved`` is set (the
     continuum runner); otherwise (the agent runner) U is 0 there and
     ``starved_updates`` counts the evaluations that had any.  A non-finite
@@ -238,7 +234,7 @@ class _Controller:
         self.config = config
         self.refuse_starved = refuse_starved
         self.nodes = grid_nodes(GRID_M)
-        self.kernel = build_kernel(config)
+        self.kernel = MorseKernel(strength=1.0 / config.n_agents)
         self.samples = self.kernel.sample_on_grid(GRID_M)
         self.target = (None if config.scenario == "track"
                        else target_at(config, 0.0, self.nodes)[0])
@@ -254,9 +250,7 @@ class _Controller:
 
     def __call__(self, rho: np.ndarray, v: np.ndarray, t: float):
         """The U field (an array) for the density samples ``rho`` with
-        velocity field ``v`` at time ``t``, or None in the open loop."""
-        if self.config.scenario == "open-loop":
-            return None
+        velocity field ``v`` at time ``t``."""
         rho_d = self.desired(t)
         v_d = self.target_v if self.target is not None else velocity_field(self.samples, rho_d)
         q = compute_feedback(rho, v, rho_d, v_d, self.config.kp)
@@ -279,21 +273,28 @@ class _Controller:
 
 
 def run_microscopic(config: ScenarioConfig) -> RunRecord:
-    """Closed-loop (or open-loop) agent simulation producing a full RunRecord."""
+    """Closed-loop (or open-loop) agent simulation producing a full RunRecord.
+
+    The open loop calls no controller, and estimates the density only at the
+    samples, where the record takes it."""
     # Far from every agent the estimate decays below the floor for small
     # swarms; those nodes are never sampled, so the control is zero there.
     controller = _Controller(config, refuse_starved=False)
+    closed = config.scenario != "open-loop"
     estimator = WrappedGaussianEstimator(BANDWIDTH, GRID_M)
-    x, t = initial_positions(config), 0.0
+    x, t, u_field = initial_positions(config), 0.0, None
     record = RunRecord(config=asdict(config), metadata=_base_metadata(config),
                        node_angles=controller.nodes)
     n_steps = int(round(config.t_end / config.dt))
     stride = int(round(config.sample_every / config.dt))
     for i in range(n_steps + 1):
-        rho_hat = estimator.estimate(x)
-        u_field = controller(rho_hat, velocity_field(controller.samples, rho_hat), t)
-        if i % stride == 0 or i == n_steps:
-            u = np.zeros(x.size) if u_field is None else sample_agent_inputs(u_field, x)
+        sample = i % stride == 0 or i == n_steps
+        if closed or sample:
+            rho_hat = estimator.estimate(x)
+        if closed:
+            u_field = controller(rho_hat, velocity_field(controller.samples, rho_hat), t)
+        if sample:
+            u = sample_agent_inputs(u_field, x) if closed else np.zeros(x.size)
             _record_sample(record, config, t, rho_hat, controller.desired(t), u, x)
         if i < n_steps:
             x = step_swarm(x, controller.kernel, u_field, config.dt)
@@ -313,7 +314,8 @@ def run_continuum_scenario(config: ScenarioConfig) -> RunRecord:
     # its stability bound 2/kp, the error decays without flipping sign.
     # config.dt only sets the sampling grid here.
     dt_cap = 1.0 / config.kp
-    run = run_continuum(rho0, 0.0, controller.samples, controller, config.t_end,
+    control = controller if config.scenario != "open-loop" else None
+    run = run_continuum(rho0, 0.0, controller.samples, control, config.t_end,
                         dt_max=dt_cap, sample_every=config.sample_every)
     record = RunRecord(config=asdict(config), metadata=_base_metadata(config),
                        node_angles=controller.nodes)

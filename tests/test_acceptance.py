@@ -1,7 +1,7 @@
 """Acceptance gate: the full criteria list at stated tolerances.
 
 Each criterion prints one PASS/FAIL line (visible with ``pytest -s`` or on
-failure); the heavy scenario runs are shared module-scoped fixtures.  The
+failure); the heavy scenario runs are shared fixtures (``conftest.py``).  The
 whole module is plain pytest, so ``pytest tests/test_acceptance.py -v -s``
 is the acceptance report.
 """
@@ -26,7 +26,6 @@ from ringswarm import (
 )
 from ringswarm.cli import main as cli_main
 from ringswarm.scenarios import (
-    bimodal_config,
     monomodal_config,
     open_loop_config,
     run_continuum_scenario,
@@ -49,20 +48,8 @@ def check(num, name, passed, detail):
 
 
 @pytest.fixture(scope="module")
-def mono_run():
-    t0 = time.perf_counter()
-    record = run_microscopic(monomodal_config(record_density=False))
-    return record, time.perf_counter() - t0
-
-
-@pytest.fixture(scope="module")
 def continuum_mono_run():
     return run_continuum_scenario(monomodal_config(record_density=False))
-
-
-@pytest.fixture(scope="module")
-def bimodal_run():
-    return run_microscopic(bimodal_config(record_agents=False))
 
 
 def test_criterion_1_monomodal_regulation(mono_run, continuum_mono_run):

@@ -578,6 +578,34 @@ class TestContinuum:
         assert len(run.times) == len(run.densities) == 3
         assert run.u_fields == (None,) * 3 and run.steps >= 100
 
+    @pytest.mark.parametrize("sample_every, dt_max", [(-1.0, 1e-3), (0.0, 1e-3), (math.nan, 1e-3),
+                                                      (0.05, 0.0), (0.05, -1e-3), (0.05, math.nan)])
+    def test_refuses_a_step_cap_or_sampling_interval_that_is_not_positive(
+            self, monkeypatch, sample_every, dt_max):
+        # a run that would never end stops after a few hundred steps
+        rusanov_advance, calls = dynamics._rusanov_advance, []
+
+        def advance(*args):
+            calls.append(None)
+            if len(calls) > 300:
+                raise RuntimeError("still stepping")
+            return rusanov_advance(*args)
+
+        monkeypatch.setattr(dynamics, "_rusanov_advance", advance)
+        kernel = MorseKernel(0.5, 0.5, strength=0.1)
+        rho = von_mises_density(0.0, 1.0, 10.0, grid_nodes(64))
+        with pytest.raises(ValueError, match="must be positive"):
+            run_continuum(rho, 0.0, kernel.sample_on_grid(64), None, 0.1, dt_max=dt_max,
+                          sample_every=sample_every)
+        assert not calls
+
+    def test_infinite_step_cap_and_sampling_interval_are_valid(self):
+        kernel = MorseKernel(0.5, 0.5, strength=0.1)
+        rho = von_mises_density(0.0, 1.0, 10.0, grid_nodes(64))
+        run = run_continuum(rho, 0.0, kernel.sample_on_grid(64), None, 0.1, dt_max=math.inf,
+                            sample_every=math.inf)
+        assert run.times[-1] == pytest.approx(0.1) and len(run.times) == 2 and run.steps > 0
+
     def test_negative_density_guard(self):
         kernel = MorseKernel(0.5, 0.5, strength=0.1)
         out = one_step(von_mises_density(0.0, 1.0, 10.0, grid_nodes(64)), kernel, 1e-3)

@@ -138,7 +138,8 @@ class TestConfigDefaults:
     def test_monomodal_defaults(self):
         cfg = monomodal_config()
         assert cfg.n_agents == 50
-        assert scenarios.build_kernel(cfg) == MorseKernel(0.5, 0.5, strength=1.0 / 50)
+        kernel = scenarios._Controller(cfg, refuse_starved=False).kernel
+        assert kernel == MorseKernel(0.5, 0.5, strength=1.0 / 50)
         assert cfg.kp == 10.0
         assert cfg.concentration == 4.0
         assert cfg.mu == 0.0
@@ -414,6 +415,23 @@ class TestRunRecords:
         open_loop = run_microscopic(open_loop_config(n_agents=12, t_end=0.1))
         assert open_loop.metadata["starved_updates"] == 0
 
+    def test_open_loop_estimates_only_its_samples_and_calls_no_controller(self, monkeypatch):
+        estimate, estimates = scenarios.WrappedGaussianEstimator.estimate, []
+
+        def counted(self, x):
+            estimates.append(None)
+            return estimate(self, x)
+
+        def control(*args):
+            raise AssertionError("the open loop called the controller")
+
+        monkeypatch.setattr(scenarios.WrappedGaussianEstimator, "estimate", counted)
+        monkeypatch.setattr(scenarios._Controller, "__call__", control)
+        rec = run_microscopic(open_loop_config(n_agents=12, t_end=0.1, sample_every=0.02))
+        assert len(estimates) == len(rec.metrics) == 6
+        assert all(row[3] == 0.0 for row in rec.metrics)
+        assert all(not u.any() for _, _, u in rec.agents)
+
     def test_recorded_controls_are_the_applied_ones(self):
         # run_continuum hands back the U of each sampled state, the last one
         # included; each is bitwise a fresh controller evaluation of that state, and
@@ -657,30 +675,22 @@ class TestSweeps:
         assert rows[1][2].startswith("error: noise_power_dbw must be finite")
 
 
-@pytest.fixture(scope="module")
-def full_mono():
-    return run_microscopic(monomodal_config(record_density=False))
-
-
-@pytest.fixture(scope="module")
-def full_tracking():
-    return run_microscopic(tracking_config(record_agents=False, record_density=False))
-
-
 class TestFullScenarios:
     """Behavioural checks on the full default scenarios."""
 
-    def test_monomodal_error_norm_shrinks(self, full_mono):
+    def test_monomodal_error_norm_shrinks(self, mono_run):
+        full_mono, _ = mono_run
         assert full_mono.final_kl() < 0.2
         assert full_mono.metrics[-1][2] < full_mono.metrics[0][2]
 
-    def test_monomodal_inputs_settle(self, full_mono):
+    def test_monomodal_inputs_settle(self, mono_run):
+        full_mono, _ = mono_run
         by_time = {round(t, 6): u for t, _, u in full_mono.agents}  # u by agent id
         u_end, u_mid = by_time[3.0], by_time[2.5]
         assert np.abs(u_end - u_mid).max() < 0.05 * np.abs(u_end).max()
 
-    def test_bimodal_final_density_mirror_symmetric(self):
-        record = run_microscopic(bimodal_config(record_agents=False))
+    def test_bimodal_final_density_mirror_symmetric(self, bimodal_run):
+        record = bimodal_run
         t_final, rho, _ = record.density[-1]
         assert t_final == record.metrics[-1][0]
         from ringswarm import kl_divergence
@@ -688,12 +698,12 @@ class TestFullScenarios:
         assert kl_divergence(rho, mirrored) < 0.05
         assert record.final_kl() < 0.2
 
-    def test_tracking_divergence_bounded(self, full_tracking):
-        late = [row[1] for row in full_tracking.metrics if row[0] > 1.0]
+    def test_tracking_divergence_bounded(self, tracking_run):
+        late = [row[1] for row in tracking_run.metrics if row[0] > 1.0]
         assert max(late) < 0.5
 
-    def test_tracking_mode_follows_schedule(self):
-        record = run_microscopic(tracking_config(record_agents=False))
+    def test_tracking_mode_follows_schedule(self, tracking_run):
+        record = tracking_run
         from ringswarm import wrap_angle
         from ringswarm.density import tracking_mean
         angles = record.node_angles
@@ -706,13 +716,14 @@ class TestFullScenarios:
             worst = max(worst, abs(float(wrap_angle(peak - mu))))
         assert worst < 0.2
 
-    def test_tracking_matches_regulation_during_hold(self, full_mono, full_tracking):
+    def test_tracking_matches_regulation_during_hold(self, mono_run, tracking_run):
         # identical configurations until the mean starts moving at t = 0.5
-        mono_rows = [r for r in full_mono.metrics if r[0] < 0.5]
-        track_rows = [r for r in full_tracking.metrics if r[0] < 0.5]
+        mono_rows = [r for r in mono_run[0].metrics if r[0] < 0.5]
+        track_rows = [r for r in tracking_run.metrics if r[0] < 0.5]
         assert mono_rows == track_rows
 
-    def test_low_noise_stays_near_noiseless(self, full_mono):
+    def test_low_noise_stays_near_noiseless(self, mono_run):
+        full_mono, _ = mono_run
         noisy = run_microscopic(monomodal_config(noise_power_dbw=0.0, seed=5,
                                                  record_agents=False,
                                                  record_density=False))
