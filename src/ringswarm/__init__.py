@@ -16,8 +16,8 @@ from .ring import (
     grid_nodes,
     wrap_angle,
     integrate,
+    velocity_field,
 )
-from .kernels import MorseKernel, velocity_field
 from .density import (
     WrappedGaussianEstimator,
     von_mises_density,
@@ -31,6 +31,7 @@ from .control import (
     sample_agent_inputs,
 )
 from .dynamics import (
+    MorseKernel,
     even_lattice,
     microscopic_rhs,
     step_swarm,

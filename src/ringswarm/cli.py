@@ -169,10 +169,7 @@ def main(argv=None) -> int:
             for param, kl, status in rows:
                 print(f"P={param} dBW: mean d_kl={kl:.6g} [{status}]")
         else:
-            if command == "continuum":
-                record = scenarios.run_continuum_scenario(config)
-            else:
-                record = scenarios.run_microscopic(config)
+            record = scenarios.run_scenario(config)
             record.write(outdir)
             final = record.metrics[-1]
             print(f"{command}: t={final[0]:g} d_kl={final[1]:.6g} e_l2={final[2]:.6g} "

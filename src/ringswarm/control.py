@@ -11,8 +11,8 @@ domain's seam lies.
 
 import numpy as np
 
-from .kernels import velocity_field  # noqa: F401 (unused; a perfbench span hook's name)
 from .ring import TWO_PI, central_difference, integrate, wrap_angle
+from .ring import velocity_field  # noqa: F401 (unused; a perfbench span hook's name)
 
 
 def compute_feedback(rho: np.ndarray, v: np.ndarray, rho_d: np.ndarray, v_d: np.ndarray,

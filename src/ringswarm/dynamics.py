@@ -1,12 +1,13 @@
-"""Time integration of the swarm at both scales.
+"""The Morse kernel f and the swarm's time integration at both scales.
 
 Microscopic: the N-agent ODE dx_i/dt = sum_j f(wrap(x_i - x_j)) + u_i,
 stepped with classical RK4; the control field is refreshed once per step
 and frozen across its stages (sampled-data actuation).
 
 Continuum: the mass-conservation law rho_t + [rho (V + U)]_x = 0 on the
-ring, advanced with a conservative local Lax-Friedrichs (Rusanov) flux so
-mass is exact and the density stays nonnegative under the CFL bound.
+ring, V = f * rho convolved from f's grid samples (``ring.velocity_field``),
+advanced with a conservative local Lax-Friedrichs (Rusanov) flux so mass
+is exact and the density stays nonnegative under the CFL bound.
 """
 
 import math
@@ -15,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import sample_agent_inputs
-from .kernels import MorseKernel, velocity_field
-from .ring import TWO_PI, GridFunction, wrap_angle
+from .ring import TWO_PI, GridFunction, grid_nodes, velocity_field, wrap_angle
 
 # Courant number nu = dt * max|w| / spacing of the adaptive continuum step.
 # With the face speeds a = max(|w_j|, |w_j+1|) of _rusanov_advance, node j's
@@ -31,6 +31,55 @@ CFL = 0.9
 def even_lattice(n: int) -> np.ndarray:
     """Deterministic evenly distributed start x_i = -pi + (i - 1/2) * 2*pi/n."""
     return -np.pi + (np.arange(n) + 0.5) * 2.0 * np.pi / n
+
+
+# Shortest attraction range L.  The exact interaction sum anchors its prefix
+# sums of exp(x / L) at one end of the sorted positions, so over their span,
+# below 2*pi, every term stays <= e^300 and no term or sum of them overflows.
+MIN_ATTRACTION_LENGTH = TWO_PI / 300.0
+
+
+@dataclass(frozen=True)
+class MorseKernel:
+    """Velocity kernel f(z) = s * sgn(z) * (-G exp(-|z|/L) + exp(-|z|)).
+
+    attraction_strength -- G > 0, finite, weight of the attractive term
+    attraction_length   -- L >= MIN_ATTRACTION_LENGTH, finite, its range
+    strength            -- overall multiplier s > 0, finite; set to 1/N for
+                           mean-field normalised swarms (see scenarios)
+    """
+
+    attraction_strength: float = 0.5
+    attraction_length: float = 0.5
+    strength: float = 1.0
+
+    def __post_init__(self):
+        if not (0 < self.attraction_strength < np.inf and 0 < self.strength < np.inf):
+            raise ValueError("Morse strengths G and s must be positive and finite")
+        if not MIN_ATTRACTION_LENGTH <= self.attraction_length < np.inf:  # nan fails too
+            raise ValueError(f"attraction length L must be finite and at least 2*pi/300, "
+                             f"got {self.attraction_length!r}")
+
+    def evaluate(self, z):
+        """Kernel value at offset z; sgn(0) = 0 makes f(0) = 0 exactly."""
+        z = np.asarray(z, dtype=float)
+        a = np.abs(z)
+        e_att = np.exp(-a / self.attraction_length)
+        return self.strength * np.sign(z) * (np.exp(-a) - self.attraction_strength * e_att)
+
+    def sample_on_grid(self, m: int) -> GridFunction:
+        """Kernel sampled at the m node angles (wrapped offsets); a run builds
+        them once and keeps them.
+
+        The kernel does not vanish at +-pi, so the circle sees a jump at the
+        antipode where only the -pi side is representable.  That node takes
+        the two-sided mean (zero for an odd kernel), the trapezoid treatment
+        of a jump; it keeps the sample set odd and makes the uniform density
+        an exact equilibrium of the discrete convolution.
+        """
+        values = self.evaluate(grid_nodes(m))
+        values[0] = 0.5 * (self.evaluate(np.pi) + self.evaluate(-np.pi))
+        return GridFunction(values)
 
 
 # With the positions in [-pi, pi) (microscopic_rhs wraps them), the raw
@@ -127,7 +176,7 @@ def _exp_prefix(y, rates):
     positions x = -y[::-1], anchored at -y[-1], so that its entry n - c is
     S[c] = sum_{l >= c} exp(rates[r] * (y[-1] - y_l)); entry 0 of each side
     is the empty sum.  The y lie in [-pi, pi), so they span less than 2*pi,
-    and no rate exceeds 1 / kernels.MIN_ATTRACTION_LENGTH: every term stays
+    and no rate exceeds 1 / MIN_ATTRACTION_LENGTH: every term stays
     <= e^300, and no sum overflows.
 
     Both sides and both rates take one subtract, multiply, exp and cumsum
@@ -239,11 +288,13 @@ def continuum_velocity(rho: np.ndarray, t: float, kernel_samples: GridFunction, 
     the density samples ``rho`` at time ``t``, and the control U it added.
 
     V = f * rho is convolved once and handed to ``control(rho, V, t)``,
-    which returns U as an array, or None (the open loop); U is None also
-    when ``control`` is None."""
+    which returns U as an array; U is None when ``control`` is None (the
+    open loop)."""
     v = velocity_field(kernel_samples, rho)
-    u = control(rho, v, t) if control is not None else None
-    return (v, None) if u is None else (v + u, u)
+    if control is None:
+        return v, None
+    u = control(rho, v, t)
+    return v + u, u
 
 
 def _rusanov_advance(r: np.ndarray, w: np.ndarray, speed: np.ndarray, dt: float) -> np.ndarray:
@@ -322,6 +373,8 @@ def run_continuum(rho: np.ndarray, t: float, kernel_samples: GridFunction, contr
     if not (sample_every > 0.0 and dt_max > 0.0):  # NaN fails too; +inf is valid
         raise ValueError(f"sample_every and dt_max must be positive, got {sample_every} "
                          f"and {dt_max}")
+    if not (math.isfinite(t) and math.isfinite(t_end)):
+        raise ValueError(f"the start t and t_end must be finite, got {t} and {t_end}")
     times, densities, u_fields = [t], [rho], []
     steps, shortest, longest, tightest = 0, math.inf, 0.0, math.inf
     k = int(t // sample_every) + 1

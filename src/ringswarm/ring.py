@@ -3,7 +3,7 @@
 Everything downstream (interaction velocities, density estimation, the
 feedback law, both solvers) builds on the uniform grid of m nodes and the
 periodic primitives defined here: angle wrapping, the node angles, the
-kernel spectrum of a circular convolution, central differences and the
+circular convolution with kernel samples, central differences and the
 trapezoid quadrature.  A grid is its node count m.  A field is the plain
 array of its m node samples, so its spacing 2*pi/m follows from its
 length; the stencils slice it without np.roll.  Only kernel samples are a
@@ -72,6 +72,22 @@ class GridFunction:
         spectrum *= TWO_PI / m
         spectrum.setflags(write=False)
         return spectrum
+
+
+def velocity_field(kernel_samples: GridFunction, density: np.ndarray) -> np.ndarray:
+    """Advection velocity induced by density samples: the discrete circular
+    convolution V(x) = Delta * sum_j f(x - y_j) density(y_j) on the grid of
+    ``kernel_samples`` (f at the node angles read as wrapped offsets, as
+    ``dynamics.MorseKernel.sample_on_grid`` gives them).
+
+    Real FFTs against the samples' cached offset spectrum; agrees with the
+    direct O(m^2) sum to roundoff.  Needs an even node count.
+    """
+    m = kernel_samples.values.size
+    if density.shape != (m,):
+        raise ValueError(f"grid mismatch: {m} kernel samples, density of shape "
+                         f"{density.shape}")
+    return np.fft.irfft(kernel_samples.offset_spectrum * np.fft.rfft(density), n=m)
 
 
 def central_difference(v: np.ndarray) -> np.ndarray:

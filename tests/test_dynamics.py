@@ -23,7 +23,7 @@ from ringswarm import (
 from ringswarm import dynamics
 from ringswarm.density import WrappedGaussianEstimator
 from ringswarm.dynamics import _interaction_sum
-from ringswarm.kernels import MIN_ATTRACTION_LENGTH
+from ringswarm.dynamics import MIN_ATTRACTION_LENGTH
 
 from kernel_norms import derivative_l2_norm
 from loop_parts import continuum_control, feedback, solve
@@ -597,6 +597,25 @@ class TestContinuum:
         with pytest.raises(ValueError, match="must be positive"):
             run_continuum(rho, 0.0, kernel.sample_on_grid(64), None, 0.1, dt_max=dt_max,
                           sample_every=sample_every)
+        assert not calls
+
+    @pytest.mark.parametrize("t, t_end", [(0.0, math.nan), (math.nan, 0.1), (0.0, math.inf),
+                                          (-math.inf, 0.1)])
+    def test_refuses_a_start_or_end_time_that_is_not_finite(self, monkeypatch, t, t_end):
+        # a run that would never end stops after a few hundred steps
+        rusanov_advance, calls = dynamics._rusanov_advance, []
+
+        def advance(*args):
+            calls.append(None)
+            if len(calls) > 300:
+                raise RuntimeError("still stepping")
+            return rusanov_advance(*args)
+
+        monkeypatch.setattr(dynamics, "_rusanov_advance", advance)
+        kernel = MorseKernel(0.5, 0.5, strength=0.1)
+        rho = von_mises_density(0.0, 1.0, 10.0, grid_nodes(64))
+        with pytest.raises(ValueError, match="t and t_end must be finite"):
+            run_continuum(rho, t, kernel.sample_on_grid(64), None, t_end)
         assert not calls
 
     def test_infinite_step_cap_and_sampling_interval_are_valid(self):

@@ -5,7 +5,7 @@ import pytest
 
 from ringswarm import MorseKernel, grid_nodes, velocity_field
 from ringswarm.density import von_mises_density
-from ringswarm.kernels import MIN_ATTRACTION_LENGTH
+from ringswarm.dynamics import MIN_ATTRACTION_LENGTH
 
 from kernel_norms import kernel_derivative, young_bound_check
 

@@ -15,7 +15,7 @@ from ringswarm import (
 from ringswarm.ring import central_difference
 from ringswarm.density import von_mises_density
 from ringswarm.dynamics import _rusanov_advance
-from ringswarm.kernels import MorseKernel
+from ringswarm.dynamics import MorseKernel
 
 
 def direct_convolve(kernel_fn, density: np.ndarray) -> np.ndarray:

@@ -48,7 +48,8 @@ INVALID_CONFIGS = {
     "t-end-off-dt-grid": {"t_end": 0.0125},
     "sample-every-off-dt-grid": {"t_end": 0.01, "sample_every": 0.0035},
     "sample-every-below-dt": {"sample_every": 5e-4},
-    "dt-above-rk4-stability-bound": {"dt": 0.4, "t_end": 0.4, "sample_every": 0.4},
+    "dt-above-rk4-stability-bound": {"scenario": "regulate-mono", "dt": 0.4, "t_end": 0.4,
+                                     "sample_every": 0.4},
     "noise-on-continuum": {"scenario": "continuum", "noise_power_dbw": 20.0},
     "noise-on-open-loop": {"scenario": "open-loop", "noise_power_dbw": 20.0},
     "mu-on-track": {"scenario": "track", "mu": 1.0},
@@ -549,6 +550,17 @@ class TestRunRecords:
         assert 0.0 < meta["continuum_dt_min"] <= meta["continuum_dt_max"] <= 1.0 / 2500.0
         assert meta["continuum_dt_cap"] == 1.0 / 2500.0
 
+    def test_continuum_takes_a_gain_above_the_agents_rk4_bound(self, tmp_path):
+        # 2.78/kp bounds the agents' RK4 step by dt; the continuum never
+        # steps by dt, so at kp = 3000 it runs with the default dt = 1e-3
+        with pytest.raises(ValueError, match="RK4 stability bound"):
+            monomodal_config(kp=3000.0, t_end=0.1)
+        meta = run_continuum_scenario(continuum_config(kp=3000.0, t_end=0.1,
+                                                       record_density=False)).metadata
+        assert 0.0 < meta["continuum_dt_min"] <= meta["continuum_dt_max"] <= 1.0 / 3000.0
+        assert cli_main(["continuum", "--kp", "3000", "--t-end", "0.1",
+                         "--out", str(tmp_path / "run")]) == 0
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("cfg", [continuum_config(t_end=0.1),
                                      monomodal_config(n_agents=10, t_end=0.1)],
@@ -606,6 +618,12 @@ class TestSweeps:
             run_scalability_sweep(cfg, n_list=[5, "five"], workers=1)
         with pytest.raises(ValueError):
             run_noise_sweep(cfg, p_list=[0.0, "loud"], n_seeds=1, workers=1)
+
+    def test_fractional_swarm_size_fails_before_any_member_runs(self, monkeypatch):
+        # int(2.7) would run N = 2 under the label 2.7
+        monkeypatch.setattr(scenarios, "_sweep_member", lambda job: pytest.fail("a member ran"))
+        with pytest.raises(ValueError, match="not a whole number"):
+            run_scalability_sweep(monomodal_config(t_end=0.01), n_list=[5, 2.7], workers=1)
 
     def test_pool_is_capped_at_the_job_count(self, monkeypatch):
         # a pool forks all its workers at once, so none are started here
