@@ -7,7 +7,6 @@ writes CSV tables plus a metadata sidecar under the output directory.
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, fields, replace
@@ -53,7 +52,6 @@ def _checked(convert, valid, what):
 
 
 _count = _checked(int, lambda n: n >= 1, "an integer of at least 1")
-_power = _checked(float, math.isfinite, "a finite number")  # a --p-list entry, in dBW
 # A --n-list entry: a swarm size, or inf for the continuum run.
 _size = _checked(lambda text: "inf" if text.lower() in ("inf", "infinity") else int(text),
                  lambda n: n == "inf" or n >= 1, "an integer of at least 1 or inf")
@@ -95,7 +93,7 @@ def build_parser():
             p.add_argument("--n-list", type=_list_of(_size),
                            help="comma-separated sizes, e.g. 1,5,50,inf")
         if name == "sweep-noise":
-            p.add_argument("--p-list", type=_list_of(_power),
+            p.add_argument("--p-list", type=_list_of(float),
                            help="comma-separated noise powers in dBW")
             p.add_argument("--seeds", type=_count, default=5)
         if name.startswith("sweep-"):

@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .ring import TWO_PI, integrate
+from .ring import TWO_PI, integrate, wrap_angle
 
 KL_FLOOR = 1e-12
 # A Gaussian factor exp(-t^2 / 2) underflows to 0 beyond this |t|.
@@ -40,8 +40,8 @@ class WrappedGaussianEstimator:
 
     Each agent contributes one bump of width ``bandwidth``, summed over all
     its periodic images, so it integrates to 1 on the circle; the estimate
-    of N agents integrates to N and is nonnegative.  A non-finite position
-    raises.
+    of N agents integrates to N and is nonnegative.  Any finite position
+    counts at its angle wrapped into [-pi, pi); a non-finite one raises.
 
     The estimate is a grid convolution that is exact to roundoff (about
     1e-14 of its peak).  Agent i sits at its nearest node j_i, off by
@@ -94,6 +94,7 @@ class WrappedGaussianEstimator:
             raise ValueError("density of an empty swarm is undefined")
         if not np.isfinite(positions).all():
             raise ValueError("agent positions must all be finite")
+        positions = wrap_angle(positions)  # after the check: wrap_angle(inf) warns
         spectra = self._moment_spectra
         n_terms, m = spectra.shape[0], self.m
         spacing = TWO_PI / m

@@ -288,11 +288,8 @@ def continuum_velocity(rho: np.ndarray, t: float, kernel_samples: GridFunction, 
     the density samples ``rho`` at time ``t``, and the control U it added.
 
     V = f * rho is convolved once and handed to ``control(rho, V, t)``,
-    which returns U as an array; U is None when ``control`` is None (the
-    open loop)."""
+    which returns U as an array."""
     v = velocity_field(kernel_samples, rho)
-    if control is None:
-        return v, None
     u = control(rho, v, t)
     return v + u, u
 
@@ -343,11 +340,11 @@ class ContinuumRun:
     """What ``run_continuum`` evaluated: the sampled ``times`` and their
     ``densities``, and ``u_fields[k]``, the control U of ``densities[k]``
     as an array: the one its step applied, or for the last sample, from
-    which no step starts, its evaluation after the run; None in the open
-    loop.  ``steps`` counts the Rusanov steps, and ``dt_min``/``dt_max``
-    are their extremes; ``dt_bound_min`` is the smallest bound a step met,
+    which no step starts, its evaluation after the run.  ``steps`` counts
+    the Rusanov steps, at least one, and ``dt_min``/``dt_max`` are their
+    extremes; ``dt_bound_min`` is the smallest bound a step met,
     min(``max_stable_dt``, the cap ``dt_max``), whatever a sampling instant
-    cut it to (each nan when there was no step)."""
+    cut it to."""
 
     times: tuple
     densities: tuple
@@ -358,29 +355,27 @@ class ContinuumRun:
     dt_bound_min: float
 
 
-def run_continuum(rho: np.ndarray, t: float, kernel_samples: GridFunction, control, t_end: float,
-                  *, dt_max: float = 1e-3, sample_every: float = 0.05) -> ContinuumRun:
-    """Advance the density samples ``rho`` from time ``t`` to t_end with
-    adaptive CFL-limited steps; returns the sampled densities with the
-    control of each (see ``ContinuumRun``).
+def run_continuum(rho: np.ndarray, kernel_samples: GridFunction, control, t_end: float,
+                  *, dt_max: float, sample_every: float) -> ContinuumRun:
+    """Advance the density samples ``rho`` from t = 0 to ``t_end`` with
+    adaptive CFL-limited steps of at most ``dt_max``; returns the sampled
+    densities with the control of each (see ``ContinuumRun``).
 
     ``kernel_samples`` come from ``MorseKernel.sample_on_grid``.  ``control``
-    is None or, as in ``continuum_velocity``, maps the density array, its V
-    and the time to U.  Steps land exactly on the sampling instants, the
-    multiples of ``sample_every`` after the start ``t``, so trajectories are
-    reproducible regardless of the adaptive step history in between.
+    maps the density array, its V and the time to U, as in
+    ``continuum_velocity``.  Steps land exactly on the sampling instants,
+    the multiples of ``sample_every``, so trajectories are reproducible
+    regardless of the adaptive step history in between.
     """
+    if not 0.0 < t_end < math.inf:  # NaN fails too
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if not (sample_every > 0.0 and dt_max > 0.0):  # NaN fails too; +inf is valid
         raise ValueError(f"sample_every and dt_max must be positive, got {sample_every} "
                          f"and {dt_max}")
-    if not (math.isfinite(t) and math.isfinite(t_end)):
-        raise ValueError(f"the start t and t_end must be finite, got {t} and {t_end}")
+    t, k = 0.0, 1  # the time, and the sampling instant k * sample_every ahead of it
     times, densities, u_fields = [t], [rho], []
     steps, shortest, longest, tightest = 0, math.inf, 0.0, math.inf
-    k = int(t // sample_every) + 1
-    if k * sample_every <= t + 1e-12:  # the start sits on an instant
-        k += 1
-    while t < t_end - 1e-12:
+    while not steps or t < t_end - 1e-12:  # a t_end within 1e-12 of 0 still takes its step
         target = min(k * sample_every, t_end)
         w, u = continuum_velocity(rho, t, kernel_samples, control)
         if len(u_fields) < len(times):  # the step from a sample
@@ -396,9 +391,6 @@ def run_continuum(rho: np.ndarray, t: float, kernel_samples: GridFunction, contr
             times.append(t)
             densities.append(rho)
             k += 1
-    u_fields.append(None if control is None
-                    else control(rho, velocity_field(kernel_samples, rho), t))
-    if not steps:
-        shortest = longest = tightest = math.nan
+    u_fields.append(control(rho, velocity_field(kernel_samples, rho), t))
     return ContinuumRun(tuple(times), tuple(densities), tuple(u_fields), steps, shortest, longest,
                         tightest)

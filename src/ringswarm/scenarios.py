@@ -95,14 +95,15 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must not be negative")
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
+        # Only a closed agent loop applies the gain at the RK4 step dt: the
+        # continuum takes its own steps, and the open loop has no feedback.
         # Slack for the bound's own decimal value: 2.78/10 is 0.27799999999999997.
-        # Only the agents step by dt; the continuum takes its own steps.
-        if (self.scenario != "continuum"
-                and self.dt > self.dt_stability_bound * (1.0 + 1e-9)):
+        closed_agents = self.scenario not in ("continuum", "open-loop")
+        if closed_agents and self.dt > self.dt_stability_bound * (1.0 + 1e-9):
             raise ValueError(f"dt={self.dt} exceeds the RK4 stability bound "
                              f"{self.dt_stability_bound!r} for kp={self.kp}")
         if self.noise_power_dbw is not None:
-            if self.scenario in ("continuum", "open-loop"):
+            if not closed_agents:
                 raise ValueError(f"the {self.scenario} scenario takes no feedback noise")
             try:
                 _noise_std(self.noise_power_dbw)
@@ -315,14 +316,12 @@ def run_continuum_scenario(config: ScenarioConfig) -> RunRecord:
     # its stability bound 2/kp, the error decays without flipping sign.
     # config.dt only sets the sampling grid here.
     dt_cap = 1.0 / config.kp
-    control = controller if config.scenario != "open-loop" else None
-    run = run_continuum(rho0, 0.0, controller.samples, control, config.t_end,
+    run = run_continuum(rho0, controller.samples, controller, config.t_end,
                         dt_max=dt_cap, sample_every=config.sample_every)
     record = RunRecord(config=asdict(config), metadata=_base_metadata(config),
                        node_angles=controller.nodes)
     record.metadata["q_integral_worst"] = controller.q_integral_worst
     for t, rho, u in zip(run.times, run.densities, run.u_fields):
-        u = np.zeros(rho.size) if u is None else u
         _record_sample(record, config, t, rho, controller.desired(t), u)
     record.metadata["final_kl"] = record.final_kl()
     record.metadata["mass_drift"] = abs(integrate(run.densities[-1]) - mass)

@@ -1,6 +1,9 @@
 """The feedback law composed from the array functions, as tests call it: q
 with both convolutions done on the way, U with the starved nodes masked,
-and a ``run_continuum`` control regulating towards a static target."""
+a ``run_continuum`` control regulating towards a static target, and one
+that applies none."""
+
+import numpy as np
 
 from ringswarm import compute_feedback, velocity_control, velocity_field
 from ringswarm.control import starvation_floor
@@ -30,3 +33,8 @@ def continuum_control(rho_d, kernel, kp):
         return velocity_control(rho, q, starved)
 
     return control
+
+
+def open_loop(rho, v, t):
+    """A ``run_continuum`` control that applies no U: the open loop."""
+    return np.zeros(rho.size)

@@ -177,6 +177,14 @@ class TestWrappedGaussianEstimator:
         with pytest.raises(ValueError):
             WrappedGaussianEstimator(0.2, x.size).estimate(np.array([]))
 
+    @pytest.mark.parametrize("far", [1e17, 1e20, -1e20])
+    def test_far_out_position_keeps_its_mass(self, x, far):
+        # a finite position counts at its wrapped angle, however far out
+        est = WrappedGaussianEstimator(0.2, x.size)
+        field = est.estimate(np.array([far]))
+        assert integrate(field) == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(field, est.estimate(wrap_angle(np.array([far]))))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_position_rejected(self, x, bad):
         positions = np.array([0.1, bad, -2.0])

@@ -26,7 +26,7 @@ from ringswarm.dynamics import _interaction_sum
 from ringswarm.dynamics import MIN_ATTRACTION_LENGTH
 
 from kernel_norms import derivative_l2_norm
-from loop_parts import continuum_control, feedback, solve
+from loop_parts import continuum_control, feedback, open_loop, solve
 
 EPS = np.finfo(float).eps
 
@@ -408,16 +408,16 @@ def continuum_cases(draw):
 
     rho0 = smooth_positive()
     kernel = MorseKernel(draw(st.floats(0.05, 3.0)), draw(st.floats(0.05, 3.0)), 1.0 / mass)
-    control = None
+    control = open_loop
     if draw(st.booleans()):
         control = continuum_control(smooth_positive(), kernel, draw(st.floats(0.1, 100.0)))
     return rho0, kernel, control
 
 
 def one_step(rho, kernel, dt):
-    """The density after one open-loop Rusanov step of run_continuum from
-    t = 0, at a dt below the CFL bound."""
-    run = run_continuum(rho, 0.0, kernel.sample_on_grid(rho.size), None, dt,
+    """The density after one open-loop Rusanov step of run_continuum, at a
+    dt below the CFL bound."""
+    run = run_continuum(rho, kernel.sample_on_grid(rho.size), open_loop, dt,
                         dt_max=dt, sample_every=dt)
     assert run.times == (0.0, dt)
     return run.densities[-1]
@@ -436,7 +436,7 @@ class TestContinuum:
                                        + 0.2 * rng.normal() * np.cos(2 * nodes))
         kernel = MorseKernel(0.5, 0.5, strength=0.02)
         mass0 = integrate(values)
-        rho = run_continuum(values, 0.0, kernel.sample_on_grid(256), None, 1.0, dt_max=1e-3,
+        rho = run_continuum(values, kernel.sample_on_grid(256), open_loop, 1.0, dt_max=1e-3,
                             sample_every=1.0).densities[-1]
         assert abs(integrate(rho) - mass0) < 1e-9
         assert rho.min() >= 0.0
@@ -453,7 +453,7 @@ class TestContinuum:
 
         rusanov_advance = dynamics._rusanov_advance
         monkeypatch.setattr(dynamics, "_rusanov_advance", advance)
-        run_continuum(rho, 0.0, MorseKernel(0.5, 0.5).sample_on_grid(256), None, 0.05,
+        run_continuum(rho, MorseKernel(0.5, 0.5).sample_on_grid(256), open_loop, 0.05,
                       dt_max=1.0, sample_every=0.05)
         assert len(steps) > 1
         bound = dynamics.CFL * (2.0 * np.pi / 256)
@@ -467,27 +467,6 @@ class TestContinuum:
         w[5] = bad
         with pytest.raises(RuntimeError, match="non-finite advection speed"):
             dynamics.max_stable_dt(np.abs(w))
-
-    @pytest.mark.parametrize("t0,t_end,every,times", [
-        (0.5, 0.6, 0.05, [0.5, 0.55, 0.6]),
-        (0.001, 0.003, 0.001, [0.001, 0.002, 0.003]),
-        (0.52, 0.6, 0.05, [0.52, 0.55, 0.6]),
-    ])
-    def test_sampling_starts_after_a_late_start(self, monkeypatch, t0, t_end, every, times):
-        rho = von_mises_density(0.0, 1.0, 10.0, grid_nodes(64))
-        steps = []
-
-        def advance(rho, w, speed, dt):
-            steps.append(dt)
-            return rusanov_advance(rho, w, speed, dt)
-
-        rusanov_advance = dynamics._rusanov_advance
-        monkeypatch.setattr(dynamics, "_rusanov_advance", advance)
-        run = run_continuum(rho, t0, MorseKernel(0.5, 0.5, strength=0.1).sample_on_grid(64),
-                            None, t_end, dt_max=every, sample_every=every)
-        assert list(run.times) == pytest.approx(times, abs=1e-12)
-        assert min(steps) > 0.0
-        assert sum(steps) == pytest.approx(t_end - t0)
 
     def test_closed_loop_error_decay_rate(self):
         # regulation toward the concentrated profile from the uniform start;
@@ -503,7 +482,7 @@ class TestContinuum:
 
         rho0 = von_mises_density(0.0, 0.0, n, nodes)
         e0 = l2_norm(rho_d - rho0)
-        run = run_continuum(rho0, 0.0, kernel.sample_on_grid(256), control, 0.1,
+        run = run_continuum(rho0, kernel.sample_on_grid(256), control, 0.1,
                             dt_max=1e-3, sample_every=0.005)
         ts = np.array(run.times)
         els = np.array([l2_norm(rho_d - rho) for rho in run.densities])
@@ -515,8 +494,9 @@ class TestContinuum:
     def test_run_continuum_sampling_and_conservation(self):
         n = 50.0
         kernel = MorseKernel(0.5, 0.5, strength=1.0 / n)
-        run = run_continuum(von_mises_density(0.2, 2.0, n, grid_nodes(256)), 0.0,
-                            kernel.sample_on_grid(256), None, 1.0, sample_every=0.25)
+        run = run_continuum(von_mises_density(0.2, 2.0, n, grid_nodes(256)),
+                            kernel.sample_on_grid(256), open_loop, 1.0, dt_max=1e-3,
+                            sample_every=0.25)
         assert list(run.times) == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
         assert abs(integrate(run.densities[-1]) - n) < 1e-9
 
@@ -526,7 +506,7 @@ class TestContinuum:
         rho0, kernel, control = case
         mass = integrate(rho0)
         samples = kernel.sample_on_grid(rho0.size)
-        run = run_continuum(rho0, 0.0, samples, control, 0.05, dt_max=1e-3, sample_every=0.05)
+        run = run_continuum(rho0, samples, control, 0.05, dt_max=1e-3, sample_every=0.05)
         assert run.steps >= 50
         for rho in run.densities:
             assert abs(integrate(rho) - mass) <= 1e-9 * mass
@@ -552,7 +532,7 @@ class TestContinuum:
         rusanov_advance = dynamics._rusanov_advance
         monkeypatch.setattr(dynamics, "_rusanov_advance", advance)
         samples = kernel.sample_on_grid(64)
-        run = run_continuum(von_mises_density(0.0, 0.0, n, nodes), 0.0, samples, control, 0.1,
+        run = run_continuum(von_mises_density(0.0, 0.0, n, nodes), samples, control, 0.1,
                             dt_max=0.02, sample_every=0.03)
         assert list(run.times) == pytest.approx([0.0, 0.03, 0.06, 0.09, 0.1])
         assert len(run.u_fields) == len(run.densities) == len(run.times)
@@ -568,15 +548,20 @@ class TestContinuum:
         assert run.dt_min <= run.dt_bound_min <= 0.02
 
     def test_open_loop_and_stepless_runs(self):
+        # the open loop is a control that returns zeros; a run of no step is refused
         kernel = MorseKernel(0.5, 0.5, strength=0.1)
         rho = von_mises_density(0.0, 1.0, 10.0, grid_nodes(64))
-        run = run_continuum(rho, 0.2, kernel.sample_on_grid(64), None, 0.2)
-        assert run.times == (0.2,) and run.densities[0] is rho
-        assert run.u_fields == (None,) and run.steps == 0
-        assert math.isnan(run.dt_min) and math.isnan(run.dt_max) and math.isnan(run.dt_bound_min)
-        run = run_continuum(rho, 0.2, kernel.sample_on_grid(64), None, 0.3, sample_every=0.05)
+        with pytest.raises(ValueError, match="t_end must be positive and finite"):
+            run_continuum(rho, kernel.sample_on_grid(64), open_loop, 0.0, dt_max=1e-3,
+                          sample_every=0.05)
+        run = run_continuum(rho, kernel.sample_on_grid(64), open_loop, 0.1, dt_max=1e-3,
+                            sample_every=0.05)
         assert len(run.times) == len(run.densities) == 3
-        assert run.u_fields == (None,) * 3 and run.steps >= 100
+        assert not np.any(run.u_fields) and run.steps >= 100
+        # a t_end within the 1e-12 landing tolerance of 0 still takes its step
+        run = run_continuum(rho, kernel.sample_on_grid(64), open_loop, 1e-13, dt_max=1e-3,
+                            sample_every=0.05)
+        assert run.times == (0.0, 1e-13) and run.steps == 1 and run.dt_min == 1e-13
 
     @pytest.mark.parametrize("sample_every, dt_max", [(-1.0, 1e-3), (0.0, 1e-3), (math.nan, 1e-3),
                                                       (0.05, 0.0), (0.05, -1e-3), (0.05, math.nan)])
@@ -595,13 +580,12 @@ class TestContinuum:
         kernel = MorseKernel(0.5, 0.5, strength=0.1)
         rho = von_mises_density(0.0, 1.0, 10.0, grid_nodes(64))
         with pytest.raises(ValueError, match="must be positive"):
-            run_continuum(rho, 0.0, kernel.sample_on_grid(64), None, 0.1, dt_max=dt_max,
+            run_continuum(rho, kernel.sample_on_grid(64), open_loop, 0.1, dt_max=dt_max,
                           sample_every=sample_every)
         assert not calls
 
-    @pytest.mark.parametrize("t, t_end", [(0.0, math.nan), (math.nan, 0.1), (0.0, math.inf),
-                                          (-math.inf, 0.1)])
-    def test_refuses_a_start_or_end_time_that_is_not_finite(self, monkeypatch, t, t_end):
+    @pytest.mark.parametrize("t_end", [0.0, -0.1, math.nan, math.inf])
+    def test_refuses_an_end_time_that_is_not_positive_and_finite(self, monkeypatch, t_end):
         # a run that would never end stops after a few hundred steps
         rusanov_advance, calls = dynamics._rusanov_advance, []
 
@@ -614,14 +598,15 @@ class TestContinuum:
         monkeypatch.setattr(dynamics, "_rusanov_advance", advance)
         kernel = MorseKernel(0.5, 0.5, strength=0.1)
         rho = von_mises_density(0.0, 1.0, 10.0, grid_nodes(64))
-        with pytest.raises(ValueError, match="t and t_end must be finite"):
-            run_continuum(rho, t, kernel.sample_on_grid(64), None, t_end)
+        with pytest.raises(ValueError, match="t_end must be positive and finite"):
+            run_continuum(rho, kernel.sample_on_grid(64), open_loop, t_end, dt_max=1e-3,
+                          sample_every=0.05)
         assert not calls
 
     def test_infinite_step_cap_and_sampling_interval_are_valid(self):
         kernel = MorseKernel(0.5, 0.5, strength=0.1)
         rho = von_mises_density(0.0, 1.0, 10.0, grid_nodes(64))
-        run = run_continuum(rho, 0.0, kernel.sample_on_grid(64), None, 0.1, dt_max=math.inf,
+        run = run_continuum(rho, kernel.sample_on_grid(64), open_loop, 0.1, dt_max=math.inf,
                             sample_every=math.inf)
         assert run.times[-1] == pytest.approx(0.1) and len(run.times) == 2 and run.steps > 0
 
@@ -651,6 +636,6 @@ class TestScaleConsistency:
             x = step_swarm(x, kernel, None, 1e-3)
         kde = WrappedGaussianEstimator(0.2, 256).estimate(x)
 
-        cont = run_continuum(rho0, 0.0, kernel.sample_on_grid(256), None, 3.0,
+        cont = run_continuum(rho0, kernel.sample_on_grid(256), open_loop, 3.0, dt_max=1e-3,
                              sample_every=3.0).densities[-1]
         assert kl_divergence(kde, cont) < 0.05

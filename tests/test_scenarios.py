@@ -88,7 +88,7 @@ def replay_direct_steps(cfg):
     x, kernel = controller.nodes, controller.kernel
     spacing, mass = 2.0 * np.pi / scenarios.GRID_M, float(cfg.n_agents)
     start = von_mises_density(0.0, 0.0, mass, x)
-    run = run_continuum(start, 0.0, controller.samples, controller, cfg.t_end,
+    run = run_continuum(start, controller.samples, controller, cfg.t_end,
                         dt_max=1.0 / cfg.kp, sample_every=cfg.sample_every)
 
     samples = kernel.sample_on_grid(scenarios.GRID_M)
@@ -305,7 +305,7 @@ class TestRunRecords:
             assert not starved.any()
             return velocity_control(rho, q, starved)
 
-        run = run_continuum(von_mises_density(0.0, 0.0, mass, x), 0.0, samples, control,
+        run = run_continuum(von_mises_density(0.0, 0.0, mass, x), samples, control,
                             cfg.t_end, dt_max=1.0 / cfg.kp, sample_every=cfg.sample_every)
         rho_rows = np.concatenate([rho for _, rho, _ in rec.density])
         assert np.array_equal(rho_rows, np.concatenate(run.densities))
@@ -441,7 +441,7 @@ class TestRunRecords:
         rec = run_continuum_scenario(cfg)
         controller = scenarios._Controller(cfg, refuse_starved=True)
         start = von_mises_density(0.0, 0.0, 50.0, controller.nodes)
-        run = run_continuum(start, 0.0, controller.samples, controller, cfg.t_end,
+        run = run_continuum(start, controller.samples, controller, cfg.t_end,
                             dt_max=1.0 / cfg.kp, sample_every=cfg.sample_every)
         fresh = [scenarios._Controller(cfg, refuse_starved=True)(
                      rho, velocity_field(controller.samples, rho), t)
@@ -560,6 +560,18 @@ class TestRunRecords:
         assert 0.0 < meta["continuum_dt_min"] <= meta["continuum_dt_max"] <= 1.0 / 3000.0
         assert cli_main(["continuum", "--kp", "3000", "--t-end", "0.1",
                          "--out", str(tmp_path / "run")]) == 0
+
+    def test_open_loop_takes_a_gain_above_the_agents_rk4_bound(self):
+        # 2.78/kp bounds the feedback's RK4 step; the open loop applies no
+        # feedback, so kp = 1000 leaves its dt = 0.01 free
+        cfg = open_loop_config(kp=1000.0, dt=0.01, t_end=0.1)
+        assert cfg.dt > cfg.dt_stability_bound
+
+    def test_open_loop_cli_runs_above_the_agents_rk4_bound(self, tmp_path):
+        out = tmp_path / "run"
+        assert cli_main(["open-loop", "--kp", "1000", "--dt", "0.01", "--t-end", "0.1",
+                         "--n", "8", "--out", str(out)]) == 0
+        assert "dt_stability_bound" in (out / "metadata.txt").read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("cfg", [continuum_config(t_end=0.1),
