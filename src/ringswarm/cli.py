@@ -58,9 +58,16 @@ _size = _checked(lambda text: "inf" if text.lower() in ("inf", "infinity") else 
 
 
 def _list_of(entry):
-    """Comma-separated entries: empty ones are skipped, a list of none refused."""
+    """Comma-separated entries: empty ones are skipped, a list of none
+    refused, and an entry that ``entry`` refuses named in the message."""
+    def convert(token: str):
+        try:
+            return entry(token)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad entry {token!r}: {exc}") from None
+
     def parse(text: str) -> list:
-        items = [entry(token.strip()) for token in text.split(",") if token.strip()]
+        items = [convert(token.strip()) for token in text.split(",") if token.strip()]
         if not items:
             raise argparse.ArgumentTypeError(f"{text!r} holds no entry")
         return items

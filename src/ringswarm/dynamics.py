@@ -33,9 +33,10 @@ def even_lattice(n: int) -> np.ndarray:
     return -np.pi + (np.arange(n) + 0.5) * 2.0 * np.pi / n
 
 
-# Shortest attraction range L.  The exact interaction sum anchors its prefix
-# sums of exp(x / L) at one end of the sorted positions, so over their span,
-# below 2*pi, every term stays <= e^300 and no term or sum of them overflows.
+# Shortest attraction range L.  The exact interaction sum takes
+# E = exp((y - y[0]) / L) of the sorted positions, so over their span,
+# below 2*pi, E and 1/E stay within e^+-300: no term, factor or sum of them
+# overflows, and none falls below the normal range.
 MIN_ATTRACTION_LENGTH = TWO_PI / 300.0
 
 
@@ -91,11 +92,12 @@ class MorseKernel:
 # f = +-pi (antipodal) and f = +-2*pi (wrapped offset 0, which a difference
 # just short of 2*pi can round to) are in none.  Per layout: the rows
 # (hi, lo) of _count_table, agent j being in a class when lo <= j < hi,
-# then the shifts as a column; the first half of the classes lie behind
-# and the second ahead.  Below a spread of pi only the own-image classes
-# can hold agents, and they read the unsearched table.
-_FOUR_CLASSES = (np.array([[2, 9, 3, 8], [4, 7, 5, 6]]), np.array([[0.0], [-TWO_PI], [TWO_PI], [0.0]]))
-_OWN_IMAGE_CLASSES = (np.array([[2, 1], [0, 3]]), np.zeros((2, 1)))
+# then which classes take the image one turn away (shift +-2*pi); the
+# first half of the classes lie behind and the second ahead.  Below a
+# spread of pi only the own-image classes can hold agents, and they read
+# the unsearched table.
+_FOUR_CLASSES = (np.array([[2, 9, 3, 8], [4, 7, 5, 6]]), np.array([False, True, True, False]))
+_OWN_IMAGE_CLASSES = (np.array([[2, 1], [0, 3]]), np.array([False, False]))
 # Without ties, y_i's run of equal positions is i alone: it starts at i
 # and ends before i + 1.
 _RUN_BOUNDS = np.array([[0], [1]])
@@ -168,33 +170,6 @@ def _count_table(y, search):
     return table
 
 
-def _exp_prefix(y, rates):
-    """Sums of exp(rate * x) over the sorted y below and above each index.
-
-    ``sums[r, 0, j]`` is P[j] = sum_{l < j} exp(rates[r] * (y_l - y[0])) for
-    j in 0..n, and ``sums[r, 1]`` holds the same sums over the mirrored
-    positions x = -y[::-1], anchored at -y[-1], so that its entry n - c is
-    S[c] = sum_{l >= c} exp(rates[r] * (y[-1] - y_l)); entry 0 of each side
-    is the empty sum.  The y lie in [-pi, pi), so they span less than 2*pi,
-    and no rate exceeds 1 / MIN_ATTRACTION_LENGTH: every term stays
-    <= e^300, and no sum overflows.
-
-    Both sides and both rates take one subtract, multiply, exp and cumsum
-    over a (rates, 2, n) buffer.
-    """
-    n = y.size
-    x = np.empty((2, n))
-    x[0] = y
-    np.negative(y[::-1], out=x[1])
-    sums = np.empty((rates.size, 2, n + 1))
-    sums[:, :, 0] = 0.0
-    terms = sums[:, :, 1:]
-    np.multiply(rates[:, None, None], x - x[:, :1], out=terms)
-    np.exp(terms, out=terms)
-    terms.cumsum(axis=2, out=terms)
-    return sums
-
-
 def _interaction_sum(positions: np.ndarray, kernel: MorseKernel) -> np.ndarray:
     """Exact O(N log N) sum of kernel velocities over all ordered pairs of
     the ``positions``, which lie in [-pi, pi) (``microscopic_rhs`` wraps
@@ -206,11 +181,14 @@ def _interaction_sum(positions: np.ndarray, kernel: MorseKernel) -> np.ndarray:
     give them w = -pi from both sides, and the two-sided mean of the odd
     kernel there is 0, as in ``MorseKernel.sample_on_grid``.
 
-    Because exp(-a|w|) separates into exp(-a x_i) exp(a (x_j + 2*pi*k)),
-    each of the four classes (behind or ahead, one image) is a contiguous
-    range of the sorted positions, summed in O(1) per agent from prefix
-    sums of exp(+-a x) for a = 1 and a = 1/L.  Both ends of a range share
-    their side's anchor, and so one exponential per class, agent and rate.
+    Because exp(-a|w|) separates into a factor of i and one of j, each of
+    the four classes (behind or ahead, one image) is a contiguous range of
+    the sorted y, summed in O(1) per agent from prefix sums, for a = 1 and
+    a = 1/L.  Everything comes from one exponential per agent and rate,
+    E_l = exp(a (y_l - y[0])) in [1, e^300]: behind, j's term is E_j and
+    i's factor 1/E_i; ahead, j's term is E[-1] / E_j and i's factor
+    E_i / E[-1]; an image one turn away adds the factor exp(-2*pi*a).
+    Every factor is at most 1, and no term or sum overflows.
     """
     n = positions.size
     order = positions.argsort(kind="stable")
@@ -219,33 +197,38 @@ def _interaction_sum(positions: np.ndarray, kernel: MorseKernel) -> np.ndarray:
     if spread == 0.0:  # no pairs apart: at most one agent, or all coincident
         return np.zeros(n)
     search = spread >= np.pi  # |f| <= spread: below pi no f reaches +-pi
-    rows, shifts = _FOUR_CLASSES if search else _OWN_IMAGE_CLASSES
-    classes, half = shifts.size, shifts.size // 2
-    # Behind, the range lo <= j < hi sums to T(hi) - T(lo) with
-    # T(j) = P[j] exp(a (A - q)), the anchor A = y[0] and q = y_i - shift;
-    # ahead it sums to S[lo] - S[hi] (flat entries 2n + 1 - lo and
-    # 2n + 1 - hi of the (2, n + 1) sides, see _exp_prefix) with A = -y[-1]
-    # and q = shift - y_i, and the kernel's sign there makes that
-    # T(2n + 1 - hi) - T(2n + 1 - lo).  The exponent is <= 0 up to rounding
-    # wherever the sum is > 0; capping it at 0 keeps an empty sum from
-    # meeting an overflowed factor.
+    rows, wrapped = _FOUR_CLASSES if search else _OWN_IMAGE_CLASSES
+    half = wrapped.size // 2
+    rates = np.array([[1.0], [1.0 / kernel.attraction_length]])
+    # Per rate and class: the kernel's strength and term sign, and
+    # exp(-2*pi*a) for an image one turn away.
+    weights = (kernel.strength * np.array([[1.0], [-kernel.attraction_strength]])
+               * np.where(wrapped, np.exp(-TWO_PI * rates), 1.0))
+    # Row 0 of a rate's prefix sums holds P[j] = sum_{l < j} E_l, row 1
+    # S[c] = sum_{l >= c} E[-1] / E_l at entry n - c (the mirrored terms,
+    # summed from the top); entry 0 of each is the empty sum.  Behind, the
+    # range lo <= j < hi sums to P[hi] - P[lo]; ahead it sums to
+    # S[lo] - S[hi] (flat entries 2n + 1 - lo and 2n + 1 - hi of a rate's
+    # two rows), and the kernel's sign there makes that S[hi] - S[lo].
+    sums = np.empty((rates.size, 2, n + 1))
+    sums[:, :, 0] = 0.0
+    terms = sums[:, :, 1:]
+    e = terms[:, 0]
+    np.multiply(rates, y - y[0], out=e)
+    np.exp(e, out=e)
+    factors = np.empty((rates.size, 2, 1, n))  # behind and ahead, per agent
+    np.divide(1.0, e, out=factors[:, 0, 0])
+    np.divide(e, e[:, -1:], out=factors[:, 1, 0])
+    np.multiply(e[:, -1:], factors[:, 0, 0, ::-1], out=terms[:, 1])  # E[-1] / E_l, from the top
+    terms.cumsum(axis=2, out=terms)
     idx = _count_table(y, search)[rows]  # (hi, lo) per class
     np.subtract(2 * n + 1, idx[:, half:], out=idx[:, half:])
-    rates = np.array([1.0, 1.0 / kernel.attraction_length])
-    weights = np.repeat([1.0, -kernel.attraction_strength], classes)  # repulsion, attraction
-    sums = _exp_prefix(y, rates)
-    base = np.empty((1, classes, n))  # both ends share the exponent
-    y_shifted = y - shifts  # the exponent A - q: q is this behind, minus this ahead
-    np.subtract(y[0], y_shifted[:half], out=base[:, :half])
-    np.add(-y[-1], y_shifted[half:], out=base[:, half:])
-    np.minimum(base, 0.0, out=base)
-    factors = rates[:, None, None, None] * base
-    np.exp(factors, out=factors)
-    terms = sums.reshape(rates.size, -1).take(idx, axis=1)  # (rates, ends, classes, agents)
-    terms *= factors
-    diff = terms[:, 0] - terms[:, 1]
+    ends = sums.reshape(rates.size, -1).take(idx, axis=1)  # (rates, ends, classes, agents)
+    ranges = ends[:, 0] - ends[:, 1]
+    sides = ranges.reshape(rates.size, 2, half, n)
+    np.multiply(sides, factors, out=sides)
     out = np.empty(n)
-    out[order] = kernel.strength * (weights @ diff.reshape(-1, n))
+    out[order] = weights.ravel() @ ranges.reshape(-1, n)
     return out
 
 

@@ -59,35 +59,32 @@ def direct_interaction_sum(positions, kernel):
     return kernel.strength * f.sum(axis=1)
 
 
-def reference_exp_prefix(y, rates):
-    """The prefix sums of exp(+-rate * x) summed one side at a time, each
-    anchored at its first x: sums (rates, 2n + 2), the mirrored side held
-    from entry 2n + 1 down to n + 1 (see dynamics._exp_prefix)."""
-    n = y.size
-    sums = np.zeros((rates.size, 2 * n + 2))
-    for x, side_sums in ((y, sums[:, 1:n + 1]), (-y[::-1], sums[:, 2 * n:n:-1])):
-        np.subtract(x, x[0], out=side_sums)
-        side_sums *= rates[:, None]
-        np.exp(side_sums, out=side_sums)
-        np.cumsum(side_sums, axis=1, out=side_sums)
-    return sums
-
-
-def assert_prefix_sums_match_reference(y, rates):
-    """dynamics._exp_prefix against the reference, bit for bit."""
-    n = y.size
-    sums = dynamics._exp_prefix(y, rates)
-    ref_sums = reference_exp_prefix(y, rates)
-    assert sums.shape == (rates.size, 2, n + 1)
-    assert np.array_equal(sums[:, 0], ref_sums[:, :n + 1])
-    assert np.array_equal(sums[:, 1], ref_sums[:, :n:-1])
-
-
 def oracle_tolerance(pos, kernel):
     """Each of the N terms per agent is off by a few ulps of its size
     s (1 + G), times 1 + 1/L from rounding in its exponent."""
     return (16 * EPS * kernel.strength * (1 + kernel.attraction_strength) * pos.size
             * (1 + 1 / kernel.attraction_length))
+
+
+def assert_matches_direct_oracle(pos, kernel):
+    """The exact sum of the wrapped positions against the O(N^2) oracle."""
+    got = _interaction_sum(wrap_angle(pos), kernel)
+    assert np.isfinite(got).all()
+    assert np.abs(got - direct_interaction_sum(pos, kernel)).max() <= oracle_tolerance(pos, kernel)
+
+
+def thousand_agents(layout):
+    """The benchmark's swarm size, past the oracle strategy's 300 agents:
+    a tie-free lattice with a spread below 2*pi, duplicated agents, and a
+    spread that rounds to 2*pi."""
+    rng = np.random.default_rng(67)
+    if layout == "lattice":
+        return even_lattice(1000) + rng.uniform(-1e-4, 1e-4, 1000)
+    if layout == "duplicated":
+        return np.repeat(even_lattice(500) + rng.uniform(-1e-4, 1e-4, 500), 2)
+    pos = rng.uniform(-np.pi, np.pi, 1000)
+    pos[:2] = -np.pi, below(np.pi)
+    return pos
 
 
 def staged_positions(rng, n):
@@ -234,18 +231,9 @@ class TestMicroscopicRhs:
 
     @pytest.mark.parametrize("layout", ["lattice", "duplicated", "seam"])
     def test_class_counts_at_a_thousand_agents(self, layout):
-        # the benchmark's swarm size, past the oracle strategy's 300 agents:
         # a tie-free lattice with a spread below 2*pi takes every shortcut of
         # the table, duplicated agents and a spread that rounds to 2*pi none
-        rng = np.random.default_rng(67)
-        if layout == "lattice":
-            pos = even_lattice(1000) + rng.uniform(-1e-4, 1e-4, 1000)
-        elif layout == "duplicated":
-            pos = np.repeat(even_lattice(500) + rng.uniform(-1e-4, 1e-4, 500), 2)
-        else:
-            pos = rng.uniform(-np.pi, np.pi, 1000)
-            pos[:2] = -np.pi, below(np.pi)
-        y = np.sort(wrap_angle(pos))
+        y = np.sort(wrap_angle(thousand_agents(layout)))
         ties, spread = bool((y[1:] == y[:-1]).any()), y[-1] - y[0]
         assert (ties, spread >= 2 * np.pi) == {"lattice": (False, False),
                                                "duplicated": (True, False),
@@ -255,15 +243,21 @@ class TestMicroscopicRhs:
         for row, c in zip(table, SEARCHED_CUTS, strict=True):
             assert np.array_equal(row, (f > c).sum(axis=1)), c
 
-    def test_prefix_sums_with_one_block_a_side(self):
+    @pytest.mark.parametrize("length", [0.5, MIN_ATTRACTION_LENGTH])
+    @pytest.mark.parametrize("layout", ["lattice", "duplicated", "seam"])
+    def test_fast_sum_matches_direct_oracle_at_a_thousand_agents(self, layout, length):
+        # at the shortest L, E = exp((y - y[0]) / L) and 1/E reach e^+-300
+        kernel = MorseKernel(0.5, length, strength=1e-3)
+        assert_matches_direct_oracle(thousand_agents(layout), kernel)
+
+    def test_fifty_agents_match_direct_oracle(self):
         rng = np.random.default_rng(68)
-        y = np.sort(rng.uniform(-np.pi, np.pi, 50))
-        assert_prefix_sums_match_reference(y, np.array([1.0, 2.0]))
+        assert_matches_direct_oracle(np.sort(rng.uniform(-np.pi, np.pi, 50)), MorseKernel(0.5, 0.5))
 
     @pytest.mark.parametrize("y", [[0.5], [-1.0, 2.0], [-np.pi, below(np.pi)]])
-    def test_prefix_sums_of_one_and_two_agents(self, y):
-        for rates in ([1.0, 2.0], [1.0, 1.0 / MIN_ATTRACTION_LENGTH]):
-            assert_prefix_sums_match_reference(np.array(y), np.array(rates))
+    def test_one_and_two_agents_match_direct_oracle(self, y):
+        for length in (0.5, MIN_ATTRACTION_LENGTH):
+            assert_matches_direct_oracle(np.array(y), MorseKernel(0.5, length))
 
     def test_out_of_domain_swarm_sums_like_its_wrapped_copy(self):
         rng = np.random.default_rng(66)

@@ -860,6 +860,14 @@ class TestCli:
     def test_malformed_p_list_is_usage_error(self):
         assert cli_main(["sweep-noise", "--p-list", "0,x"]) == 2
 
+    @pytest.mark.parametrize("command, flag, bad", [("sweep-n", "--n-list", "y"),
+                                                    ("sweep-noise", "--p-list", "x")])
+    def test_malformed_list_entry_is_named_on_stderr(self, capsys, command, flag, bad):
+        assert cli_main([command, flag, f"5,{bad}"]) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: " in err and repr(bad) in err
+        assert "invalid parse value" not in err
+
     @pytest.mark.parametrize("p_list", ["0,nan", "0,inf", "0,-inf"])
     def test_non_finite_p_list_is_usage_error(self, tmp_path, p_list):
         out = tmp_path / "noise"
