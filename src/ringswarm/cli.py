@@ -159,6 +159,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits on usage errors and --help
         return int(exc.code or 0)
     command = args.command
+    rows = ()  # a sweep's (param, d_kl, status) rows
     try:
         if command == "sweep-n":
             rows = scenarios.run_scalability_sweep(config, n_list=args.n_list,
@@ -182,7 +183,8 @@ def main(argv=None) -> int:
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"ringswarm: {exc}", file=sys.stderr)
         return 1
-    return 0
+    # A sweep with a failed member has written and printed every row, and fails.
+    return int(any(status != "ok" for _, _, status in rows))
 
 
 def console_entry():

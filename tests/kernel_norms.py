@@ -2,7 +2,9 @@
 
 import numpy as np
 
-from ringswarm import GridFunction, MorseKernel, grid_nodes, integrate, l2_norm, velocity_field
+from ringswarm.density import l2_norm
+from ringswarm.dynamics import MorseKernel
+from ringswarm.ring import GridFunction, grid_nodes, integrate, velocity_field
 
 
 def kernel_derivative(kernel: MorseKernel, z):

@@ -5,8 +5,8 @@ that applies none."""
 
 import numpy as np
 
-from ringswarm import compute_feedback, velocity_control, velocity_field
-from ringswarm.control import starvation_floor
+from ringswarm.control import compute_feedback, starvation_floor, velocity_control
+from ringswarm.ring import velocity_field
 
 
 def feedback(rho, rho_d, kernel, kp):

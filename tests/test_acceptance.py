@@ -11,20 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from ringswarm import (
-    GridFunction,
-    MorseKernel,
-    grid_nodes,
-    integrate,
-    l2_norm,
-    microscopic_rhs,
-    run_continuum,
-    step_swarm,
-    velocity_field,
-    von_mises_density,
-    wrap_angle,
-)
 from ringswarm.cli import main as cli_main
+from ringswarm.density import l2_norm, von_mises_density
+from ringswarm.dynamics import MorseKernel, microscopic_rhs, run_continuum, step_swarm
+from ringswarm.ring import GridFunction, grid_nodes, integrate, velocity_field, wrap_angle
 from ringswarm.scenarios import (
     monomodal_config,
     open_loop_config,

@@ -3,23 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringswarm import (
-    MorseKernel,
-    compute_feedback,
-    continuum_config,
-    grid_nodes,
-    integrate,
-    l2_norm,
-    sample_agent_inputs,
-    velocity_control,
-    velocity_field,
-    von_mises_density,
-    wrap_angle,
-)
 from ringswarm import scenarios
-from ringswarm.ring import central_difference
-
-from ringswarm.control import starvation_floor
+from ringswarm.control import (
+    compute_feedback,
+    sample_agent_inputs,
+    starvation_floor,
+    velocity_control,
+)
+from ringswarm.density import l2_norm, von_mises_density
+from ringswarm.dynamics import MorseKernel
+from ringswarm.ring import central_difference, grid_nodes, integrate, velocity_field, wrap_angle
+from ringswarm.scenarios import continuum_config
 
 from loop_parts import feedback, solve
 

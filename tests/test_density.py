@@ -5,22 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringswarm import (
+from ringswarm.density import (
     WrappedGaussianEstimator,
-    bimodal_config,
     bimodal_density,
-    even_lattice,
-    grid_nodes,
-    integrate,
     kl_divergence,
     l2_norm,
-    monomodal_config,
-    target_at,
-    tracking_config,
+    tracking_mean,
     von_mises_density,
-    wrap_angle,
 )
-from ringswarm.density import tracking_mean
+from ringswarm.dynamics import even_lattice
+from ringswarm.ring import grid_nodes, integrate, wrap_angle
+from ringswarm.scenarios import bimodal_config, monomodal_config, target_at, tracking_config
 
 EPS = np.finfo(float).eps
 

@@ -5,25 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringswarm import (
+from ringswarm import dynamics
+from ringswarm.control import sample_agent_inputs
+from ringswarm.density import WrappedGaussianEstimator, kl_divergence, l2_norm, von_mises_density
+from ringswarm.dynamics import (
+    MIN_ATTRACTION_LENGTH,
     MorseKernel,
+    _interaction_sum,
     even_lattice,
-    grid_nodes,
-    integrate,
-    kl_divergence,
-    l2_norm,
     microscopic_rhs,
     run_continuum,
-    sample_agent_inputs,
     step_swarm,
-    velocity_field,
-    von_mises_density,
-    wrap_angle,
 )
-from ringswarm import dynamics
-from ringswarm.density import WrappedGaussianEstimator
-from ringswarm.dynamics import _interaction_sum
-from ringswarm.dynamics import MIN_ATTRACTION_LENGTH
+from ringswarm.ring import grid_nodes, integrate, velocity_field, wrap_angle
 
 from kernel_norms import derivative_l2_norm
 from loop_parts import continuum_control, feedback, open_loop, solve
@@ -175,8 +169,11 @@ class TestMicroscopicRhs:
 
     @pytest.mark.parametrize("n", [2, 50, 1000])
     def test_lattice_is_momentum_free(self, n):
-        # even n puts every agent exactly antipodal to another; those pairs
-        # take the two-sided mean 0 instead of pushing both the same way
+        # even n puts every agent antipodal to another in exact arithmetic,
+        # but fl(x_i - x_j) rounds to +-pi only for some pairs, which take
+        # the two-sided mean 0; the others are pushed by +-f(pi) (18 of the
+        # 50 agents at n = 50).  Each pair pushes its two agents opposite
+        # ways, so only the total cancels
         rates = microscopic_rhs(even_lattice(n), MorseKernel(0.5, 0.5, strength=1.0 / n), None)
         assert abs(rates.sum()) < 1e-10
         if n == 2:
@@ -461,6 +458,19 @@ class TestContinuum:
         w[5] = bad
         with pytest.raises(RuntimeError, match="non-finite advection speed"):
             dynamics.max_stable_dt(np.abs(w))
+
+    def test_max_stable_dt_of_a_still_field_is_unbounded(self):
+        assert dynamics.max_stable_dt(np.zeros(16)) == np.inf
+
+    def test_a_step_past_the_courant_limit_is_refused(self):
+        # under a unit speed the upwind update leaves the spike's node
+        # 1 - dt/spacing = -0.5 of its mass
+        m = 16
+        r = np.zeros(m)
+        r[3] = 1.0
+        w = np.ones(m)
+        with pytest.raises(RuntimeError, match="positivity violated"):
+            dynamics._rusanov_advance(r, w, w, 1.5 * (2.0 * np.pi / m))
 
     def test_closed_loop_error_decay_rate(self):
         # regulation toward the concentrated profile from the uniform start;

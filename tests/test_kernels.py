@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ringswarm import MorseKernel, grid_nodes, velocity_field
 from ringswarm.density import von_mises_density
-from ringswarm.dynamics import MIN_ATTRACTION_LENGTH
+from ringswarm.dynamics import MIN_ATTRACTION_LENGTH, MorseKernel
+from ringswarm.ring import grid_nodes, velocity_field
 
 from kernel_norms import kernel_derivative, young_bound_check
 

@@ -5,17 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringswarm import (
+from ringswarm.density import von_mises_density
+from ringswarm.dynamics import MorseKernel, _rusanov_advance
+from ringswarm.ring import (
     GridFunction,
+    central_difference,
     grid_nodes,
     integrate,
     velocity_field,
     wrap_angle,
 )
-from ringswarm.ring import central_difference
-from ringswarm.density import von_mises_density
-from ringswarm.dynamics import _rusanov_advance
-from ringswarm.dynamics import MorseKernel
 
 
 def direct_convolve(kernel_fn, density: np.ndarray) -> np.ndarray:

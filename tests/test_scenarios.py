@@ -10,23 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ringswarm import (
-    GridFunction,
-    MorseKernel,
-    WrappedGaussianEstimator,
-    compute_feedback,
-    even_lattice,
-    grid_nodes,
-    run_continuum,
-    step_swarm,
-    velocity_control,
-    velocity_field,
-    von_mises_density,
-)
 import ringswarm
 from ringswarm import dynamics, scenarios
-from ringswarm.control import starvation_floor
 from ringswarm.cli import main as cli_main
+from ringswarm.control import compute_feedback, starvation_floor, velocity_control
+from ringswarm.density import WrappedGaussianEstimator, von_mises_density
+from ringswarm.dynamics import MorseKernel, even_lattice, run_continuum, step_swarm
+from ringswarm.ring import GridFunction, grid_nodes, velocity_field
 from ringswarm.records import AGENTS_HEADER, DENSITY_HEADER, METRICS_HEADER, SWEEP_HEADER
 from ringswarm.scenarios import (
     ScenarioConfig,
@@ -723,7 +713,7 @@ class TestFullScenarios:
         record = bimodal_run
         t_final, rho, _ = record.density[-1]
         assert t_final == record.metrics[-1][0]
-        from ringswarm import kl_divergence
+        from ringswarm.density import kl_divergence
         mirrored = np.roll(rho[::-1], 1)
         assert kl_divergence(rho, mirrored) < 0.05
         assert record.final_kl() < 0.2
@@ -734,7 +724,7 @@ class TestFullScenarios:
 
     def test_tracking_mode_follows_schedule(self, tracking_run):
         record = tracking_run
-        from ringswarm import wrap_angle
+        from ringswarm.ring import wrap_angle
         from ringswarm.density import tracking_mean
         angles = record.node_angles
         worst = 0.0
@@ -792,6 +782,27 @@ class TestCli:
         assert code == 0
         _, rows = read_rows(out / "sweep.csv")
         assert len(rows) == 2
+
+    @pytest.mark.parametrize("args, failing, params", [
+        (["sweep-n", "--n-list", "1,5,inf"], lambda c: c.n_agents == 5, ["1", "5", "inf"]),
+        (["sweep-noise", "--p-list", "0,40", "--seeds", "2", "--n", "5"],
+         lambda c: c.noise_power_dbw == 40.0, ["0.0", "40.0"]),
+    ])
+    def test_sweep_with_a_failed_member_exits_1_after_every_row(
+            self, tmp_path, capsys, monkeypatch, args, failing, params):
+        run = scenarios.run_scenario
+
+        def member(config):
+            if failing(config):
+                raise RuntimeError("member failed")
+            return run(config)
+        monkeypatch.setattr(scenarios, "run_scenario", member)
+        out = tmp_path / "sweep"
+        assert cli_main(args + ["--t-end", "0.01", "--workers", "1", "--out", str(out)]) == 1
+        _, rows = read_rows(out / "sweep.csv")
+        assert [r[0] for r in rows] == params
+        assert [r[2] for r in rows] == ["ok", "error: member failed", "ok"][:len(params)]
+        assert len(capsys.readouterr().out.splitlines()) == len(params)
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_sweeps_report_each_member_on_stderr(self, tmp_path, capsys, workers):
