@@ -13,7 +13,6 @@ carries no timestamps.
 """
 
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -56,13 +55,20 @@ def _strings(values: np.ndarray) -> list:
 
 def _sample_lines(keys, samples):
     """The lines of each ``(t, a, b)`` sample, one per key: t, the key, then
-    that key's a and b; b is formatted again only when its array is not the
-    previous sample's object."""
-    b_last, b_strings = None, []
+    that key's a and b, as one join over a parts list of four pieces per
+    line (t, ``,key,``, a, ``,b\\n``); the key pieces are built once, the b
+    pieces again only when b's array is not the previous sample's object."""
+    n = len(keys)
+    parts = [""] * (4 * n)
+    parts[1::4] = [f",{key}," for key in keys]
+    b_last = None
     for t, a, b in samples:
         if b is not b_last:
-            b_last, b_strings = b, _strings(b)
-        yield "\n".join(map(",".join, zip(repeat(str(t)), keys, _strings(a), b_strings))) + "\n"
+            b_last = b
+            parts[3::4] = [f",{s}\n" for s in _strings(b)]
+        parts[0::4] = [str(t)] * n
+        parts[2::4] = _strings(a)
+        yield "".join(parts)
 
 
 def write_metadata(path: Path, sections: dict):

@@ -300,7 +300,7 @@ def run_microscopic(config: ScenarioConfig) -> RunRecord:
             _record_sample(record, config, t, rho_hat, controller.desired(t), u, x)
         if i < n_steps:
             x = step_swarm(x, controller.kernel, u_field, config.dt)
-            t += config.dt
+            t = (i + 1) * config.dt  # not a running sum, whose error grows
     record.metadata["q_integral_worst"] = controller.q_integral_worst
     record.metadata["final_kl"] = record.final_kl()
     record.metadata["starved_updates"] = controller.starved_updates
