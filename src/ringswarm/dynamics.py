@@ -320,14 +320,15 @@ def max_stable_dt(speed: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ContinuumRun:
-    """What ``run_continuum`` evaluated: the sampled ``times`` and their
-    ``densities``, and ``u_fields[k]``, the control U of ``densities[k]``
-    as an array: the one its step applied, or for the last sample, from
-    which no step starts, its evaluation after the run.  ``steps`` counts
-    the Rusanov steps, at least one, and ``dt_min``/``dt_max`` are their
-    extremes; ``dt_bound_min`` is the smallest bound a step met,
-    min(``max_stable_dt``, the cap ``dt_max``), whatever a sampling instant
-    cut it to."""
+    """What ``run_continuum`` evaluated: the ``times``, 0 and then exactly
+    the instants it was asked for, with their ``densities``, and
+    ``u_fields[k]``, the control U of ``densities[k]`` as an array: the one
+    its step applied, or for the last sample, from which no step starts, its
+    evaluation after the run.  ``steps`` counts the Rusanov steps, at least
+    one per instant, and ``dt_min``/``dt_max`` are their extremes;
+    ``dt_bound_min`` is the smallest bound a step met,
+    min(``max_stable_dt``, the cap ``dt_max``), whatever an instant cut it
+    to."""
 
     times: tuple
     densities: tuple
@@ -338,42 +339,41 @@ class ContinuumRun:
     dt_bound_min: float
 
 
-def run_continuum(rho: np.ndarray, kernel_samples: GridFunction, control, t_end: float,
-                  *, dt_max: float, sample_every: float) -> ContinuumRun:
-    """Advance the density samples ``rho`` from t = 0 to ``t_end`` with
-    adaptive CFL-limited steps of at most ``dt_max``; returns the sampled
-    densities with the control of each (see ``ContinuumRun``).
+def run_continuum(rho: np.ndarray, kernel_samples: GridFunction, control, sample_times,
+                  *, dt_max: float) -> ContinuumRun:
+    """Advance the density samples ``rho`` from t = 0 through the rising
+    ``sample_times`` with adaptive CFL-limited steps of at most ``dt_max``;
+    returns the density at each instant with the control of each (see
+    ``ContinuumRun``).
 
     ``kernel_samples`` come from ``MorseKernel.sample_on_grid``.  ``control``
     maps the density array, its V and the time to U, as in
-    ``continuum_velocity``.  Steps land exactly on the sampling instants,
-    the multiples of ``sample_every``, so trajectories are reproducible
-    regardless of the adaptive step history in between.
+    ``continuum_velocity``.  Steps land exactly on the instants (a step
+    ending within 1e-12 of one sets t to it), so trajectories are
+    reproducible regardless of the adaptive step history in between.
     """
-    if not 0.0 < t_end < math.inf:  # NaN fails too
-        raise ValueError(f"t_end must be positive and finite, got {t_end}")
-    if not (sample_every > 0.0 and dt_max > 0.0):  # NaN fails too; +inf is valid
-        raise ValueError(f"sample_every and dt_max must be positive, got {sample_every} "
-                         f"and {dt_max}")
-    t, k = 0.0, 1  # the time, and the sampling instant k * sample_every ahead of it
-    times, densities, u_fields = [t], [rho], []
+    times = [0.0, *sample_times]
+    if not (len(times) > 1 and all(a < b for a, b in zip(times, times[1:]))
+            and times[-1] < math.inf and dt_max > 0.0):  # NaN fails too; dt_max = +inf is valid
+        raise ValueError(f"sample_times must rise from above 0 to a finite end and dt_max must "
+                         f"be positive, got {times[1:]} and {dt_max}")
+    t, densities, u_fields = 0.0, [rho], []
     steps, shortest, longest, tightest = 0, math.inf, 0.0, math.inf
-    while not steps or t < t_end - 1e-12:  # a t_end within 1e-12 of 0 still takes its step
-        target = min(k * sample_every, t_end)
-        w, u = continuum_velocity(rho, t, kernel_samples, control)
-        if len(u_fields) < len(times):  # the step from a sample
-            u_fields.append(u)
-        speed = np.abs(w)  # once for the CFL bound and the face wave speeds
-        bound = min(max_stable_dt(speed), dt_max)
-        dt = min(bound, target - t)
-        rho = _rusanov_advance(rho, w, speed, dt)
-        t += dt
-        steps += 1
-        shortest, longest, tightest = min(shortest, dt), max(longest, dt), min(tightest, bound)
-        if t >= target - 1e-12:
-            times.append(t)
-            densities.append(rho)
-            k += 1
+    for target in times[1:]:
+        while t < target:
+            w, u = continuum_velocity(rho, t, kernel_samples, control)
+            if len(u_fields) < len(densities):  # the step from a sample
+                u_fields.append(u)
+            speed = np.abs(w)  # once for the CFL bound and the face wave speeds
+            bound = min(max_stable_dt(speed), dt_max)
+            dt = min(bound, target - t)
+            rho = _rusanov_advance(rho, w, speed, dt)
+            t += dt
+            steps += 1
+            if t >= target - 1e-12:  # landed: the instant itself, not a rounding of it
+                t = target
+            shortest, longest, tightest = min(shortest, dt), max(longest, dt), min(tightest, bound)
+        densities.append(rho)
     u_fields.append(control(rho, velocity_field(kernel_samples, rho), t))
     return ContinuumRun(tuple(times), tuple(densities), tuple(u_fields), steps, shortest, longest,
                         tightest)

@@ -83,8 +83,9 @@ class ScenarioConfig:
             if not _has_field_type(value, f.type):
                 raise ValueError(f"{f.name} must be of type "
                                  f"{getattr(f.type, '__name__', f.type)}, got {value!r}")
-            if isinstance(value, numbers.Integral) and f.type in (float, float | None):
-                object.__setattr__(self, f.name, value := float(value))  # 10 echoes as 10.0
+            if value is not None and f.type in (float, float | None):
+                # 10 echoes as 10.0, and a numpy float meets the checks as a float
+                object.__setattr__(self, f.name, value := float(value))
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         for name in ("n_agents", "kp", "dt", "t_end", "sample_every"):
@@ -112,9 +113,9 @@ class ScenarioConfig:
                                  f"variance 10^(P/10)") from None
         if self.mu and self.scenario not in ("regulate-mono", "continuum"):
             raise ValueError(f"the {self.scenario} scenario's target takes no mu")
-        # The agent loop takes round(t_end / dt) steps and samples every
-        # round(sample_every / dt) of them, while the continuum lands on the
-        # exact instants; off the dt grid the two would disagree silently.
+        # Both runners sample at the steps of sample_steps, which round
+        # t_end / dt and sample_every / dt; off the dt grid a run would end
+        # or sample elsewhere than asked, silently.
         for name in ("t_end", "sample_every"):
             steps = getattr(self, name) / self.dt
             if round(steps) < 1 or abs(steps - round(steps)) > 1e-6:
@@ -185,6 +186,14 @@ def initial_positions(config: ScenarioConfig) -> np.ndarray:
         return even_lattice(config.n_agents)
     h = CLUMP_HALFWIDTH
     return -h + 2.0 * h * (np.arange(config.n_agents) + 0.5) / config.n_agents
+
+
+def sample_steps(config: ScenarioConfig) -> list:
+    """The agent steps at which both runners sample, at t = step * dt: 0,
+    s, 2s, ... below the last step round(t_end / dt), then that step, with
+    the stride s = round(sample_every / dt)."""
+    n_steps = int(round(config.t_end / config.dt))
+    return [*range(0, n_steps, int(round(config.sample_every / config.dt))), n_steps]
 
 
 def _noise_std(power_dbw: float) -> float:
@@ -287,10 +296,10 @@ def run_microscopic(config: ScenarioConfig) -> RunRecord:
     x, t, u_field = initial_positions(config), 0.0, None
     record = RunRecord(config=asdict(config), metadata=_base_metadata(config),
                        node_angles=controller.nodes)
-    n_steps = int(round(config.t_end / config.dt))
-    stride = int(round(config.sample_every / config.dt))
+    steps = sample_steps(config)
+    n_steps, sampled = steps[-1], set(steps)
     for i in range(n_steps + 1):
-        sample = i % stride == 0 or i == n_steps
+        sample = i in sampled
         if closed or sample:
             rho_hat = estimator.estimate(x)
         if closed:
@@ -316,8 +325,8 @@ def run_continuum_scenario(config: ScenarioConfig) -> RunRecord:
     # its stability bound 2/kp, the error decays without flipping sign.
     # config.dt only sets the sampling grid here.
     dt_cap = 1.0 / config.kp
-    run = run_continuum(rho0, controller.samples, controller, config.t_end,
-                        dt_max=dt_cap, sample_every=config.sample_every)
+    sample_times = [i * config.dt for i in sample_steps(config)[1:]]
+    run = run_continuum(rho0, controller.samples, controller, sample_times, dt_max=dt_cap)
     record = RunRecord(config=asdict(config), metadata=_base_metadata(config),
                        node_angles=controller.nodes)
     record.metadata["q_integral_worst"] = controller.q_integral_worst

@@ -89,8 +89,8 @@ def test_criterion_3_error_decay_bound():
     rho0 = rho_d + 0.05 * np.sin(x)
     assert abs(integrate(rho0) - n) < 1e-12  # mass-preserving perturbation
     e0 = l2_norm(rho_d - rho0)
-    run = run_continuum(rho0, kernel.sample_on_grid(x.size), control, 0.1,
-                        dt_max=1e-3, sample_every=0.005)
+    run = run_continuum(rho0, kernel.sample_on_grid(x.size), control,
+                        [0.005 * k for k in range(1, 21)], dt_max=1e-3)
     ts = np.array(run.times)
     els = np.array([l2_norm(rho_d - rho) for rho in run.densities])
     slope = float(np.polyfit(ts, np.log(els**2), 1)[0])

@@ -408,8 +408,7 @@ def continuum_cases(draw):
 def one_step(rho, kernel, dt):
     """The density after one open-loop Rusanov step of run_continuum, at a
     dt below the CFL bound."""
-    run = run_continuum(rho, kernel.sample_on_grid(rho.size), open_loop, dt,
-                        dt_max=dt, sample_every=dt)
+    run = run_continuum(rho, kernel.sample_on_grid(rho.size), open_loop, [dt], dt_max=dt)
     assert run.times == (0.0, dt)
     return run.densities[-1]
 
@@ -427,8 +426,8 @@ class TestContinuum:
                                        + 0.2 * rng.normal() * np.cos(2 * nodes))
         kernel = MorseKernel(0.5, 0.5, strength=0.02)
         mass0 = integrate(values)
-        rho = run_continuum(values, kernel.sample_on_grid(256), open_loop, 1.0, dt_max=1e-3,
-                            sample_every=1.0).densities[-1]
+        rho = run_continuum(values, kernel.sample_on_grid(256), open_loop, [1.0],
+                            dt_max=1e-3).densities[-1]
         assert abs(integrate(rho) - mass0) < 1e-9
         assert rho.min() >= 0.0
 
@@ -444,8 +443,8 @@ class TestContinuum:
 
         rusanov_advance = dynamics._rusanov_advance
         monkeypatch.setattr(dynamics, "_rusanov_advance", advance)
-        run_continuum(rho, MorseKernel(0.5, 0.5).sample_on_grid(256), open_loop, 0.05,
-                      dt_max=1.0, sample_every=0.05)
+        run_continuum(rho, MorseKernel(0.5, 0.5).sample_on_grid(256), open_loop, [0.05],
+                      dt_max=1.0)
         assert len(steps) > 1
         bound = dynamics.CFL * (2.0 * np.pi / 256)
         assert all(dt * top <= bound * (1 + 1e-12) for dt, top in steps)
@@ -486,8 +485,8 @@ class TestContinuum:
 
         rho0 = von_mises_density(0.0, 0.0, n, nodes)
         e0 = l2_norm(rho_d - rho0)
-        run = run_continuum(rho0, kernel.sample_on_grid(256), control, 0.1,
-                            dt_max=1e-3, sample_every=0.005)
+        run = run_continuum(rho0, kernel.sample_on_grid(256), control,
+                            [0.005 * k for k in range(1, 21)], dt_max=1e-3)
         ts = np.array(run.times)
         els = np.array([l2_norm(rho_d - rho) for rho in run.densities])
         slope = np.polyfit(ts, np.log(els**2), 1)[0]
@@ -499,9 +498,9 @@ class TestContinuum:
         n = 50.0
         kernel = MorseKernel(0.5, 0.5, strength=1.0 / n)
         run = run_continuum(von_mises_density(0.2, 2.0, n, grid_nodes(256)),
-                            kernel.sample_on_grid(256), open_loop, 1.0, dt_max=1e-3,
-                            sample_every=0.25)
-        assert list(run.times) == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
+                            kernel.sample_on_grid(256), open_loop, [0.25, 0.5, 0.75, 1.0],
+                            dt_max=1e-3)
+        assert run.times == (0.0, 0.25, 0.5, 0.75, 1.0)
         assert abs(integrate(run.densities[-1]) - n) < 1e-9
 
     @settings(derandomize=True, deadline=None, max_examples=150)
@@ -510,7 +509,7 @@ class TestContinuum:
         rho0, kernel, control = case
         mass = integrate(rho0)
         samples = kernel.sample_on_grid(rho0.size)
-        run = run_continuum(rho0, samples, control, 0.05, dt_max=1e-3, sample_every=0.05)
+        run = run_continuum(rho0, samples, control, [0.05], dt_max=1e-3)
         assert run.steps >= 50
         for rho in run.densities:
             assert abs(integrate(rho) - mass) <= 1e-9 * mass
@@ -536,9 +535,9 @@ class TestContinuum:
         rusanov_advance = dynamics._rusanov_advance
         monkeypatch.setattr(dynamics, "_rusanov_advance", advance)
         samples = kernel.sample_on_grid(64)
-        run = run_continuum(von_mises_density(0.0, 0.0, n, nodes), samples, control, 0.1,
-                            dt_max=0.02, sample_every=0.03)
-        assert list(run.times) == pytest.approx([0.0, 0.03, 0.06, 0.09, 0.1])
+        run = run_continuum(von_mises_density(0.0, 0.0, n, nodes), samples, control,
+                            [0.03, 0.06, 0.09, 0.1], dt_max=0.02)
+        assert run.times == (0.0, 0.03, 0.06, 0.09, 0.1)
         assert len(run.u_fields) == len(run.densities) == len(run.times)
         assert all(u is applied[t] for t, u in zip(run.times, run.u_fields))
         # the last sample starts no step; its U is evaluated once after the run
@@ -552,25 +551,33 @@ class TestContinuum:
         assert run.dt_min <= run.dt_bound_min <= 0.02
 
     def test_open_loop_and_stepless_runs(self):
-        # the open loop is a control that returns zeros; a run of no step is refused
+        # the open loop is a control that returns zeros; a run of no instant is refused
         kernel = MorseKernel(0.5, 0.5, strength=0.1)
         rho = von_mises_density(0.0, 1.0, 10.0, grid_nodes(64))
-        with pytest.raises(ValueError, match="t_end must be positive and finite"):
-            run_continuum(rho, kernel.sample_on_grid(64), open_loop, 0.0, dt_max=1e-3,
-                          sample_every=0.05)
-        run = run_continuum(rho, kernel.sample_on_grid(64), open_loop, 0.1, dt_max=1e-3,
-                            sample_every=0.05)
+        with pytest.raises(ValueError, match="sample_times must rise from above 0"):
+            run_continuum(rho, kernel.sample_on_grid(64), open_loop, [], dt_max=1e-3)
+        run = run_continuum(rho, kernel.sample_on_grid(64), open_loop, [0.05, 0.1], dt_max=1e-3)
         assert len(run.times) == len(run.densities) == 3
         assert not np.any(run.u_fields) and run.steps >= 100
-        # a t_end within the 1e-12 landing tolerance of 0 still takes its step
-        run = run_continuum(rho, kernel.sample_on_grid(64), open_loop, 1e-13, dt_max=1e-3,
-                            sample_every=0.05)
+        # an instant within the 1e-12 landing tolerance of 0 still takes its step
+        run = run_continuum(rho, kernel.sample_on_grid(64), open_loop, [1e-13], dt_max=1e-3)
         assert run.times == (0.0, 1e-13) and run.steps == 1 and run.dt_min == 1e-13
 
-    @pytest.mark.parametrize("sample_every, dt_max", [(-1.0, 1e-3), (0.0, 1e-3), (math.nan, 1e-3),
-                                                      (0.05, 0.0), (0.05, -1e-3), (0.05, math.nan)])
-    def test_refuses_a_step_cap_or_sampling_interval_that_is_not_positive(
-            self, monkeypatch, sample_every, dt_max):
+    def test_lands_exactly_on_the_instants(self):
+        # 0.1 s of steps at the cap 1e-3 sum to 0.1 only up to rounding; each
+        # instant is taken as given, also where it is not a multiple of a step
+        kernel = MorseKernel(0.5, 0.5, strength=0.1)
+        rho = von_mises_density(0.0, 1.0, 10.0, grid_nodes(64))
+        instants = [i * 1e-3 for i in (7, 33, 100)] + [0.1 + 1e-13, 0.2 / 3.0 + 0.1]
+        run = run_continuum(rho, kernel.sample_on_grid(64), open_loop, instants, dt_max=1e-3)
+        assert run.times == (0.0, *instants)
+
+    @pytest.mark.parametrize("sample_times, dt_max", [
+        ([], 1e-3), ([0.0], 1e-3), ([-0.1], 1e-3), ([math.nan], 1e-3), ([math.inf], 1e-3),
+        ([0.05, math.nan], 1e-3), ([0.05, math.inf], 1e-3), ([0.05, 0.05], 1e-3),
+        ([0.1, 0.05], 1e-3), ([0.1], 0.0), ([0.1], -1e-3), ([0.1], math.nan)])
+    def test_refuses_instants_or_a_step_cap_it_cannot_run(self, monkeypatch, sample_times,
+                                                          dt_max):
         # a run that would never end stops after a few hundred steps
         rusanov_advance, calls = dynamics._rusanov_advance, []
 
@@ -583,36 +590,16 @@ class TestContinuum:
         monkeypatch.setattr(dynamics, "_rusanov_advance", advance)
         kernel = MorseKernel(0.5, 0.5, strength=0.1)
         rho = von_mises_density(0.0, 1.0, 10.0, grid_nodes(64))
-        with pytest.raises(ValueError, match="must be positive"):
-            run_continuum(rho, kernel.sample_on_grid(64), open_loop, 0.1, dt_max=dt_max,
-                          sample_every=sample_every)
+        with pytest.raises(ValueError, match="must rise from above 0 to a finite end and dt_max "
+                                             "must be positive"):
+            run_continuum(rho, kernel.sample_on_grid(64), open_loop, sample_times, dt_max=dt_max)
         assert not calls
 
-    @pytest.mark.parametrize("t_end", [0.0, -0.1, math.nan, math.inf])
-    def test_refuses_an_end_time_that_is_not_positive_and_finite(self, monkeypatch, t_end):
-        # a run that would never end stops after a few hundred steps
-        rusanov_advance, calls = dynamics._rusanov_advance, []
-
-        def advance(*args):
-            calls.append(None)
-            if len(calls) > 300:
-                raise RuntimeError("still stepping")
-            return rusanov_advance(*args)
-
-        monkeypatch.setattr(dynamics, "_rusanov_advance", advance)
+    def test_an_infinite_step_cap_is_valid(self):
         kernel = MorseKernel(0.5, 0.5, strength=0.1)
         rho = von_mises_density(0.0, 1.0, 10.0, grid_nodes(64))
-        with pytest.raises(ValueError, match="t_end must be positive and finite"):
-            run_continuum(rho, kernel.sample_on_grid(64), open_loop, t_end, dt_max=1e-3,
-                          sample_every=0.05)
-        assert not calls
-
-    def test_infinite_step_cap_and_sampling_interval_are_valid(self):
-        kernel = MorseKernel(0.5, 0.5, strength=0.1)
-        rho = von_mises_density(0.0, 1.0, 10.0, grid_nodes(64))
-        run = run_continuum(rho, kernel.sample_on_grid(64), open_loop, 0.1, dt_max=math.inf,
-                            sample_every=math.inf)
-        assert run.times[-1] == pytest.approx(0.1) and len(run.times) == 2 and run.steps > 0
+        run = run_continuum(rho, kernel.sample_on_grid(64), open_loop, [0.1], dt_max=math.inf)
+        assert run.times == (0.0, 0.1) and run.steps > 0
 
     def test_negative_density_guard(self):
         kernel = MorseKernel(0.5, 0.5, strength=0.1)
@@ -640,6 +627,6 @@ class TestScaleConsistency:
             x = step_swarm(x, kernel, None, 1e-3)
         kde = WrappedGaussianEstimator(0.2, 256).estimate(x)
 
-        cont = run_continuum(rho0, kernel.sample_on_grid(256), open_loop, 3.0, dt_max=1e-3,
-                             sample_every=3.0).densities[-1]
+        cont = run_continuum(rho0, kernel.sample_on_grid(256), open_loop, [3.0],
+                             dt_max=1e-3).densities[-1]
         assert kl_divergence(kde, cont) < 0.05
